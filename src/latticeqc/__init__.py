@@ -47,6 +47,7 @@ from .primitives import (
 )
 from .protocols import (
     ComputerDescriptor,
+    FormattingError,
     RepairReport,
     StrayAtomsError,
     create_defects_script,
@@ -54,6 +55,7 @@ from .protocols import (
     depopulate_script,
     expected_formatted,
     format_script,
+    formatted_homes,
     oracle_computers,
     oracle_homes,
     prepare_script,

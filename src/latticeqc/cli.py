@@ -18,6 +18,7 @@ from . import __version__
 from .lattice import BasisConfig, MixedState, classical
 from .primitives import Script, ScriptParseError, execute
 from .protocols import (
+    FormattingError,
     StrayAtomsError,
     oracle_computers,
     prepare_script,
@@ -67,12 +68,25 @@ def _add_dist_flags(p: argparse.ArgumentParser, p0=0.1, p1=0.1):
     p.add_argument("--p4", type=float, default=0.0)
 
 
+def _read_a_counts(path: str) -> np.ndarray:
+    """Level-a counts of a lattice file; every site must read [a, 0, 0]."""
+    with open(path) as fh:
+        sites = json.load(fh)
+    if not isinstance(sites, list) or not sites:
+        raise ValueError("lattice file holds no sites")
+    for k, site in enumerate(sites):
+        ok = isinstance(site, list) and len(site) == 3
+        if not ok or any(type(x) is not int for x in site) or site[1] or site[2]:
+            raise ValueError(
+                f"lattice site {k} is {json.dumps(site)}; format takes sites "
+                "[a, 0, 0] with every atom in level a"
+            )
+    return np.array([site[0] for site in sites], dtype=np.int64)
+
+
 def cmd_format(args) -> int:
     if args.lattice:
-        with open(args.lattice) as fh:
-            a = np.array([site[0] for site in json.load(fh)], dtype=np.int64)
-        if a.size == 0:
-            raise ValueError("lattice file holds no sites")
+        a = _read_a_counts(args.lattice)
     else:
         rng = np.random.default_rng(args.seed)
         a = sample_occupations(args.L, _dist_from_args(args), rng)
@@ -289,7 +303,7 @@ def main(argv=None) -> int:
     except (ScriptParseError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StrayAtomsError, GateLeakageError) as exc:
+    except (StrayAtomsError, FormattingError, GateLeakageError) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -10,6 +10,7 @@ pointer counter) decohere in the occupation basis.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -67,7 +68,8 @@ class BasisConfig:
         return len(self.sites)
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.sites, dtype=np.int64)
+        flat = itertools.chain.from_iterable(self.sites)
+        return np.fromiter(flat, dtype=np.int64, count=3 * self.L).reshape(self.L, 3)
 
     def max_count(self) -> int:
         return max(max(s) for s in self.sites)

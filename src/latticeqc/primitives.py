@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
@@ -176,96 +176,60 @@ class Script:
         return cls(ops)
 
 
+# DSL head -> (op class, one parser per field)
+_SYNTAX = {
+    "U": (PairTransfer, int, int, int),
+    "W": (WSwap,),
+    "V": (ABRotation, float),
+    "C": (Collide, float),
+    "S": (Shift, int),
+    "EB": (EmptyB,),
+    "EP": (EmptyP,),
+    "SPLIT": (DefectSplit, float),
+    "COUNTP": (CountP,),
+}
+_HEAD = {spec[0]: head for head, spec in _SYNTAX.items()}
+
+
 def _op_to_text(op: PrimitiveOp) -> str:
-    if isinstance(op, PairTransfer):
-        return f"U {op.m} {op.n} {op.x}"
-    if isinstance(op, WSwap):
-        return "W"
-    if isinstance(op, ABRotation):
-        return f"V {op.theta!r}"
-    if isinstance(op, Collide):
-        return f"C {op.phi!r}"
-    if isinstance(op, Shift):
-        return f"S {op.x}"
-    if isinstance(op, EmptyB):
-        return "EB"
-    if isinstance(op, EmptyP):
-        return "EP"
-    if isinstance(op, DefectSplit):
-        return f"SPLIT {op.eps!r}"
-    if isinstance(op, CountP):
-        return "COUNTP"
-    raise TypeError(f"unknown op {op!r}")
+    if type(op) not in _HEAD:
+        raise TypeError(f"unknown op {op!r}")
+    args = (repr(v) if isinstance(v, float) else str(v) for v in astuple(op))
+    return " ".join([_HEAD[type(op)], *args])
 
 
 def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
-    head = tok[0]
-    if head == "U" and len(tok) == 4:
-        return PairTransfer(int(tok[1]), int(tok[2]), int(tok[3]))
-    if head == "W" and len(tok) == 1:
-        return WSwap()
-    if head == "V" and len(tok) == 2:
-        return ABRotation(float(tok[1]))
-    if head == "C" and len(tok) == 2:
-        return Collide(float(tok[1]))
-    if head == "S" and len(tok) == 2:
-        return Shift(int(tok[1]))
-    if head == "EB" and len(tok) == 1:
-        return EmptyB()
-    if head == "EP" and len(tok) == 1:
-        return EmptyP()
-    if head == "SPLIT" and len(tok) == 2:
-        return DefectSplit(float(tok[1]))
-    if head == "COUNTP" and len(tok) == 1:
-        return CountP()
-    raise ValueError("unrecognized operation")
+    spec = _SYNTAX.get(tok[0])
+    if spec is None or len(tok) != len(spec):
+        raise ValueError("unrecognized operation")
+    return spec[0](*(parse(t) for parse, t in zip(spec[1:], tok[1:])))
 
 
 # ---------------------------------------------------------------------------
 # unitary kernels (per pure branch)
 
 
-def _map_sites(terms: dict, site_map) -> dict:
+def _swap_terms(terms: dict, s1: SiteOccupancy, s2: SiteOccupancy) -> dict:
+    """Exchange the one-site states s1 and s2 on every site."""
+    if s1 == s2:
+        return dict(terms)
+    swap = {s1: s2, s2: s1}
     out: dict[BasisConfig, complex] = {}
     for config, amp in terms.items():
-        new = BasisConfig(tuple(site_map(s) for s in config.sites))
+        new = BasisConfig(tuple(swap.get(s, s) for s in config.sites))
         out[new] = out.get(new, 0.0) + amp
     return out
 
 
-def _pair_transfer_terms(terms: dict, op: PairTransfer, m_max: int) -> dict:
-    hi = max(op.m, op.n, op.m + op.x, op.n - op.x)
-    if hi > m_max:
+def _check_transfer(op: PairTransfer, m_max: int):
+    if max(op.m, op.n, op.m + op.x, op.n - op.x) > m_max:
         raise OccupationOverflowError(
             f"transfer endpoint exceeds cutoff {m_max}: (m={op.m}, n={op.n}, x={op.x})"
         )
-    src, dst = op.src, op.dst
-    if src == dst:
-        return dict(terms)
-
-    def flip(s: SiteOccupancy) -> SiteOccupancy:
-        if s == src:
-            return dst
-        if s == dst:
-            return src
-        return s
-
-    return _map_sites(terms, flip)
 
 
 _W_A = SiteOccupancy(1, 0, 1)
 _W_B = SiteOccupancy(0, 1, 1)
-
-
-def _w_swap_terms(terms: dict) -> dict:
-    def flip(s: SiteOccupancy) -> SiteOccupancy:
-        if s == _W_A:
-            return _W_B
-        if s == _W_B:
-            return _W_A
-        return s
-
-    return _map_sites(terms, flip)
 
 
 def _shift_terms(terms: dict, x: int) -> dict:
@@ -457,19 +421,98 @@ def count_p(
 
 
 # ---------------------------------------------------------------------------
-# classical fast path: vectorized kernels on occupation arrays
+# classical engine: compiled site-code lookup tables
+#
+# A classical site (a, b, p) is one small int, its site code
+# a*R**2 + b*R + p with R = m_max + 1.  A basis-preserving script compiles
+# once per (script, m_max) into steps on an array of codes: one fused
+# sitewise table per run of PairTransfer, WSwap, EmptyP and EmptyB, a roll
+# of the pointer digit per Shift, and a phase step per Collide.
 
 
-def _require_in_cutoff(occ: np.ndarray, m_max: int):
+@lru_cache(maxsize=8)
+def _site_table(m_max: int) -> np.ndarray:
+    """Row c holds the occupations (a, b, p) of site code c."""
+    R = m_max + 1
+    sites = np.indices((R, R, R)).reshape(3, -1).T.copy()
+    sites.setflags(write=False)
+    return sites
+
+
+def _encode(occ, m_max: int) -> np.ndarray:
+    occ = np.asarray(occ, dtype=np.int64)
+    if occ.shape[-1:] != (3,):
+        raise ValueError(f"expected trailing axis of size 3, got {occ.shape}")
     if occ.size and occ.max() > m_max:
         raise OccupationOverflowError(f"occupation exceeds cutoff {m_max}")
+    if occ.size and occ.min() < 0:
+        raise ValueError("negative occupation")
+    R = m_max + 1
+    codes = (occ[..., 0] * R + occ[..., 1]) * R + occ[..., 2]
+    return codes.astype(np.min_scalar_type(R**3 - 1))
 
 
-def _classical_swap(occ: np.ndarray, pat1, pat2):
-    m1 = np.all(occ == pat1, axis=-1)
-    m2 = np.all(occ == pat2, axis=-1)
-    occ[m1] = pat2
-    occ[m2] = pat1
+@lru_cache(maxsize=256)
+def _compile(script: Script, m_max: int) -> tuple:
+    """Steps on site codes: ("table", t) maps code c to t[c]; ("shift", x,
+    rest, p) maps it to rest[c] plus p[c'] of the site c' x sites to the
+    left; ("phase", phi, w) adds phi * sum(w[c]) to the phase.  The table
+    pending at a Shift folds into rest and p, and the one pending at a
+    Collide into w, so w[c] is a*p after that table."""
+    sites = _site_table(m_max)
+    ident = _encode(sites, m_max)
+
+    def swap(s1: SiteOccupancy, s2: SiteOccupancy) -> np.ndarray:
+        t = ident.copy()
+        t[_encode([s1, s2], m_max)] = _encode([s2, s1], m_max)
+        return t
+
+    steps = []
+    table = ident
+    for op in script:
+        if isinstance(op, Shift):
+            p = sites[table, 2].astype(ident.dtype)
+            steps.append(("shift", op.x, table - p, p))
+            table = ident
+            continue
+        if isinstance(op, Collide):
+            steps.append(("phase", op.phi, sites[table, 0] * sites[table, 2]))
+            continue
+        if isinstance(op, PairTransfer):
+            _check_transfer(op, m_max)
+            step = swap(op.src, op.dst)
+        elif isinstance(op, WSwap):
+            step = swap(_W_A, _W_B) if m_max >= 1 else ident
+        elif isinstance(op, EmptyP):
+            step = _encode(sites * (1, 1, 0), m_max)
+        elif isinstance(op, EmptyB):
+            step = _encode(sites * (1, 0, 1), m_max)
+        else:
+            raise ValueError(f"script contains non-classical operation {op!r}")
+        table = step[table]
+    if table is not ident:
+        steps.append(("table", table))
+    for arr in (a for step in steps for a in step if isinstance(a, np.ndarray)):
+        arr.setflags(write=False)  # the cache hands these to every caller
+    return tuple(steps)
+
+
+def _run_classical(occ, script: Script, m_max: int, phase: float | None = None):
+    """Encode (..., L, 3) occupations, run the compiled script, decode.
+
+    With ``phase`` None the phase steps are skipped; otherwise each adds
+    phi * sum(a*p) to it, in op order.
+    """
+    codes = _encode(occ, m_max)
+    for step in _compile(script, m_max):
+        if step[0] == "table":
+            codes = np.take(step[1], codes)
+        elif step[0] == "shift":
+            moved = np.roll(np.take(step[3], codes), step[1], axis=-1)
+            codes = np.take(step[2], codes) + moved
+        elif phase is not None:
+            phase += step[1] * float(np.take(step[2], codes).sum())
+    return np.take(_site_table(m_max), codes, axis=0), phase
 
 
 def apply_classical(occ: np.ndarray, script: Script, m_max: int = DEFAULT_M_MAX) -> np.ndarray:
@@ -478,50 +521,9 @@ def apply_classical(occ: np.ndarray, script: Script, m_max: int = DEFAULT_M_MAX)
     ``occ`` has shape (..., L, 3); leading axes are a batch, so a whole
     family of lattices runs in one vectorized pass.  Phases from Collide
     are physically inert on a classical configuration and are dropped
-    here (the branch-level interpreter tracks them).
+    here (:func:`execute` tracks them).
     """
-    if not script.is_basis_preserving():
-        raise ValueError("script contains non-classical operations")
-    occ = np.array(occ, dtype=np.int64, copy=True)
-    if occ.shape[-1] != 3:
-        raise ValueError(f"expected trailing axis of size 3, got {occ.shape}")
-    _require_in_cutoff(occ, m_max)
-    for op in script:
-        if isinstance(op, PairTransfer):
-            hi = max(op.m, op.n, op.m + op.x, op.n - op.x)
-            if hi > m_max:
-                raise OccupationOverflowError(
-                    f"transfer endpoint exceeds cutoff {m_max}"
-                )
-            if op.src != op.dst:
-                _classical_swap(occ, op.src, op.dst)
-        elif isinstance(op, WSwap):
-            _classical_swap(occ, _W_A, _W_B)
-        elif isinstance(op, Shift):
-            occ[..., 2] = np.roll(occ[..., 2], op.x, axis=-1)
-        elif isinstance(op, EmptyP):
-            occ[..., 2] = 0
-        elif isinstance(op, EmptyB):
-            occ[..., 1] = 0
-        elif isinstance(op, Collide):
-            pass
-        else:  # pragma: no cover - guarded by is_basis_preserving
-            raise ValueError(f"op {op!r} is not basis-preserving")
-    return occ
-
-
-def _run_classical_branch(
-    config: BasisConfig, script: Script, m_max: int
-) -> tuple[BasisConfig, complex]:
-    occ = config.to_array()
-    _require_in_cutoff(occ, m_max)
-    phase = 0.0
-    for op in script:
-        if isinstance(op, Collide):
-            phase += op.phi * float(np.dot(occ[:, 0], occ[:, 2]))
-        else:
-            occ = apply_classical(occ, Script([op]), m_max)
-    return BasisConfig.from_array(occ), cmath.exp(1j * phase)
+    return _run_classical(occ, script, m_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +532,12 @@ def _run_classical_branch(
 
 def pair_transfer(state: MixedState, m: int, n: int, x: int) -> MixedState:
     op = PairTransfer(m, n, x)
-    return _unitary_on_state(state, lambda t: _pair_transfer_terms(t, op, state.m_max))
+    _check_transfer(op, state.m_max)
+    return _unitary_on_state(state, lambda t: _swap_terms(t, op.src, op.dst))
 
 
 def w_swap(state: MixedState) -> MixedState:
-    return _unitary_on_state(state, _w_swap_terms)
+    return _unitary_on_state(state, lambda t: _swap_terms(t, _W_A, _W_B))
 
 
 def ab_rotation(state: MixedState, theta: float) -> MixedState:
@@ -564,46 +567,43 @@ def defect_split(state: MixedState, eps: float) -> MixedState:
     return _unitary_on_state(state, lambda t: _defect_split_terms(t, op.eps, state.L))
 
 
+_GENERIC = {
+    PairTransfer: lambda s, op: pair_transfer(s, op.m, op.n, op.x),
+    WSwap: lambda s, op: w_swap(s),
+    ABRotation: lambda s, op: ab_rotation(s, op.theta),
+    Collide: lambda s, op: collide(s, op.phi),
+    Shift: lambda s, op: shift_p(s, op.x),
+    EmptyP: lambda s, op: empty_p(s),
+    EmptyB: lambda s, op: empty_b(s),
+    DefectSplit: lambda s, op: defect_split(s, op.eps),
+}
+
+
 def execute(
     state: MixedState, script: Script, rng: np.random.Generator | None = None
 ) -> tuple[MixedState, list[float]]:
     """Run a script; returns the final state and any COUNTP outcomes.
 
-    Classical states running basis-preserving scripts take a vectorized
-    fast path per branch; the result is identical to the generic path,
-    including Collide phases.
+    Classical states running basis-preserving scripts take the compiled
+    classical engine per branch; the result is identical to the generic
+    path, including Collide phases.
     """
     if state.is_classical() and script.is_basis_preserving():
         branches = []
         for w, st in state.branches:
             config, amp0 = next(iter(st.terms.items()))
-            config2, phase = _run_classical_branch(config, script, st.m_max)
-            branches.append(
-                (w, PureState({config2: amp0 * phase}, st.m_max, check=False))
-            )
+            occ, phase = _run_classical(config.to_array(), script, st.m_max, 0.0)
+            final = {BasisConfig.from_array(occ): amp0 * cmath.exp(1j * phase)}
+            branches.append((w, PureState(final, st.m_max, check=False)))
         return MixedState(branches, check=False, merge=True), []
 
     counts: list[float] = []
     for op in script:
-        if isinstance(op, PairTransfer):
-            state = pair_transfer(state, op.m, op.n, op.x)
-        elif isinstance(op, WSwap):
-            state = w_swap(state)
-        elif isinstance(op, ABRotation):
-            state = ab_rotation(state, op.theta)
-        elif isinstance(op, Collide):
-            state = collide(state, op.phi)
-        elif isinstance(op, Shift):
-            state = shift_p(state, op.x)
-        elif isinstance(op, EmptyP):
-            state = empty_p(state)
-        elif isinstance(op, EmptyB):
-            state = empty_b(state)
-        elif isinstance(op, DefectSplit):
-            state = defect_split(state, op.eps)
-        elif isinstance(op, CountP):
+        if isinstance(op, CountP):
             value, state = count_p(state, rng, "sample")
             counts.append(value)
+        elif type(op) in _GENERIC:
+            state = _GENERIC[type(op)](state, op)
         else:
             raise TypeError(f"unknown op {op!r}")
     return state, counts

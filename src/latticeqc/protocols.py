@@ -21,7 +21,6 @@ import numpy as np
 from .lattice import (
     BasisConfig,
     MixedState,
-    SiteOccupancy,
     classical,
 )
 from .primitives import (
@@ -33,10 +32,6 @@ from .primitives import (
     Shift,
 )
 
-_QUBIT_SITE = SiteOccupancy(1, 0, 0)
-_HOME_SITE = SiteOccupancy(1, 0, 1)
-_EMPTY_SITE = SiteOccupancy(0, 0, 0)
-
 
 class StrayAtomsError(ValueError):
     """A formatted lattice holds occupied sites outside any computer."""
@@ -44,6 +39,10 @@ class StrayAtomsError(ValueError):
     def __init__(self, sites):
         self.sites = tuple(sites)
         super().__init__(f"stray atoms at sites {self.sites}")
+
+
+class FormattingError(ValueError):
+    """Recognized computers overlap, so the formatting itself is broken."""
 
 
 @dataclass(frozen=True)
@@ -133,13 +132,16 @@ def oracle_computers(config, n: int) -> list[ComputerDescriptor]:
         a = occ[:, 0]
     else:
         a = np.asarray(config, dtype=np.int64)
-    homes = oracle_homes(a, n)
-    L = a.shape[-1]
-    out = []
-    for k in np.nonzero(homes)[0]:
-        sites = tuple(int((k - j) % L) for j in range(n, 0, -1))
-        out.append(ComputerDescriptor(home=int(k), n=n, qubit_sites=sites))
-    return out
+    return _descriptors(oracle_homes(a, n), n)
+
+
+def _descriptors(homes: np.ndarray, n: int) -> list[ComputerDescriptor]:
+    ks = np.nonzero(homes)[0]
+    windows = (ks[:, None] - np.arange(n, 0, -1)) % homes.shape[-1]
+    return [
+        ComputerDescriptor(home=k, n=n, qubit_sites=tuple(w))
+        for k, w in zip(ks.tolist(), windows.tolist())
+    ]
 
 
 def expected_formatted(a_dep: np.ndarray, n: int) -> np.ndarray:
@@ -155,41 +157,47 @@ def expected_formatted(a_dep: np.ndarray, n: int) -> np.ndarray:
     return occ
 
 
-def verify_formatted(state, n: int) -> list[ComputerDescriptor]:
-    """Scan a classical formatted state and list its computers.
+def formatted_homes(occ: np.ndarray, n: int) -> np.ndarray:
+    """Home mask of a formatted (L, 3) lattice.
 
-    Raises :class:`StrayAtomsError` if any occupied site lies outside a
-    recognized computer (home pattern (1,0,1) preceded by n qubit sites
-    (1,0,0)).
+    A home is a site (1,0,1) whose n left neighbours (cyclically) all hold
+    (1,0,0).  Raises :class:`FormattingError` if two computers claim the
+    same site and :class:`StrayAtomsError` if an occupied site lies
+    outside every computer.
+    """
+    a, b, p = occ[:, 0], occ[:, 1], occ[:, 2]
+    qubit = (a == 1) & (b == 0)
+    homes = qubit & (p == 1)
+    qubit &= p == 0
+    for j in range(1, n + 1):
+        homes &= np.roll(qubit, j)
+    cover = homes.astype(np.int64)
+    for j in range(1, n + 1):
+        cover += np.roll(homes, -j)
+    if cover.max(initial=0) > 1:
+        raise FormattingError("computers overlap; formatting is broken")
+    strays = np.nonzero((a | b | p).astype(bool) & (cover == 0))[0]
+    if strays.size:
+        raise StrayAtomsError(strays.tolist())
+    return homes
+
+
+def verify_formatted(state, n: int) -> list[ComputerDescriptor]:
+    """List the computers of a classical formatted state.
+
+    ``state`` is a one-configuration :class:`MixedState`, a
+    :class:`BasisConfig` or an (L, 3) occupation array; the checks are
+    those of :func:`formatted_homes`.
     """
     if isinstance(state, MixedState):
-        config = state.sole_config()
-    elif isinstance(state, BasisConfig):
-        config = state
+        state = state.sole_config()
+    if isinstance(state, BasisConfig):
+        occ = state.to_array()
     else:
-        config = BasisConfig.from_counts(state)
-    L = config.L
-    descriptors = []
-    claimed: set[int] = set()
-    for k, site in enumerate(config.sites):
-        if site != _HOME_SITE:
-            continue
-        window = [(k - j) % L for j in range(n, 0, -1)]
-        if all(config.sites[w] == _QUBIT_SITE for w in window):
-            descriptors.append(
-                ComputerDescriptor(home=k, n=n, qubit_sites=tuple(window))
-            )
-            claimed.add(k)
-            claimed.update(window)
-    if len(claimed) != len(descriptors) * (n + 1):
-        raise AssertionError("computers overlap; formatting is broken")
-    strays = [
-        k for k, site in enumerate(config.sites)
-        if site != _EMPTY_SITE and k not in claimed
-    ]
-    if strays:
-        raise StrayAtomsError(strays)
-    return descriptors
+        occ = np.asarray(state, dtype=np.int64)
+        if occ.ndim != 2 or occ.shape[1] != 3:
+            raise ValueError(f"expected shape (L, 3), got {occ.shape}")
+    return _descriptors(formatted_homes(occ, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +245,8 @@ class RepairReport:
             "defects_fixed": self.defects_fixed,
             "atoms_lost": self.atoms_lost,
             "rounds": self.rounds,
+            "residual_empty": self.residual_empty,
+            "residual_single": self.residual_single,
         }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -21,11 +22,11 @@ from .primitives import apply_classical
 from .protocols import (
     RepairReport,
     depopulate_classical,
+    formatted_homes,
     oracle_homes,
     prepare_script,
     repair_occupations,
     sample_defect_creation,
-    verify_formatted,
 )
 
 
@@ -96,7 +97,7 @@ def count_computers_protocol(a: np.ndarray, n: int, cutoff: int = 4) -> int:
     occ = np.zeros(a.shape + (3,), dtype=np.int64)
     occ[..., 0] = a
     final = apply_classical(occ, prepare_script(cutoff, n))
-    return len(verify_formatted(BasisConfig.from_array(final), n))
+    return int(formatted_homes(final, n).sum())
 
 
 @dataclass(frozen=True)
@@ -172,11 +173,13 @@ def monte_carlo_yield(
 
     The prediction folds everything at two or more atoms into the
     two-atom class, so only p0 and p1 enter.  z is the distance of the
-    empirical mean from the prediction in standard errors.
+    empirical mean from the prediction in standard errors.  ``jobs`` is
+    capped at the trial count and the CPU count.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if trials < 2:
+        raise ValueError("need at least two trials for a standard error")
     args = [(s, L, tuple(dist.probs), n, mode) for s in trial_seeds(seed, trials)]
+    jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
             counts = pool.map(_yield_trial, args)
@@ -184,9 +187,7 @@ def monte_carlo_yield(
         counts = [_yield_trial(a) for a in args]
     counts_arr = np.array(counts, dtype=float)
     mean = float(counts_arr.mean())
-    stderr = (
-        float(counts_arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan")
-    )
+    stderr = float(counts_arr.std(ddof=1) / math.sqrt(trials))
     prediction = expected_yield(L, dist.p0, dist.p1, n)
     if stderr > 0.0:
         z = (mean - prediction) / stderr

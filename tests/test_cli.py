@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import pytest
 
-from latticeqc import BasisConfig, MixedState, PureState
+from latticeqc import BasisConfig, FormattingError, MixedState, PureState, cli
 from latticeqc.cli import main
 
 
@@ -54,6 +55,30 @@ def test_format_rejects_empty_lattice(tmp_path, capsys):
     lat = tmp_path / "lat.json"
     lat.write_text("[]")
     assert main(["format", "--n", "1", "--lattice", str(lat)]) == 2
+
+
+@pytest.mark.parametrize(
+    "sites", [[[1, 1, 0]], [[2, 0, 3]], [[2, 0, 0], [1, 0]], [[1.0, 0, 0]], [2]]
+)
+def test_format_rejects_sites_outside_level_a(tmp_path, capsys, sites):
+    # format reads level a only; b, p or a malformed site must not be dropped
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps(sites))
+    out = tmp_path / "fmt.json"
+    assert main(["format", "--n", "1", "--lattice", str(lat), "--out", str(out)]) == 2
+    assert "format takes sites [a, 0, 0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_format_maps_formatting_error_to_exit_one(tmp_path, capsys, monkeypatch):
+    # no real lattice makes computers overlap, so the check is forced here
+    def broken(state, n):
+        raise FormattingError("computers overlap; formatting is broken")
+
+    monkeypatch.setattr(cli, "verify_formatted", broken)
+    rc = main(["format", "--L", "16", "--n", "2", "--seed", "1"])
+    assert rc == 1
+    assert "property failure: computers overlap" in capsys.readouterr().err
 
 
 # -- gates -------------------------------------------------------------------
@@ -136,6 +161,15 @@ def test_stats_z_gate_fails_loudly(tmp_path, capsys):
     assert report["z"] == -math.inf
 
 
+def test_stats_rejects_a_single_trial(tmp_path, capsys):
+    # one trial has no standard error, so its z-score could only fail
+    out = tmp_path / "s.json"
+    rc = main(["stats", "--L", "100", "--n", "2", "--trials", "1", "--out", str(out)])
+    assert rc == 2
+    assert "at least two trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- repair ------------------------------------------------------------------
 
 
@@ -146,6 +180,23 @@ def test_repair_happy_path(tmp_path, capsys):
     report = read_json(out)
     assert report["p0_after"] == 0.0
     assert report["repair"]["atoms_lost"] == report["repair"]["defects_fixed"]
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--L", "3000", "--seed", "2"], 0),
+     (["--L", "100", "--p0", "0.3", "--p1", "0.3", "--p3", "0.0", "--p4", "0.05",
+       "--seed", "1"], 1)],
+)
+def test_repair_report_carries_what_sets_the_exit_code(tmp_path, capsys, flags, code):
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["repair", "--n", "4", *flags, "--out", str(out)])
+    assert rc == code
+    rep = read_json(out)["repair"]
+    residual = rep["residual_empty"] + rep["residual_single"]
+    assert rc == (1 if residual else 0)
 
 
 def test_repair_donor_starvation(tmp_path, capsys):

@@ -470,6 +470,87 @@ def test_fast_path_matches_generic_path():
         assert fidelity(fast, slow, mode="strict") == 1.0
 
 
+def _run_generic(state, script):
+    """Apply a basis-preserving script op by op through the sparse kernels."""
+    for op in script:
+        if isinstance(op, PairTransfer):
+            state = pair_transfer(state, op.m, op.n, op.x)
+        elif isinstance(op, WSwap):
+            state = w_swap(state)
+        elif isinstance(op, Shift):
+            state = shift_p(state, op.x)
+        elif isinstance(op, Collide):
+            state = collide(state, op.phi)
+        elif isinstance(op, EmptyP):
+            state = empty_p(state)
+        else:
+            state = empty_b(state)
+    return state
+
+
+def _basis_op(m_max):
+    transfer = st.tuples(st.integers(0, m_max), st.integers(0, m_max)).flatmap(
+        lambda mn: st.integers(-mn[0], mn[1]).map(lambda x: PairTransfer(mn[0], mn[1], x))
+    )
+    return st.one_of(
+        transfer,
+        st.just(WSwap()),
+        st.integers(-5, 5).map(Shift),
+        st.floats(-4.0, 4.0, allow_nan=False).map(Collide),
+        st.just(EmptyB()),
+        st.just(EmptyP()),
+    )
+
+
+@st.composite
+def classical_cases(draw):
+    """A cutoff, a batch of lattices with occupations up to it, and a
+    basis-preserving script whose transfers may reach past it."""
+    m_max = draw(st.integers(1, 4))
+    L = draw(st.integers(1, 5))
+    site = st.tuples(*[st.integers(0, m_max)] * 3)
+    batch = draw(st.lists(st.lists(site, min_size=L, max_size=L), min_size=1, max_size=4))
+    script = Script(draw(st.lists(_basis_op(m_max), min_size=1, max_size=12)))
+    return m_max, np.array(batch, dtype=np.int64), script
+
+
+@given(classical_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_prop_compiled_engine_matches_sparse_kernels(case):
+    m_max, batch, script = case
+    states = [classical(BasisConfig.from_array(occ), m_max) for occ in batch]
+    try:
+        slow = [_run_generic(state, script) for state in states]
+    except OccupationOverflowError:
+        with pytest.raises(OccupationOverflowError):
+            execute(states[0], script)
+        with pytest.raises(OccupationOverflowError):
+            apply_classical(batch, script, m_max)
+        return
+    batched = apply_classical(batch, script, m_max)
+    for state, ref, out in zip(states, slow, batched):
+        fast, counts = execute(state, script)
+        assert counts == [] and len(fast.branches) == 1
+        ((config, amp),) = fast.branches[0][1].terms.items()
+        ((ref_config, ref_amp),) = ref.branches[0][1].terms.items()
+        assert config == ref_config
+        assert abs(amp - ref_amp) <= 1e-12
+        assert np.array_equal(out, config.to_array())
+
+
+@given(classical_cases(), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_prop_input_above_cutoff_raises_on_both_paths(case, data):
+    m_max, batch, script = case
+    b, k, level = (data.draw(st.integers(0, n - 1)) for n in batch.shape)
+    batch[b, k, level] = m_max + 1
+    with pytest.raises(OccupationOverflowError):
+        apply_classical(batch, script, m_max)
+    branch = PureState({BasisConfig.from_array(batch[b]): 1.0}, m_max, check=False)
+    with pytest.raises(OccupationOverflowError):
+        execute(MixedState([(1.0, branch)], check=False), script)
+
+
 def test_apply_classical_batched_matches_single():
     rng = np.random.default_rng(23)
     script = Script([PairTransfer(2, 1, 1), Shift(1), WSwap(), EmptyP()])
@@ -483,6 +564,9 @@ def test_apply_classical_batched_matches_single():
 def test_apply_classical_rejects_quantum_ops():
     with pytest.raises(ValueError):
         apply_classical(np.zeros((2, 3), dtype=int), Script([ABRotation(0.1)]))
+    # a negative count has no site code, so it must not alias another site
+    with pytest.raises(ValueError, match="negative"):
+        apply_classical(np.array([[-1, 0, 0], [0, 0, 1]]), Script([Shift(1)]))
 
 
 # -- translation covariance --------------------------------------------------

@@ -20,6 +20,7 @@ from latticeqc import (
     depopulate_script,
     expected_formatted,
     format_script,
+    formatted_homes,
     oracle_computers,
     oracle_homes,
     prepare_script,
@@ -197,6 +198,21 @@ def test_verify_formatted_flags_strays():
     with pytest.raises(StrayAtomsError) as err:
         verify_formatted(cfg, 1)
     assert err.value.sites == (0, 1)
+    assert str(err.value) == "stray atoms at sites (0, 1)"
+
+
+def test_verify_formatted_takes_arrays():
+    occ = [[1, 0, 0], [1, 0, 1], [0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 0, 1]]
+    with pytest.raises(StrayAtomsError) as err:
+        verify_formatted(np.array(occ), 1)
+    assert err.value.sites == (3,)
+    occ[3] = [0, 0, 0]
+    got = verify_formatted(np.array(occ), 1)
+    assert got == verify_formatted(BasisConfig.from_counts(occ), 1)
+    assert [c.home for c in got] == [1, 5]
+    assert_array_equal(formatted_homes(np.array(occ), 1), [0, 1, 0, 0, 0, 1])
+    with pytest.raises(ValueError):
+        verify_formatted(np.zeros((4, 2), dtype=int), 1)
 
 
 def test_verify_formatted_agrees_with_oracle():
@@ -303,8 +319,14 @@ def test_repair_state_wrapper():
 
 
 def test_repair_report_json_keys():
-    report = RepairReport(3, 3, 7, 0, 0)
-    assert report.to_json_obj() == {"defects_fixed": 3, "atoms_lost": 3, "rounds": 7}
+    report = RepairReport(3, 3, 7, 1, 2)
+    assert report.to_json_obj() == {
+        "defects_fixed": 3,
+        "atoms_lost": 3,
+        "rounds": 7,
+        "residual_empty": 1,
+        "residual_single": 2,
+    }
 
 
 def test_repair_rejects_bad_counts():

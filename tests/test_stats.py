@@ -17,6 +17,7 @@ from latticeqc import (
     sample_occupations,
     trial_seeds,
 )
+from latticeqc import stats
 
 
 def test_fill_distribution_validation():
@@ -131,6 +132,40 @@ def test_yield_report_serialization():
     assert lines[-1].startswith("summary,mean=")
 
 
+def test_monte_carlo_yield_needs_two_trials():
+    with pytest.raises(ValueError, match="at least two trials"):
+        monte_carlo_yield(100, FillDistribution(0.1, 0.1, 0.8), 2, trials=1, seed=0)
+
+
+def test_monte_carlo_yield_caps_jobs(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size it is asked for and runs trials in-process."""
+
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(stats, "Pool", RecordingPool)
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
+    dist = FillDistribution(0.1, 0.1, 0.8)
+    serial = monte_carlo_yield(200, dist, 2, trials=10, seed=5)
+    assert sizes == []
+    assert monte_carlo_yield(200, dist, 2, trials=3, seed=5, jobs=8).trials == 3
+    assert monte_carlo_yield(200, dist, 2, trials=10, seed=5, jobs=8) == serial
+    assert monte_carlo_yield(200, dist, 2, trials=10, seed=5, jobs=3) == serial
+    assert sizes == [3, 4, 3]
+
+
 def test_trial_seeds_deterministic_and_distinct():
     s1 = trial_seeds(9, 100)
     assert s1 == trial_seeds(9, 100)
@@ -157,6 +192,8 @@ def test_repair_experiment_report():
         "defects_fixed": report.repair.defects_fixed,
         "atoms_lost": report.repair.atoms_lost,
         "rounds": report.repair.rounds,
+        "residual_empty": 0,
+        "residual_single": 0,
     }
 
 
