@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .lattice import BasisConfig, MixedState, classical
-from .primitives import Script, ScriptParseError, execute
+from .primitives import Script, ScriptParseError, apply_classical, execute
 from .protocols import (
     FormattingError,
     StrayAtomsError,
@@ -72,8 +72,8 @@ def _read_a_counts(path: str) -> np.ndarray:
     """Level-a counts of a lattice file; every site must read [a, 0, 0]."""
     with open(path) as fh:
         sites = json.load(fh)
-    if not isinstance(sites, list) or not sites:
-        raise ValueError("lattice file holds no sites")
+    if not isinstance(sites, list):
+        raise ValueError("lattice file must hold a list of sites")
     for k, site in enumerate(sites):
         ok = isinstance(site, list) and len(site) == 3
         if not ok or any(type(x) is not int for x in site) or site[1] or site[2]:
@@ -90,11 +90,12 @@ def cmd_format(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         a = sample_occupations(args.L, _dist_from_args(args), rng)
-    cutoff = max(int(a.max(initial=0)), 2)
+    if not a.size:
+        raise ValueError("lattice needs at least one site")
+    cutoff = max(int(a.max()), 2)
     occ = np.zeros((a.size, 3), dtype=np.int64)
     occ[:, 0] = a
-    state = classical(BasisConfig.from_array(occ))
-    final, _ = execute(state, prepare_script(cutoff, args.n))
+    final = apply_classical(occ, prepare_script(cutoff, args.n))
     computers = verify_formatted(final, args.n)
     report = {
         "version": __version__,
@@ -102,7 +103,7 @@ def cmd_format(args) -> int:
         "n": args.n,
         "seed": None if args.lattice else args.seed,
         "initial": [[int(x), 0, 0] for x in a],
-        "final": final.sole_config().to_json_obj(),
+        "final": final.tolist(),
         "computers": [
             {"home": c.home, "n": c.n, "qubit_sites": list(c.qubit_sites)}
             for c in computers

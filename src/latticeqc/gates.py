@@ -58,12 +58,23 @@ class PointerFrame:
     offset: int = 0
 
 
+# Each macro declares the register offsets it uses, ``qubits(n)``, and its
+# pointer walk, ``steps(n)``: (offset, op) pairs that fire op with the
+# pointer at that offset.  ``n`` only matters for MeasureQubit's rest.
+
+
 @dataclass(frozen=True)
 class PhaseGate:
     """diag(e^{i phi}, 1) on the qubit at offset q."""
 
     q: int
     phi: float
+
+    def qubits(self, n: int | None = None) -> tuple[int, ...]:
+        return (self.q,)
+
+    def steps(self, n: int | None = None) -> tuple:
+        return ((self.q, Collide(self.phi)),)
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,14 @@ class HadamardLike:
 
     q: int
 
+    def qubits(self, n: int | None = None) -> tuple[int, ...]:
+        return (self.q,)
+
+    def steps(self, n: int | None = None) -> tuple:
+        ops = (ABRotation(V_THETA), Collide(math.pi), ABRotation(-V_THETA),
+               Collide(math.pi / 2))
+        return tuple((self.q, op) for op in ops)
+
 
 @dataclass(frozen=True)
 class ControlPhasePi:
@@ -80,6 +99,13 @@ class ControlPhasePi:
 
     q1: int
     q2: int
+
+    def qubits(self, n: int | None = None) -> tuple[int, ...]:
+        return (self.q1, self.q2)
+
+    def steps(self, n: int | None = None) -> tuple:
+        lift = PairTransfer(1, 1, 1)
+        return ((self.q1, lift), (self.q2, Collide(math.pi)), (self.q1, lift))
 
 
 @dataclass(frozen=True)
@@ -96,38 +122,29 @@ class MeasureQubit:
     rest: int | None = None
     count_up_too: bool = False
 
+    def qubits(self, n: int | None = None) -> tuple[int, ...]:
+        return (self.q, resolve_rest(self, n))
+
+    def steps(self, n: int | None = None) -> tuple:
+        q, rest = self.qubits(n)
+        count = (
+            (q, PairTransfer(1, 1, -1)),
+            (rest, PairTransfer(1, 1, 1)),
+            (rest, PairTransfer(1, 2, 1)),
+            (rest, CountP()),
+            (rest, EmptyP()),
+            (rest, PairTransfer(2, 0, -1)),
+        )
+        if not self.count_up_too:
+            return count
+        return count + ((q, WSwap()),) + count  # W turns each left |up> into |down>
+
 
 GateMacro = Union[PhaseGate, HadamardLike, ControlPhasePi, MeasureQubit]
 
 
 def _move(cur: int, tgt: int) -> list:
     return [] if cur == tgt else [Shift(cur - tgt)]
-
-
-def _check_offset(label: str, value: int, n: int | None):
-    if value < 1 or (n is not None and value > n):
-        raise ValueError(f"{label} offset {value} outside register 1..{n}")
-
-
-def _measure_ops(q: int, rest: int, start: int) -> list:
-    ops = _move(start, q)
-    ops.append(PairTransfer(1, 1, -1))
-    ops += _move(q, rest)
-    ops += [PairTransfer(1, 1, 1), PairTransfer(1, 2, 1), CountP(), EmptyP(),
-            PairTransfer(2, 0, -1)]
-    ops += _move(rest, 0)
-    return ops
-
-
-def _measure_continuation_ops(q: int, rest: int) -> list:
-    ops = _move(0, q)
-    ops.append(WSwap())
-    ops.append(PairTransfer(1, 1, -1))
-    ops += _move(q, rest)
-    ops += [PairTransfer(1, 1, 1), PairTransfer(1, 2, 1), CountP(), EmptyP(),
-            PairTransfer(2, 0, -1)]
-    ops += _move(rest, 0)
-    return ops
 
 
 def resolve_rest(macro: MeasureQubit, n: int | None) -> int:
@@ -144,47 +161,21 @@ def compile_macro(
 ) -> tuple[Script, PointerFrame]:
     """Expand a macro into primitives, threading the pointer frame.
 
-    Every macro returns the pointer to home, so the returned frame always
+    The pointer walks from the frame's offset through the macro's steps,
+    one shift between offsets, and back home, so the returned frame always
     has offset 0 and macros can be concatenated freely.
     """
-    start = frame.offset
-    if isinstance(macro, PhaseGate):
-        _check_offset("qubit", macro.q, n)
-        ops = _move(start, macro.q) + [Collide(macro.phi)] + _move(macro.q, 0)
-    elif isinstance(macro, HadamardLike):
-        _check_offset("qubit", macro.q, n)
-        ops = (
-            _move(start, macro.q)
-            + [ABRotation(V_THETA), Collide(math.pi), ABRotation(-V_THETA),
-               Collide(math.pi / 2)]
-            + _move(macro.q, 0)
-        )
-    elif isinstance(macro, ControlPhasePi):
-        _check_offset("first qubit", macro.q1, n)
-        _check_offset("second qubit", macro.q2, n)
-        if macro.q1 == macro.q2:
-            raise ValueError("control and target must differ")
-        ops = (
-            _move(start, macro.q1)
-            + [PairTransfer(1, 1, 1)]
-            + _move(macro.q1, macro.q2)
-            + [Collide(math.pi)]
-            + _move(macro.q2, macro.q1)
-            + [PairTransfer(1, 1, 1)]
-            + _move(macro.q1, 0)
-        )
-    elif isinstance(macro, MeasureQubit):
-        rest = resolve_rest(macro, n)
-        _check_offset("measured qubit", macro.q, n)
-        _check_offset("rest", rest, n)
-        if rest == macro.q:
-            raise ValueError("rest site must differ from the measured qubit")
-        ops = _measure_ops(macro.q, rest, start)
-        if macro.count_up_too:
-            ops += _measure_continuation_ops(macro.q, rest)
-    else:
-        raise TypeError(f"unknown macro {macro!r}")
-    return Script(ops), PointerFrame(0)
+    qubits = macro.qubits(n)
+    for q in qubits:
+        if q < 1 or (n is not None and q > n):
+            raise ValueError(f"qubit offset {q} outside register 1..{n}")
+    if len(set(qubits)) < len(qubits):
+        raise ValueError(f"{type(macro).__name__} needs distinct qubits, got {qubits}")
+    ops, at = [], frame.offset
+    for offset, op in macro.steps(n):
+        ops += _move(at, offset) + [op]
+        at = offset
+    return Script(ops + _move(at, 0)), PointerFrame(0)
 
 
 def computer_config(
@@ -214,13 +205,9 @@ def computer_config(
 
 
 def involved_qubits(macro: GateMacro) -> tuple[int, ...]:
-    if isinstance(macro, PhaseGate):
-        return (macro.q,)
-    if isinstance(macro, HadamardLike):
-        return (macro.q,)
-    if isinstance(macro, ControlPhasePi):
-        return (macro.q1, macro.q2)
-    raise ValueError(f"{type(macro).__name__} has no unitary logical action")
+    if any(op.kind in ("empty", "count") for _, op in macro.steps()):
+        raise ValueError(f"{type(macro).__name__} has no unitary logical action")
+    return macro.qubits()
 
 
 def extract_logical_unitary(
@@ -294,18 +281,9 @@ def measure_qubit(
     up emptied exactly where |down> was found; pointer and rest qubit
     survive on every computer.
     """
-    rest = resolve_rest(macro, n)
-    if rest == macro.q:
-        raise ValueError("rest site must differ from the measured qubit")
-    state, counts = execute(state, Script(_measure_ops(macro.q, rest, 0)), rng)
-    down = int(counts[0])
-    up = None
-    if macro.count_up_too:
-        state, counts = execute(
-            state, Script(_measure_continuation_ops(macro.q, rest)), rng
-        )
-        up = int(counts[0])
-    return down, up, state
+    state, counts = execute(state, compile_macro(macro, n)[0], rng)
+    up = int(counts[1]) if macro.count_up_too else None
+    return int(counts[0]), up, state
 
 
 def run_circuit(

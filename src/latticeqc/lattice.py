@@ -78,11 +78,6 @@ class BasisConfig:
         idx = LEVELS.index(level) if isinstance(level, str) else level
         return sum(s[idx] for s in self.sites)
 
-    def replace_site(self, k: int, site: SiteOccupancy) -> "BasisConfig":
-        sites = list(self.sites)
-        sites[k] = site
-        return BasisConfig(tuple(sites))
-
     def translate(self, d: int) -> "BasisConfig":
         """Cyclically relabel sites: new site k holds the old site k-d."""
         L = self.L

@@ -18,12 +18,18 @@ Scripts (ordered op sequences) serialize to a line-oriented text form:
     COUNTP      projective measurement of the total pointer count
 
 Blank lines and ``#`` comments are ignored; parse(to_text(s)) == s.
+
+Each op class declares everything the engines and the DSL read: its
+``head`` (its dataclass fields are the arguments, in order), its ``kind``
+(swap, rotate, shift, phase, empty or count) and the one-site data of its
+kind: ``pair(m_max)`` for a swap, ``images(site, m_max)`` for a rotation
+and ``level`` for an emptying channel.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
@@ -48,6 +54,9 @@ class ScriptParseError(ValueError):
 class PairTransfer:
     """Sitewise swap |m,0,n> <-> |m+x,0,n-x>; self-inverse, b != 0 blocks."""
 
+    head = "U"
+    kind = "swap"
+
     m: int
     n: int
     x: int
@@ -60,30 +69,75 @@ class PairTransfer:
                 f"invalid transfer endpoints for (m={self.m}, n={self.n}, x={self.x})"
             )
 
-    @property
-    def src(self) -> SiteOccupancy:
-        return SiteOccupancy(self.m, 0, self.n)
-
-    @property
-    def dst(self) -> SiteOccupancy:
-        return SiteOccupancy(self.m + self.x, 0, self.n - self.x)
+    def pair(self, m_max: int) -> tuple[SiteOccupancy, SiteOccupancy]:
+        m, n, x = self.m, self.n, self.x
+        if max(m, n, m + x, n - x) > m_max:
+            raise OccupationOverflowError(
+                f"transfer endpoint exceeds cutoff {m_max}: (m={m}, n={n}, x={x})"
+            )
+        return SiteOccupancy(m, 0, n), SiteOccupancy(m + x, 0, n - x)
 
 
 @dataclass(frozen=True)
 class WSwap:
     """Sitewise swap |1,0,1> <-> |0,1,1>."""
 
+    head = "W"
+    kind = "swap"
+
+    def pair(self, m_max: int) -> tuple[SiteOccupancy, SiteOccupancy]:
+        return SiteOccupancy(1, 0, 1), SiteOccupancy(0, 1, 1)
+
+
+@lru_cache(maxsize=None)
+def _sector_unitary(T: int, theta: float) -> np.ndarray:
+    """exp(-i*theta*H) on the (T+1)-dim sector with fixed a+b = T.
+
+    Basis index i corresponds to (a=i, b=T-i); the hopping matrix has
+    elements <i-1|H|i> = sqrt(i*(T-i+1)).  Computed by eigendecomposition
+    of the real symmetric H, which keeps the result unitary to rounding.
+    """
+    dim = T + 1
+    H = np.zeros((dim, dim))
+    for i in range(1, dim):
+        H[i - 1, i] = H[i, i - 1] = math.sqrt(i * (T - i + 1))
+    vals, vecs = np.linalg.eigh(H)
+    U = (vecs * np.exp(-1j * theta * vals)) @ vecs.T
+    U.setflags(write=False)
+    return U
+
 
 @dataclass(frozen=True)
 class ABRotation:
     """exp(-i*theta*(a^dag b + b^dag a)) per site; pointer is a spectator."""
 
+    head = "V"
+    kind = "rotate"
+
     theta: float
+
+    def images(self, site: SiteOccupancy, m_max: int) -> tuple:
+        T = site.a + site.b
+        if T == 0:
+            return ((site, 1.0),)
+        if T > m_max:
+            raise OccupationOverflowError(
+                f"a+b = {T} on a site exceeds sector cutoff {m_max}"
+            )
+        col = _sector_unitary(T, self.theta)[:, site.a]
+        return tuple(
+            (SiteOccupancy(i, T - i, site.p), col[i])
+            for i in range(T + 1)
+            if abs(col[i]) >= 1e-16
+        )
 
 
 @dataclass(frozen=True)
 class Collide:
     """Diagonal phase exp(i*phi * sum_k a_k*p_k)."""
+
+    head = "C"
+    kind = "phase"
 
     phi: float
 
@@ -92,6 +146,9 @@ class Collide:
 class Shift:
     """Cyclic shift of the pointer level, x steps to the right."""
 
+    head = "S"
+    kind = "shift"
+
     x: int
 
 
@@ -99,10 +156,22 @@ class Shift:
 class EmptyB:
     """Channel: trace out and zero level b everywhere."""
 
+    head = "EB"
+    kind = "empty"
+    level = 1
+
 
 @dataclass(frozen=True)
 class EmptyP:
     """Channel: trace out and zero the pointer level everywhere."""
+
+    head = "EP"
+    kind = "empty"
+    level = 2
+
+
+_SPLIT_X = SiteOccupancy(2, 0, 0)
+_SPLIT_Y = SiteOccupancy(1, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -110,24 +179,39 @@ class DefectSplit:
     """Sitewise rotation [[sqrt(1-eps), -sqrt(eps)], [sqrt(eps), sqrt(1-eps)]]
     on span{(2,0,0), (1,1,0)}; identity elsewhere."""
 
+    head = "SPLIT"
+    kind = "rotate"
+
     eps: float
 
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
 
+    def images(self, site: SiteOccupancy, m_max: int) -> tuple:
+        c, s = math.sqrt(1.0 - self.eps), math.sqrt(self.eps)
+        if site == _SPLIT_X:
+            return ((_SPLIT_X, c), (_SPLIT_Y, s))
+        if site == _SPLIT_Y:
+            return ((_SPLIT_X, -s), (_SPLIT_Y, c))
+        return ((site, 1.0),)
+
 
 @dataclass(frozen=True)
 class CountP:
     """Projective measurement of the total pointer count."""
 
+    head = "COUNTP"
+    kind = "count"
 
-PrimitiveOp = Union[
+
+_OPS = (
     PairTransfer, WSwap, ABRotation, Collide, Shift, EmptyB, EmptyP, DefectSplit, CountP
-]
+)
+PrimitiveOp = Union[_OPS]
 
-# Ops that map classical configurations to classical configurations.
-_BASIS_PRESERVING = (PairTransfer, WSwap, Collide, Shift, EmptyB, EmptyP)
+# Kinds that map classical configurations to classical configurations.
+_CLASSICAL_KINDS = ("swap", "shift", "phase", "empty")
 
 
 class Script:
@@ -157,7 +241,7 @@ class Script:
         return f"Script({len(self.ops)} ops)"
 
     def is_basis_preserving(self) -> bool:
-        return all(isinstance(op, _BASIS_PRESERVING) for op in self.ops)
+        return all(getattr(op, "kind", None) in _CLASSICAL_KINDS for op in self.ops)
 
     def to_text(self) -> str:
         return "".join(_op_to_text(op) + "\n" for op in self.ops)
@@ -176,41 +260,31 @@ class Script:
         return cls(ops)
 
 
-# DSL head -> (op class, one parser per field)
-_SYNTAX = {
-    "U": (PairTransfer, int, int, int),
-    "W": (WSwap,),
-    "V": (ABRotation, float),
-    "C": (Collide, float),
-    "S": (Shift, int),
-    "EB": (EmptyB,),
-    "EP": (EmptyP,),
-    "SPLIT": (DefectSplit, float),
-    "COUNTP": (CountP,),
-}
-_HEAD = {spec[0]: head for head, spec in _SYNTAX.items()}
+_BY_HEAD = {cls.head: cls for cls in _OPS}
+_PARSE = {"int": int, "float": float}  # field annotation -> token parser
 
 
 def _op_to_text(op: PrimitiveOp) -> str:
-    if type(op) not in _HEAD:
+    if type(op) not in _OPS:
         raise TypeError(f"unknown op {op!r}")
     args = (repr(v) if isinstance(v, float) else str(v) for v in astuple(op))
-    return " ".join([_HEAD[type(op)], *args])
+    return " ".join([op.head, *args])
 
 
 def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
-    spec = _SYNTAX.get(tok[0])
-    if spec is None or len(tok) != len(spec):
+    cls = _BY_HEAD.get(tok[0])
+    if cls is None or len(tok) != 1 + len(fields(cls)):
         raise ValueError("unrecognized operation")
-    return spec[0](*(parse(t) for parse, t in zip(spec[1:], tok[1:])))
+    return cls(*(_PARSE[f.type](t) for f, t in zip(fields(cls), tok[1:])))
 
 
 # ---------------------------------------------------------------------------
-# unitary kernels (per pure branch)
+# unitary kernels (per pure branch): terms, op, cutoff -> terms
 
 
-def _swap_terms(terms: dict, s1: SiteOccupancy, s2: SiteOccupancy) -> dict:
-    """Exchange the one-site states s1 and s2 on every site."""
+def _swap_terms(terms: dict, op, m_max: int) -> dict:
+    """Exchange the two one-site states of op.pair on every site."""
+    s1, s2 = op.pair(m_max)
     if s1 == s2:
         return dict(terms)
     swap = {s1: s2, s2: s1}
@@ -221,25 +295,35 @@ def _swap_terms(terms: dict, s1: SiteOccupancy, s2: SiteOccupancy) -> dict:
     return out
 
 
-def _check_transfer(op: PairTransfer, m_max: int):
-    if max(op.m, op.n, op.m + op.x, op.n - op.x) > m_max:
-        raise OccupationOverflowError(
-            f"transfer endpoint exceeds cutoff {m_max}: (m={op.m}, n={op.n}, x={op.x})"
-        )
+def _rotate_terms(terms: dict, op, m_max: int) -> dict:
+    """Apply op.images on each site in turn, pruning after every site.
+
+    Intermediate terms are keyed by site tuples; each BasisConfig is built
+    once, after the last site.
+    """
+    rows = {config.sites: amp for config, amp in terms.items()}
+    images: dict[SiteOccupancy, tuple] = {}
+    for k in range(len(next(iter(rows)))):
+        out: dict[tuple, complex] = {}
+        for sites, amp in rows.items():
+            site = sites[k]
+            if site not in images:
+                images[site] = op.images(site, m_max)
+            for new, u in images[site]:
+                key = sites if new == site else sites[:k] + (new,) + sites[k + 1:]
+                out[key] = out.get(key, 0.0) + amp * u
+        rows = {key: a for key, a in out.items() if abs(a) >= PRUNE_TOL}
+    return {BasisConfig(sites): amp for sites, amp in rows.items()}
 
 
-_W_A = SiteOccupancy(1, 0, 1)
-_W_B = SiteOccupancy(0, 1, 1)
-
-
-def _shift_terms(terms: dict, x: int) -> dict:
+def _shift_terms(terms: dict, op, m_max: int) -> dict:
     out = {}
     for config, amp in terms.items():
         L = config.L
         sites = config.sites
         new = BasisConfig(
             tuple(
-                SiteOccupancy(sites[k].a, sites[k].b, sites[(k - x) % L].p)
+                SiteOccupancy(sites[k].a, sites[k].b, sites[(k - op.x) % L].p)
                 for k in range(L)
             )
         )
@@ -247,87 +331,20 @@ def _shift_terms(terms: dict, x: int) -> dict:
     return out
 
 
-def _collide_terms(terms: dict, phi: float) -> dict:
+def _phase_terms(terms: dict, op, m_max: int) -> dict:
     out = {}
     for config, amp in terms.items():
         weight = sum(s.a * s.p for s in config.sites)
-        out[config] = amp * cmath.exp(1j * phi * weight)
+        out[config] = amp * cmath.exp(1j * op.phi * weight)
     return out
 
 
-@lru_cache(maxsize=None)
-def _sector_unitary(T: int, theta: float) -> np.ndarray:
-    """exp(-i*theta*H) on the (T+1)-dim sector with fixed a+b = T.
-
-    Basis index i corresponds to (a=i, b=T-i); the hopping matrix has
-    elements <i-1|H|i> = sqrt(i*(T-i+1)).  Computed by eigendecomposition
-    of the real symmetric H, which keeps the result unitary to rounding.
-    """
-    dim = T + 1
-    H = np.zeros((dim, dim))
-    for i in range(1, dim):
-        H[i - 1, i] = H[i, i - 1] = math.sqrt(i * (T - i + 1))
-    vals, vecs = np.linalg.eigh(H)
-    U = (vecs * np.exp(-1j * theta * vals)) @ vecs.T
-    U.setflags(write=False)
-    return U
-
-
-def _ab_rotation_terms(terms: dict, theta: float, m_max: int, L: int) -> dict:
-    for k in range(L):
-        out: dict[BasisConfig, complex] = {}
-        for config, amp in terms.items():
-            site = config.sites[k]
-            T = site.a + site.b
-            if T == 0:
-                out[config] = out.get(config, 0.0) + amp
-                continue
-            if T > m_max:
-                raise OccupationOverflowError(
-                    f"a+b = {T} at site {k} exceeds sector cutoff {m_max}"
-                )
-            col = _sector_unitary(T, theta)[:, site.a]
-            for i in range(T + 1):
-                u = col[i]
-                if abs(u) < 1e-16:
-                    continue
-                new = config.replace_site(k, SiteOccupancy(i, T - i, site.p))
-                out[new] = out.get(new, 0.0) + amp * u
-        terms = {c: a for c, a in out.items() if abs(a) >= PRUNE_TOL}
-    return terms
-
-
-_SPLIT_X = SiteOccupancy(2, 0, 0)
-_SPLIT_Y = SiteOccupancy(1, 1, 0)
-
-
-def _defect_split_terms(terms: dict, eps: float, L: int) -> dict:
-    c, s = math.sqrt(1.0 - eps), math.sqrt(eps)
-    for k in range(L):
-        out: dict[BasisConfig, complex] = {}
-        for config, amp in terms.items():
-            site = config.sites[k]
-            if site == _SPLIT_X:
-                out_x = config
-                out_y = config.replace_site(k, _SPLIT_Y)
-                out[out_x] = out.get(out_x, 0.0) + amp * c
-                out[out_y] = out.get(out_y, 0.0) + amp * s
-            elif site == _SPLIT_Y:
-                out_x = config.replace_site(k, _SPLIT_X)
-                out[out_x] = out.get(out_x, 0.0) - amp * s
-                out[config] = out.get(config, 0.0) + amp * c
-            else:
-                out[config] = out.get(config, 0.0) + amp
-        terms = {cfg: a for cfg, a in out.items() if abs(a) >= PRUNE_TOL}
-    return terms
-
-
-def _unitary_on_state(state: MixedState, kernel) -> MixedState:
-    branches = [
-        (w, PureState(kernel(st.terms), st.m_max, check=False))
-        for w, st in state.branches
-    ]
-    return MixedState(branches, check=False, merge=False)
+_KERNELS = {
+    "swap": _swap_terms,
+    "rotate": _rotate_terms,
+    "shift": _shift_terms,
+    "phase": _phase_terms,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +437,34 @@ def count_p(
     return float(outcome), MixedState(new_branches, check=False, merge=True)
 
 
+def _step(
+    state: MixedState, op: PrimitiveOp, rng: np.random.Generator | None = None
+) -> tuple[MixedState, float | None]:
+    """Apply one op through the sparse engine; returns the new state and
+    the COUNTP outcome (None for every other op)."""
+    if type(op) not in _OPS:
+        raise TypeError(f"unknown op {op!r}")
+    if op.kind == "count":
+        value, state = count_p(state, rng, "sample")
+        return state, value
+    if op.kind == "empty":
+        return _empty_level(state, op.level), None
+    kernel = _KERNELS[op.kind]
+    branches = [
+        (w, PureState(kernel(st.terms, op, st.m_max), st.m_max, check=False))
+        for w, st in state.branches
+    ]
+    return MixedState(branches, check=False, merge=False), None
+
+
 # ---------------------------------------------------------------------------
 # classical engine: compiled site-code lookup tables
 #
 # A classical site (a, b, p) is one small int, its site code
 # a*R**2 + b*R + p with R = m_max + 1.  A basis-preserving script compiles
 # once per (script, m_max) into steps on an array of codes: one fused
-# sitewise table per run of PairTransfer, WSwap, EmptyP and EmptyB, a roll
-# of the pointer digit per Shift, and a phase step per Collide.
+# sitewise table per run of swaps and emptying channels, a roll of the
+# pointer digit per shift, and a phase step per Collide.
 
 
 @lru_cache(maxsize=8)
@@ -461,32 +498,25 @@ def _compile(script: Script, m_max: int) -> tuple:
     Collide into w, so w[c] is a*p after that table."""
     sites = _site_table(m_max)
     ident = _encode(sites, m_max)
-
-    def swap(s1: SiteOccupancy, s2: SiteOccupancy) -> np.ndarray:
-        t = ident.copy()
-        t[_encode([s1, s2], m_max)] = _encode([s2, s1], m_max)
-        return t
-
     steps = []
     table = ident
     for op in script:
-        if isinstance(op, Shift):
+        kind = getattr(op, "kind", None)
+        if kind == "shift":
             p = sites[table, 2].astype(ident.dtype)
             steps.append(("shift", op.x, table - p, p))
             table = ident
             continue
-        if isinstance(op, Collide):
+        if kind == "phase":
             steps.append(("phase", op.phi, sites[table, 0] * sites[table, 2]))
             continue
-        if isinstance(op, PairTransfer):
-            _check_transfer(op, m_max)
-            step = swap(op.src, op.dst)
-        elif isinstance(op, WSwap):
-            step = swap(_W_A, _W_B) if m_max >= 1 else ident
-        elif isinstance(op, EmptyP):
-            step = _encode(sites * (1, 1, 0), m_max)
-        elif isinstance(op, EmptyB):
-            step = _encode(sites * (1, 0, 1), m_max)
+        if kind == "swap":
+            s1, s2 = op.pair(m_max)
+            step = ident.copy()
+            if max(s1 + s2) <= m_max:  # below cutoff 1 W's sites do not exist
+                step[_encode([s1, s2], m_max)] = _encode([s2, s1], m_max)
+        elif kind == "empty":
+            step = _encode(sites * (np.arange(3) != op.level), m_max)
         else:
             raise ValueError(f"script contains non-classical operation {op!r}")
         table = step[table]
@@ -531,52 +561,35 @@ def apply_classical(occ: np.ndarray, script: Script, m_max: int = DEFAULT_M_MAX)
 
 
 def pair_transfer(state: MixedState, m: int, n: int, x: int) -> MixedState:
-    op = PairTransfer(m, n, x)
-    _check_transfer(op, state.m_max)
-    return _unitary_on_state(state, lambda t: _swap_terms(t, op.src, op.dst))
+    return _step(state, PairTransfer(m, n, x))[0]
 
 
 def w_swap(state: MixedState) -> MixedState:
-    return _unitary_on_state(state, lambda t: _swap_terms(t, _W_A, _W_B))
+    return _step(state, WSwap())[0]
 
 
 def ab_rotation(state: MixedState, theta: float) -> MixedState:
-    return _unitary_on_state(
-        state, lambda t: _ab_rotation_terms(t, theta, state.m_max, state.L)
-    )
+    return _step(state, ABRotation(theta))[0]
 
 
 def collide(state: MixedState, phi: float) -> MixedState:
-    return _unitary_on_state(state, lambda t: _collide_terms(t, phi))
+    return _step(state, Collide(phi))[0]
 
 
 def shift_p(state: MixedState, x: int) -> MixedState:
-    return _unitary_on_state(state, lambda t: _shift_terms(t, x))
+    return _step(state, Shift(x))[0]
 
 
 def empty_p(state: MixedState) -> MixedState:
-    return _empty_level(state, 2)
+    return _step(state, EmptyP())[0]
 
 
 def empty_b(state: MixedState) -> MixedState:
-    return _empty_level(state, 1)
+    return _step(state, EmptyB())[0]
 
 
 def defect_split(state: MixedState, eps: float) -> MixedState:
-    op = DefectSplit(eps)
-    return _unitary_on_state(state, lambda t: _defect_split_terms(t, op.eps, state.L))
-
-
-_GENERIC = {
-    PairTransfer: lambda s, op: pair_transfer(s, op.m, op.n, op.x),
-    WSwap: lambda s, op: w_swap(s),
-    ABRotation: lambda s, op: ab_rotation(s, op.theta),
-    Collide: lambda s, op: collide(s, op.phi),
-    Shift: lambda s, op: shift_p(s, op.x),
-    EmptyP: lambda s, op: empty_p(s),
-    EmptyB: lambda s, op: empty_b(s),
-    DefectSplit: lambda s, op: defect_split(s, op.eps),
-}
+    return _step(state, DefectSplit(eps))[0]
 
 
 def execute(
@@ -599,13 +612,9 @@ def execute(
 
     counts: list[float] = []
     for op in script:
-        if isinstance(op, CountP):
-            value, state = count_p(state, rng, "sample")
+        state, value = _step(state, op, rng)
+        if value is not None:
             counts.append(value)
-        elif type(op) in _GENERIC:
-            state = _GENERIC[type(op)](state, op)
-        else:
-            raise TypeError(f"unknown op {op!r}")
     return state, counts
 
 

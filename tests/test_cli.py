@@ -55,6 +55,8 @@ def test_format_rejects_empty_lattice(tmp_path, capsys):
     lat = tmp_path / "lat.json"
     lat.write_text("[]")
     assert main(["format", "--n", "1", "--lattice", str(lat)]) == 2
+    assert main(["format", "--n", "1", "--L", "0"]) == 2
+    assert capsys.readouterr().err.count("lattice needs at least one site") == 2
 
 
 @pytest.mark.parametrize(

@@ -357,6 +357,15 @@ def test_measure_requires_distinct_rest():
         measure_qubit(two_computers(), MeasureQubit(1, rest=1), n=2)
 
 
+@pytest.mark.parametrize(
+    "macro", [MeasureQubit(0, rest=2), MeasureQubit(3, rest=1), MeasureQubit(1, rest=5)]
+)
+def test_measure_rejects_offsets_outside_register(macro):
+    # offset 0 is the home site; 3 and 5 lie beyond a 2-qubit register
+    with pytest.raises(ValueError, match="outside register"):
+        measure_qubit(two_computers(), macro, n=2)
+
+
 # -- circuits ----------------------------------------------------------------
 
 

@@ -410,6 +410,10 @@ def test_script_parse_errors_carry_line_numbers():
         Script.parse("FROB 1\n")
     with pytest.raises(ScriptParseError):
         Script.parse("U 1 0\n")  # arity
+    # one argument too many or too few for every head
+    for line in ("W 1", "V", "C 1 2", "S", "EB 0", "EP 1", "SPLIT", "COUNTP 1", "U 1 0 0 0"):
+        with pytest.raises(ScriptParseError, match="line 2"):
+            Script.parse(f"W\n{line}\n")
 
 
 def test_script_concatenation():
@@ -627,3 +631,69 @@ def test_prop_ab_rotation_preserves_norm(state, theta):
 @settings(max_examples=40, deadline=None)
 def test_prop_w_swap_involution(state):
     assert fidelity(state, w_swap(w_swap(state)), mode="strict") == 1.0
+
+
+# -- V and SPLIT on several sites against a dense Kronecker oracle ----------
+
+# One-site basis: a, b <= 2 on input, so V reaches a+b <= 4; p <= 2.
+_SITES = [(a, b, p) for a in range(5) for b in range(5 - a) for p in range(3)]
+_SITE_INDEX = {s: i for i, s in enumerate(_SITES)}
+
+
+def _one_site_v(theta):
+    H = _dense_ab_hamiltonian([BasisConfig.from_counts([s]) for s in _SITES])
+    return scipy.linalg.expm(-1j * theta * H)
+
+
+def _one_site_split(eps):
+    M = np.eye(len(_SITES))
+    x, y = _SITE_INDEX[(2, 0, 0)], _SITE_INDEX[(1, 1, 0)]
+    M[x, x] = M[y, y] = SQ(1 - eps)
+    M[y, x], M[x, y] = SQ(eps), -SQ(eps)
+    return M
+
+
+def _dense(terms, L):
+    vec = np.zeros(len(_SITES) ** L, dtype=complex)
+    for config, amp in terms.items():
+        idx = [_SITE_INDEX[tuple(s)] for s in config.sites]
+        vec[np.ravel_multi_index(idx, (len(_SITES),) * L)] = amp
+    return vec
+
+
+def _kron_apply(M, vec, L):
+    """(M kron M kron ... kron M) @ vec with L factors, applied one factor
+    per site so the d**L x d**L product is never stored."""
+    psi = vec.reshape((len(_SITES),) * L)
+    for k in range(L):
+        psi = np.moveaxis(np.tensordot(M, psi, axes=([1], [k])), 0, k)
+    return psi.reshape(-1)
+
+
+@st.composite
+def rotate_cases(draw):
+    """Two or three sites with occupations up to 2 (biased towards SPLIT's
+    (2,0,0) and (1,1,0)), and 1 to 4 terms with random amplitudes."""
+    L = draw(st.integers(2, 3))
+    site = st.one_of(
+        st.sampled_from([(2, 0, 0), (1, 1, 0)]), st.tuples(*[st.integers(0, 2)] * 3)
+    )
+    configs = draw(st.lists(st.tuples(*[site] * L), min_size=1, max_size=4, unique=True))
+    polar = st.tuples(st.floats(0.1, 1.0), st.floats(-math.pi, math.pi))
+    amps = np.array([r * cmath.exp(1j * phi) for r, phi in
+                     draw(st.lists(polar, min_size=len(configs), max_size=len(configs)))])
+    amps /= np.linalg.norm(amps)
+    return L, {BasisConfig.from_counts(c): a for c, a in zip(configs, amps)}
+
+
+@given(rotate_cases(), st.floats(-math.pi, math.pi), st.floats(0.0, 1.0))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_prop_rotations_match_kronecker_oracle_on_several_sites(case, theta, eps):
+    L, terms = case
+    state = MixedState([(1.0, PureState(terms))])
+    vec = _dense(terms, L)
+    for out, M in ((ab_rotation(state, theta), _one_site_v(theta)),
+                   (defect_split(state, eps), _one_site_split(eps))):
+        ((w, branch),) = out.branches
+        assert w == 1.0
+        assert_allclose(_dense(branch.terms, L), _kron_apply(M, vec, L), rtol=0, atol=1e-12)
