@@ -161,16 +161,19 @@ def _branch_signature(state: PureState) -> tuple:
 def _merge_branches(branches: list[tuple[float, PureState]]) -> list[tuple[float, PureState]]:
     # Branches whose term sets agree (amplitudes within BRANCH_MERGE_TOL)
     # describe the same pure state and are combined by summing weights.
+    # Each branch is compared only with merged branches of its signature,
+    # in merge order.
     merged: list[tuple[float, PureState]] = []
+    by_sig: dict[tuple, list[int]] = {}
     for w, st in branches:
-        sig = _branch_signature(st)
-        for i, (w0, st0) in enumerate(merged):
-            if _branch_signature(st0) != sig:
-                continue
+        slots = by_sig.setdefault(_branch_signature(st), [])
+        for i in slots:
+            w0, st0 = merged[i]
             if all(abs(st.terms[c] - st0.terms[c]) <= BRANCH_MERGE_TOL for c in st.terms):
                 merged[i] = (w0 + w, st0)
                 break
         else:
+            slots.append(len(merged))
             merged.append((w, st))
     return merged
 

@@ -265,9 +265,12 @@ def repair_occupations(
     fixes every defect as long as donors remain; ``random`` draws shifts
     from ``rng`` for at most ``rounds`` rounds per phase.
     """
-    a = np.array(a, dtype=np.int64, copy=True)
+    a = np.asarray(a)
     if a.ndim != 1:
         raise ValueError("expected a 1-d array of a-level counts")
+    if a.dtype.kind not in "biu" and not np.isin(a, np.arange(5)).all():
+        raise ValueError("repair expects integer counts depopulated to <= 4")
+    a = a.astype(np.int64)
     if a.min(initial=0) < 0 or a.max(initial=0) > 4:
         raise ValueError("repair expects counts depopulated to <= 4")
     L = a.size
@@ -283,19 +286,27 @@ def repair_occupations(
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
 
+    # A round touches only the defects left in the current phase: no
+    # round creates a defect of the phase's value or a donor, and the
+    # donor at j can only serve the defect at j + x, so hits never collide.
     fixed = 0
     executed = 0
     for defect_val, xs in zip((0, 1), schedules):
+        defects = np.flatnonzero(a == defect_val)
+        donors = int(np.count_nonzero(a == 4))
         for x in xs:
-            if not (a == defect_val).any() or not (a == 4).any():
+            if not defects.size or not donors:
                 break
             executed += 1
-            mask = (a == defect_val) & (np.roll(a, x) == 4)
-            hit = np.nonzero(mask)[0]
-            if hit.size:
-                a[hit] += 1
-                a[(hit - x) % L] = 2
-                fixed += hit.size
+            src = (defects - x) % L
+            ok = a[src] == 4
+            hits = int(np.count_nonzero(ok))
+            if hits:
+                a[defects[ok]] += 1
+                a[src[ok]] = 2
+                defects = defects[~ok]
+                donors -= hits
+                fixed += hits
 
     report = RepairReport(
         defects_fixed=fixed,

@@ -255,8 +255,14 @@ def repair_experiment(
     lattice is exactly iid with p0 = 0, p1 = eps and the yield prediction
     L*eps*(1-eps)^n holds with no approximation.
     """
+    if L < 1:
+        raise ValueError("lattice needs at least one site")
+    if n < 1:
+        raise ValueError("computers need at least one qubit site")
     if eps is None:
         eps = 1.0 / n
+    elif not 0.0 <= eps <= 1.0:
+        raise ValueError(f"defect rate eps must lie in [0, 1], got {eps!r}")
     rng = np.random.default_rng(seed)
     a = sample_occupations(L, dist, rng)
     p0_before = float((a == 0).mean())

@@ -201,6 +201,25 @@ def test_repair_report_carries_what_sets_the_exit_code(tmp_path, capsys, flags, 
     assert rc == (1 if residual else 0)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--n", "0"], "at least one qubit site"),
+     (["--L", "0"], "at least one site"),
+     (["--L", "-5"], "at least one site"),
+     (["--eps", "1.5"], "eps must lie in [0, 1]"),
+     (["--eps", "-0.1"], "eps must lie in [0, 1]")],
+)
+def test_repair_rejects_bad_arguments(tmp_path, capsys, flags, message):
+    out = tmp_path / "r.json"
+    argv = ["repair", "--L", "100", "--n", "4", *flags, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_repair_donor_starvation(tmp_path, capsys):
     with pytest.warns(RuntimeWarning, match="insufficient donors"):
         rc = main(

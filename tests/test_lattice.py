@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeqc import (
     BasisConfig,
@@ -14,6 +16,9 @@ from latticeqc import (
     fidelity,
     level_count,
 )
+from latticeqc.lattice import _branch_signature, _merge_branches
+
+from helpers import merge_branches_pairwise
 
 
 def test_config_basics():
@@ -179,3 +184,34 @@ def test_state_translate_moves_every_level():
         [(0, 0, 0), (1, 0, 1), (0, 2, 0)]
     )
     assert st.translate(0).sole_config() == st.sole_config()
+
+
+_MERGE_CONFIGS = [BasisConfig.from_counts([(a, 0, 0), (b, 0, 1)]) for a in (0, 1) for b in (0, 1)]
+
+
+@st.composite
+def branch_lists(draw):
+    """Branches over four configs, with repeated signatures and amplitudes
+    that differ by less or more than BRANCH_MERGE_TOL."""
+    branches = []
+    for _ in range(draw(st.integers(1, 12))):
+        support = sorted(draw(st.sets(st.integers(0, 3), min_size=1)))
+        phase = draw(st.sampled_from([1.0, 1j, -1.0]))
+        nudge = draw(st.sampled_from([0.0, 3e-13, 3e-11]))
+        amp = phase / math.sqrt(len(support))
+        terms = {_MERGE_CONFIGS[i]: amp + (nudge if i == support[0] else 0.0) for i in support}
+        branches.append((draw(st.floats(0.01, 1.0)), PureState(terms)))
+    if draw(st.booleans()):
+        branches.sort(key=lambda ws: (_branch_signature(ws[1]), ws[0]))
+    return branches
+
+
+@given(branch_lists())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_prop_merge_branches_matches_pairwise_loop(branches):
+    got = _merge_branches(branches)
+    want = merge_branches_pairwise(branches)
+    assert len(got) == len(want)
+    for (w, state), (w_ref, state_ref) in zip(got, want):
+        assert w == w_ref
+        assert state is state_ref

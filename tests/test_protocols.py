@@ -2,12 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from latticeqc import (
     BasisConfig,
     ComputerDescriptor,
     EmptyP,
+    FillDistribution,
     PairTransfer,
     RepairReport,
     Script,
@@ -28,8 +31,11 @@ from latticeqc import (
     repair_occupations,
     repair_round_script,
     sample_defect_creation,
+    sample_occupations,
     verify_formatted,
 )
+
+from helpers import repair_occupations_dense
 
 
 def run_on_counts(a_counts, script, m_max=6):
@@ -334,6 +340,64 @@ def test_repair_rejects_bad_counts():
         repair_occupations(np.array([5, 0]), "exhaustive")
     with pytest.raises(ValueError):
         repair_occupations(np.array([[2, 2], [2, 2]]), "exhaustive")
+    with pytest.raises(ValueError, match="integer counts"):
+        repair_occupations(np.array([4.7, 0.2, 2.0]), "exhaustive")
+    with pytest.raises(ValueError, match="integer counts"):
+        repair_occupations(np.array([4.0, np.nan, 2.0]), "exhaustive")
+    repaired, _ = repair_occupations(np.array([4.0, 1.0, 2.0]), "exhaustive")
+    assert_array_equal(repaired, [2, 2, 2])
+
+
+def _repair_both_ways(a, schedule, seed, rounds):
+    """Run the engine and the dense reference on the same input and rng
+    stream; return each one's (array, report, warning categories)."""
+    out = []
+    for fn in (repair_occupations, repair_occupations_dense):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            repaired, report = fn(a, schedule, np.random.default_rng(seed), rounds)
+        out.append((repaired, report, [w.category for w in caught]))
+    return out
+
+
+# Counts drawn from a random subset of 0..4, so that lattices without
+# donors, without defects or with nothing but defects come up often.
+repair_lattices = st.sets(st.integers(0, 4), min_size=1).flatmap(
+    lambda values: st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=40)
+)
+
+
+@given(
+    counts=repair_lattices,
+    schedule=st.sampled_from(["exhaustive", "random"]),
+    rounds=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(counts=[4, 0, 0, 0], schedule="exhaustive", rounds=0, seed=0)
+@example(counts=[0, 1, 1, 2], schedule="random", rounds=10, seed=0)
+@example(counts=[4], schedule="random", rounds=3, seed=0)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_prop_repair_matches_dense_loop(counts, schedule, rounds, seed):
+    a = np.array(counts, dtype=np.int64)
+    (fast, fast_report, fast_warns), (ref, ref_report, ref_warns) = _repair_both_ways(
+        a, schedule, seed, rounds
+    )
+    assert_array_equal(fast, ref)
+    assert fast_report == ref_report
+    assert fast_warns == ref_warns
+    assert_array_equal(a, counts)  # the input is not modified
+
+
+def test_repair_matches_dense_loop_at_scale():
+    dist = FillDistribution(0.05, 0.1, 0.45, 0.1, 0.3)
+    a = sample_occupations(100_000, dist, np.random.default_rng(20))
+    (fast, fast_report, fast_warns), (ref, ref_report, ref_warns) = _repair_both_ways(
+        a, "exhaustive", 0, None
+    )
+    assert_array_equal(fast, ref)
+    assert fast_report == ref_report
+    assert fast_warns == ref_warns == []
+    assert fast_report.rounds > 100
 
 
 # -- controlled defect creation ----------------------------------------------
