@@ -59,7 +59,6 @@ from .protocols import (
     oracle_computers,
     oracle_homes,
     prepare_script,
-    repair,
     repair_occupations,
     repair_round_script,
     sample_defect_creation,
@@ -95,7 +94,6 @@ from .stats import (
     repair_experiment,
     repaired_yield,
     repaired_yield_asymptote,
-    sample_lattice,
     sample_occupations,
     trial_seeds,
 )

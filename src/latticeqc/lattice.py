@@ -9,10 +9,10 @@ pointer counter) decohere in the occupation basis.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -91,15 +91,52 @@ class BasisConfig:
         return cls.from_counts(obj)
 
 
+@lru_cache(maxsize=8)
+def _site_table(m_max: int) -> np.ndarray:
+    """Row c holds the occupations (a, b, p) of site code c."""
+    R = m_max + 1
+    sites = np.indices((R, R, R)).reshape(3, -1).T.copy()
+    sites.setflags(write=False)
+    return sites
+
+
+@lru_cache(maxsize=8)
+def _site_objects(m_max: int) -> tuple:
+    return tuple(SiteOccupancy(*s) for s in _site_table(m_max).tolist())
+
+
+def _encode(occ, m_max: int) -> np.ndarray:
+    """Site codes a*R**2 + b*R + p, R = m_max + 1, of (..., 3) occupations;
+    rows of codes sort like the configurations they encode."""
+    occ = np.asarray(occ, dtype=np.int64)
+    if occ.shape[-1:] != (3,):
+        raise ValueError(f"expected trailing axis of size 3, got {occ.shape}")
+    if occ.size and occ.max() > m_max:
+        raise OccupationOverflowError(f"occupation exceeds cutoff {m_max}")
+    if occ.size and occ.min() < 0:
+        raise ValueError("negative occupation")
+    R = m_max + 1
+    return (occ @ np.array([R * R, R, 1])).astype(np.min_scalar_type(R**3 - 1))
+
+
+def _lexsorted(codes: np.ndarray, amps: np.ndarray) -> tuple:
+    """Rows of codes in lexicographic order, with their amplitudes."""
+    order = np.lexsort(codes.T[::-1])
+    return codes[order], amps[order]
+
+
 class PureState:
     """Normalized sparse superposition.  Treat instances as immutable.
 
-    Terms are stored in canonical (sorted) key order so that every
-    iteration over them, and everything derived from such iterations,
-    is bit-reproducible.
+    Term t is row t of ``codes``, the site codes of one configuration
+    (see :func:`_encode`), with amplitude ``amps[t]``.  Rows are distinct
+    and in lexicographic order, which is the order of their
+    configurations, so every iteration over them, and everything derived
+    from such iterations, is bit-reproducible.  ``terms`` is the same
+    state as a read-only ``{BasisConfig: complex}`` map.
     """
 
-    __slots__ = ("terms", "m_max")
+    __slots__ = ("_codes", "amps", "_terms", "m_max")
 
     def __init__(self, terms: dict, m_max: int = DEFAULT_M_MAX, check: bool = True):
         cleaned: dict[BasisConfig, complex] = {}
@@ -109,53 +146,85 @@ class PureState:
                 cleaned[config] = amp
         if not cleaned:
             raise ValueError("state has no support")
-        self.terms = cleaned
+        self._terms = MappingProxyType(cleaned)
+        self._codes = None  # encoded on first use, so check=False defers cutoff errors
+        self.amps = np.array(list(cleaned.values()), dtype=complex)
         self.m_max = int(m_max)
         if check:
-            first = next(iter(cleaned))
-            for config in cleaned:
-                if config.L != first.L:
-                    raise ValueError("terms live on different lattice sizes")
-                if config.max_count() > self.m_max:
-                    raise OccupationOverflowError(
-                        f"occupation exceeds cutoff {self.m_max}: {config.sites}"
-                    )
+            if len({config.L for config in cleaned}) > 1:
+                raise ValueError("terms live on different lattice sizes")
+            self.codes  # encoding raises OccupationOverflowError above the cutoff
             nsq = self.norm_sq()
             if abs(nsq - 1.0) > NORM_TOL:
                 raise ValueError(f"state norm^2 = {nsq!r} drifted from 1")
 
+    @classmethod
+    def _from_codes(cls, codes: np.ndarray, amps: np.ndarray, m_max: int) -> "PureState":
+        """A state from distinct code rows in lexicographic order (see
+        :func:`_lexsorted`), dropping amplitudes below PRUNE_TOL."""
+        keep = np.hypot(amps.real, amps.imag) >= PRUNE_TOL
+        if not keep.all():
+            codes, amps = codes[keep], amps[keep]
+        if not amps.size:
+            raise ValueError("state has no support")
+        st = cls.__new__(cls)
+        st._codes, st.amps, st._terms, st.m_max = codes, amps, None, m_max
+        return st
+
+    @property
+    def codes(self) -> np.ndarray:
+        if self._codes is None:
+            self._codes = _encode([c.sites for c in self._terms], self.m_max)
+        return self._codes
+
+    @property
+    def terms(self) -> MappingProxyType:
+        if self._terms is None:
+            sites = _site_objects(self.m_max)
+            configs = (BasisConfig(tuple(map(sites.__getitem__, row)))
+                       for row in self._codes.tolist())
+            self._terms = MappingProxyType(dict(zip(configs, self.amps.tolist())))
+        return self._terms
+
     @property
     def L(self) -> int:
-        return next(iter(self.terms)).L
+        return self.codes.shape[1]
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.terms.values())
+        return sum(abs(a) ** 2 for a in self.amps.tolist())
 
     def amplitude(self, config: BasisConfig) -> complex:
         return self.terms.get(config, 0.0 + 0.0j)
 
     def inner(self, other: "PureState") -> complex:
-        if len(self.terms) > len(other.terms):
+        if len(self.amps) > len(other.amps):
             return other.inner(self).conjugate()
         return sum(a.conjugate() * other.terms.get(c, 0.0) for c, a in self.terms.items())
 
     def is_classical(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.amps) == 1
 
     def translate(self, d: int) -> "PureState":
-        return PureState(
-            {c.translate(d): a for c, a in self.terms.items()}, self.m_max, check=False
+        return PureState._from_codes(
+            *_lexsorted(np.roll(self.codes, d, axis=1), self.amps), self.m_max
         )
 
     def __iter__(self) -> Iterator[tuple[BasisConfig, complex]]:
         return iter(self.terms.items())
 
     def __repr__(self):
-        return f"PureState({len(self.terms)} terms, L={self.L})"
+        return f"PureState({len(self.amps)} terms, L={self.L})"
 
 
-def _branch_signature(state: PureState) -> tuple:
-    return tuple(state.terms.keys())
+def _branch_signature(state: PureState) -> bytes:
+    # Big-endian bytes compare like the rows of codes, hence like the
+    # tuple of the state's configurations.
+    return state.codes.astype(">u4").tobytes()
+
+
+def _close(x: np.ndarray, y: np.ndarray) -> bool:
+    d = x - y
+    return bool((np.hypot(d.real, d.imag) <= BRANCH_MERGE_TOL).all())
 
 
 def _merge_branches(branches: list[tuple[float, PureState]]) -> list[tuple[float, PureState]]:
@@ -164,12 +233,12 @@ def _merge_branches(branches: list[tuple[float, PureState]]) -> list[tuple[float
     # Each branch is compared only with merged branches of its signature,
     # in merge order.
     merged: list[tuple[float, PureState]] = []
-    by_sig: dict[tuple, list[int]] = {}
+    by_sig: dict[bytes, list[int]] = {}
     for w, st in branches:
         slots = by_sig.setdefault(_branch_signature(st), [])
         for i in slots:
             w0, st0 = merged[i]
-            if all(abs(st.terms[c] - st0.terms[c]) <= BRANCH_MERGE_TOL for c in st.terms):
+            if _close(st.amps, st0.amps):
                 merged[i] = (w0 + w, st0)
                 break
         else:
@@ -192,9 +261,10 @@ class MixedState:
         kept = [(float(w), st) for w, st in branches if float(w) > 1e-15]
         if not kept:
             raise ValueError("mixture has no branches")
-        kept.sort(key=lambda ws: (_branch_signature(ws[1]), ws[0]))
-        if merge:
-            kept = _merge_branches(kept)
+        if len(kept) > 1:
+            kept.sort(key=lambda ws: (_branch_signature(ws[1]), ws[0]))
+            if merge:
+                kept = _merge_branches(kept)
         self.branches = tuple(kept)
         if check:
             L = self.L
@@ -305,9 +375,7 @@ def fidelity(x: MixedState, y: MixedState, mode: str = "paired") -> float:
         for (wx, sx), (wy, sy) in zip(x.branches, y.branches):
             if abs(wx - wy) > BRANCH_MERGE_TOL:
                 return 0.0
-            if _branch_signature(sx) != _branch_signature(sy):
-                return 0.0
-            if any(abs(sx.terms[c] - sy.terms[c]) > BRANCH_MERGE_TOL for c in sx.terms):
+            if _branch_signature(sx) != _branch_signature(sy) or not _close(sx.amps, sy.amps):
                 return 0.0
         return 1.0
     raise ValueError(f"unknown fidelity mode {mode!r}")

@@ -38,11 +38,14 @@ import numpy as np
 from .lattice import (
     DEFAULT_M_MAX,
     PRUNE_TOL,
-    BasisConfig,
     MixedState,
     OccupationOverflowError,
     PureState,
     SiteOccupancy,
+    _encode,
+    _lexsorted,
+    _site_objects,
+    _site_table,
 )
 
 
@@ -279,117 +282,171 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 
 
 # ---------------------------------------------------------------------------
-# unitary kernels (per pure branch): terms, op, cutoff -> terms
+# the engine on site codes
+#
+# A site (a, b, p) is one small int, its site code (see lattice._encode),
+# and a pure branch is an array of code rows with one amplitude per row.
+# A basis-preserving script compiles once per (script, m_max) into steps
+# on codes: one fused sitewise table per run of swaps and emptying
+# channels and a roll of the pointer digit per shift.  The engine runs a
+# swap or a shift as its compiled one-op script on every row, a Collide
+# as one phase factor per distinct weight sum(a*p), an emptying channel
+# by grouping rows on the emptied level's digits, and a rotation by
+# expanding rows through a per-code image table.  Amplitudes round as a
+# loop over a {config: amplitude} dict does (tests/helpers.py keeps that
+# loop): a moved term is 0.0 + amp, complex products are written as real
+# products, and sums run in the dict's order.
 
 
-def _swap_terms(terms: dict, op, m_max: int) -> dict:
-    """Exchange the two one-site states of op.pair on every site."""
-    s1, s2 = op.pair(m_max)
-    if s1 == s2:
-        return dict(terms)
-    swap = {s1: s2, s2: s1}
-    out: dict[BasisConfig, complex] = {}
-    for config, amp in terms.items():
-        new = BasisConfig(tuple(swap.get(s, s) for s in config.sites))
-        out[new] = out.get(new, 0.0) + amp
+@lru_cache(maxsize=256)
+def _compile(script: Script, m_max: int) -> tuple:
+    """Steps on site codes: ("table", t) maps code c to t[c]; ("shift", x,
+    rest, p) maps it to rest[c] plus p[c'] of the site c' x sites to the
+    left.  The table pending at a Shift folds into rest and p.  A Collide
+    changes no code and compiles to nothing."""
+    sites = _site_table(m_max)
+    ident = _encode(sites, m_max)
+    steps = []
+    table = ident
+    for op in script:
+        kind = getattr(op, "kind", None)
+        if kind == "shift":
+            p = sites[table, 2].astype(ident.dtype)
+            steps.append(("shift", op.x, table - p, p))
+            table = ident
+            continue
+        if kind == "phase":
+            continue
+        if kind == "swap":
+            s1, s2 = op.pair(m_max)
+            step = ident.copy()
+            if max(s1 + s2) <= m_max:  # below cutoff 1 W's sites do not exist
+                step[_encode([s1, s2], m_max)] = _encode([s2, s1], m_max)
+        elif kind == "empty":
+            step = _encode(sites * (np.arange(3) != op.level), m_max)
+        else:
+            raise ValueError(f"script contains non-classical operation {op!r}")
+        table = step[table]
+    if table is not ident:
+        steps.append(("table", table))
+    for arr in (a for step in steps for a in step if isinstance(a, np.ndarray)):
+        arr.setflags(write=False)  # the cache hands these to every caller
+    return tuple(steps)
+
+
+def _move(codes: np.ndarray, step: tuple) -> np.ndarray:
+    """Apply a "table" or "shift" step to site codes of shape (..., L)."""
+    if step[0] == "table":
+        return np.take(step[1], codes)
+    moved = np.roll(np.take(step[3], codes), step[1], axis=-1)
+    return np.take(step[2], codes) + moved
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
-def _rotate_terms(terms: dict, op, m_max: int) -> dict:
+def _cmul(ar, ai, br, bi) -> tuple:
+    """(ar + i*ai) * (br + i*bi) as Python's complex product rounds it
+    (numpy's own complex multiply may fuse the real products)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _scale(amps: np.ndarray, x: float) -> np.ndarray:
+    """amps * x, with x promoted to complex as Python promotes it."""
+    return _complex(*_cmul(amps.real, amps.imag, x, 0.0))
+
+
+def _unitary(st: PureState, op) -> PureState:
+    """One unitary op on one pure branch."""
+    m = st.m_max
+    if op.kind == "rotate":
+        return _rotate(st, op)
+    if op.kind == "phase":
+        a_p = np.prod(_site_table(m)[:, ::2], axis=1).astype(np.uint16)
+        weights = np.take(a_p, st.codes).sum(axis=1).tolist()
+        factor = {w: cmath.exp(1j * op.phi * w) for w in set(weights)}
+        f = np.array([factor[w] for w in weights])
+        amps = _complex(*_cmul(st.amps.real, st.amps.imag, f.real, f.imag))
+        return PureState._from_codes(st.codes, amps, m)
+    (step,) = _compile(Script([op]), m)
+    if op.kind == "swap" and op.pair(m)[0] == op.pair(m)[1]:
+        return PureState._from_codes(st.codes, st.amps, m)  # moves no term
+    return PureState._from_codes(*_lexsorted(_move(st.codes, step), st.amps + 0.0), m)
+
+
+def _rows(codes: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one bytes item, for grouping rows."""
+    codes = np.ascontiguousarray(codes)
+    return codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel()
+
+
+@lru_cache(maxsize=64)
+def _image_table(op, m_max: int) -> tuple:
+    """(count, table, fixed) for a rotation: code c has count[c] images,
+    table[:, c, j] is (code, re, im) of image j, and fixed[c] says that c
+    is its own only image, times 1.  Filled in as codes turn up, so only
+    the sites a state holds reach op.images."""
+    n = (m_max + 1) ** 3
+    return np.zeros(n, dtype=np.int64), np.zeros((3, n, m_max + 1)), np.zeros(n, dtype=bool)
+
+
+def _rotate(st: PureState, op) -> PureState:
     """Apply op.images on each site in turn, pruning after every site.
 
-    Intermediate terms are keyed by site tuples; each BasisConfig is built
-    once, after the last site.
+    Site k expands every row into its images in (row, image) order; equal
+    rows are summed in that order and kept in order of first occurrence.
+    A site whose codes are all fixed only turns -0.0 parts into 0.0, which
+    the final + 0.0 does for all of them.
     """
-    rows = {config.sites: amp for config, amp in terms.items()}
-    images: dict[SiteOccupancy, tuple] = {}
-    for k in range(len(next(iter(rows)))):
-        out: dict[tuple, complex] = {}
-        for sites, amp in rows.items():
-            site = sites[k]
-            if site not in images:
-                images[site] = op.images(site, m_max)
-            for new, u in images[site]:
-                key = sites if new == site else sites[:k] + (new,) + sites[k + 1:]
-                out[key] = out.get(key, 0.0) + amp * u
-        rows = {key: a for key, a in out.items() if abs(a) >= PRUNE_TOL}
-    return {BasisConfig(sites): amp for sites, amp in rows.items()}
+    m, codes, re, im = st.m_max, st.codes, st.amps.real, st.amps.imag
+    count, table, fixed = _image_table(op, m)
+    sites = _site_objects(m)
+    for c in set(codes[count[codes] == 0].tolist()):
+        img = op.images(sites[c], m)
+        u = np.array([z for _, z in img], dtype=complex)
+        table[:, c, :len(img)] = _encode([s for s, _ in img], m), u.real, u.imag
+        count[c] = len(img)
+        fixed[c] = len(img) == 1 and img[0][0] == sites[c] and u[0] == 1.0
+    for k in np.flatnonzero(~fixed[codes].all(axis=0)).tolist():
+        col = codes[:, k]
+        row, j = np.nonzero(np.arange(table.shape[2]) < count[col][:, None])
+        image = table[:, col[row], j]
+        new = codes[row]
+        new[:, k] = image[0]
+        pre, pim = _cmul(re[row], im[row], image[1], image[2])
+        first_of: dict[bytes, int] = {}  # row -> index of its first copy
+        group = np.array([first_of.setdefault(r, i) for i, r in enumerate(_rows(new).tolist())])
+        first = np.flatnonzero(group == np.arange(group.size))
+        re = np.bincount(group, pre, group.size)[first]
+        im = np.bincount(group, pim, group.size)[first]
+        keep = np.hypot(re, im) >= PRUNE_TOL
+        codes, re, im = new[first[keep]], re[keep], im[keep]
+    return PureState._from_codes(*_lexsorted(codes, _complex(re + 0.0, im + 0.0)), m)
 
 
-def _shift_terms(terms: dict, op, m_max: int) -> dict:
-    out = {}
-    for config, amp in terms.items():
-        L = config.L
-        sites = config.sites
-        new = BasisConfig(
-            tuple(
-                SiteOccupancy(sites[k].a, sites[k].b, sites[(k - op.x) % L].p)
-                for k in range(L)
-            )
-        )
-        out[new] = out.get(new, 0.0) + amp
-    return out
-
-
-def _phase_terms(terms: dict, op, m_max: int) -> dict:
-    out = {}
-    for config, amp in terms.items():
-        weight = sum(s.a * s.p for s in config.sites)
-        out[config] = amp * cmath.exp(1j * op.phi * weight)
-    return out
-
-
-_KERNELS = {
-    "swap": _swap_terms,
-    "rotate": _rotate_terms,
-    "shift": _shift_terms,
-    "phase": _phase_terms,
-}
-
-
-# ---------------------------------------------------------------------------
-# channels
-
-
-def _empty_level(state: MixedState, level_idx: int) -> MixedState:
-    """Trace out one level: branch on its occupation pattern, then zero it."""
+def _empty(state: MixedState, op) -> MixedState:
+    """Trace out op.level: branch on its digits, in sorted order of the
+    digit rows, then zero it and renormalize each branch."""
     new_branches: list[tuple[float, PureState]] = []
     for w, st in state.branches:
-        groups: dict[tuple, dict[BasisConfig, complex]] = {}
-        for config, amp in st:
-            pattern = tuple(s[level_idx] for s in config.sites)
-            zeroed = BasisConfig(
-                tuple(
-                    SiteOccupancy(*(0 if i == level_idx else s[i] for i in range(3)))
-                    for s in config.sites
-                )
-            )
-            grp = groups.setdefault(pattern, {})
-            grp[zeroed] = grp.get(zeroed, 0.0) + amp
-        for pattern in sorted(groups):
-            terms = groups[pattern]
-            weight = sum(abs(a) ** 2 for a in terms.values())
+        m = st.m_max
+        zeroed = _move(st.codes, _compile(Script([op]), m)[0])
+        digits = np.take(_site_table(m)[:, op.level].astype(np.uint8), st.codes)
+        patterns = _rows(digits).tolist()  # bytes sort like the digit rows
+        slot = {p: g for g, p in enumerate(sorted(set(patterns)))}
+        group = np.array([slot[p] for p in patterns])
+        amps = st.amps + 0.0
+        weights = np.bincount(group, [abs(a) ** 2 for a in amps.tolist()])
+        for g, weight in enumerate(weights.tolist()):
             if weight <= 1e-30:
                 continue
-            scale = 1.0 / math.sqrt(weight)
-            new_branches.append(
-                (
-                    w * weight,
-                    PureState(
-                        {c: a * scale for c, a in terms.items()}, st.m_max, check=False
-                    ),
-                )
-            )
+            rows = group == g
+            amp = _scale(amps[rows], 1.0 / math.sqrt(weight))
+            new_branches.append((w * weight, PureState._from_codes(zeroed[rows], amp, m)))
     return MixedState(new_branches, check=False, merge=True)
-
-
-def _count_distribution(state: MixedState) -> dict[int, float]:
-    dist: dict[int, float] = {}
-    for w, st in state.branches:
-        for config, amp in st:
-            c = config.level_total(2)
-            dist[c] = dist.get(c, 0.0) + w * abs(amp) ** 2
-    return dist
 
 
 def count_p(
@@ -402,7 +459,13 @@ def count_p(
     classical ensembles stay deterministic.  ``expect`` returns the
     expectation and leaves the state untouched.
     """
-    dist = _count_distribution(state)
+    dist: dict[int, float] = {}
+    totals = []
+    for w, st in state.branches:
+        p = _site_table(st.m_max)[:, 2].astype(np.uint8)
+        totals.append(np.take(p, st.codes).sum(axis=1))
+        for c, a in zip(totals[-1].tolist(), st.amps.tolist()):
+            dist[c] = dist.get(c, 0.0) + w * abs(a) ** 2
     if mode == "expect":
         return sum(c * p for c, p in dist.items()), state
     if mode != "sample":
@@ -422,17 +485,15 @@ def count_p(
             break
     prob = dist[outcome]
     new_branches = []
-    for w, st in state.branches:
-        kept = {c: a for c, a in st if c.level_total(2) == outcome}
-        if not kept:
+    for (w, st), total in zip(state.branches, totals):
+        rows = total == outcome
+        if not rows.any():
             continue
-        bw = sum(abs(a) ** 2 for a in kept.values())
-        scale = 1.0 / math.sqrt(bw)
+        amps = st.amps[rows]
+        bw = sum(abs(a) ** 2 for a in amps.tolist())
+        amp = _scale(amps, 1.0 / math.sqrt(bw))
         new_branches.append(
-            (
-                w * bw / prob,
-                PureState({c: a * scale for c, a in kept.items()}, st.m_max, check=False),
-            )
+            (w * bw / prob, PureState._from_codes(st.codes[rows], amp, st.m_max))
         )
     return float(outcome), MixedState(new_branches, check=False, merge=True)
 
@@ -440,120 +501,31 @@ def count_p(
 def _step(
     state: MixedState, op: PrimitiveOp, rng: np.random.Generator | None = None
 ) -> tuple[MixedState, float | None]:
-    """Apply one op through the sparse engine; returns the new state and
-    the COUNTP outcome (None for every other op)."""
+    """Apply one op; returns the new state and the COUNTP outcome (None
+    for every other op)."""
     if type(op) not in _OPS:
         raise TypeError(f"unknown op {op!r}")
     if op.kind == "count":
         value, state = count_p(state, rng, "sample")
         return state, value
     if op.kind == "empty":
-        return _empty_level(state, op.level), None
-    kernel = _KERNELS[op.kind]
-    branches = [
-        (w, PureState(kernel(st.terms, op, st.m_max), st.m_max, check=False))
-        for w, st in state.branches
-    ]
+        return _empty(state, op), None
+    branches = [(w, _unitary(st, op)) for w, st in state.branches]
     return MixedState(branches, check=False, merge=False), None
-
-
-# ---------------------------------------------------------------------------
-# classical engine: compiled site-code lookup tables
-#
-# A classical site (a, b, p) is one small int, its site code
-# a*R**2 + b*R + p with R = m_max + 1.  A basis-preserving script compiles
-# once per (script, m_max) into steps on an array of codes: one fused
-# sitewise table per run of swaps and emptying channels, a roll of the
-# pointer digit per shift, and a phase step per Collide.
-
-
-@lru_cache(maxsize=8)
-def _site_table(m_max: int) -> np.ndarray:
-    """Row c holds the occupations (a, b, p) of site code c."""
-    R = m_max + 1
-    sites = np.indices((R, R, R)).reshape(3, -1).T.copy()
-    sites.setflags(write=False)
-    return sites
-
-
-def _encode(occ, m_max: int) -> np.ndarray:
-    occ = np.asarray(occ, dtype=np.int64)
-    if occ.shape[-1:] != (3,):
-        raise ValueError(f"expected trailing axis of size 3, got {occ.shape}")
-    if occ.size and occ.max() > m_max:
-        raise OccupationOverflowError(f"occupation exceeds cutoff {m_max}")
-    if occ.size and occ.min() < 0:
-        raise ValueError("negative occupation")
-    R = m_max + 1
-    codes = (occ[..., 0] * R + occ[..., 1]) * R + occ[..., 2]
-    return codes.astype(np.min_scalar_type(R**3 - 1))
-
-
-@lru_cache(maxsize=256)
-def _compile(script: Script, m_max: int) -> tuple:
-    """Steps on site codes: ("table", t) maps code c to t[c]; ("shift", x,
-    rest, p) maps it to rest[c] plus p[c'] of the site c' x sites to the
-    left; ("phase", phi, w) adds phi * sum(w[c]) to the phase.  The table
-    pending at a Shift folds into rest and p, and the one pending at a
-    Collide into w, so w[c] is a*p after that table."""
-    sites = _site_table(m_max)
-    ident = _encode(sites, m_max)
-    steps = []
-    table = ident
-    for op in script:
-        kind = getattr(op, "kind", None)
-        if kind == "shift":
-            p = sites[table, 2].astype(ident.dtype)
-            steps.append(("shift", op.x, table - p, p))
-            table = ident
-            continue
-        if kind == "phase":
-            steps.append(("phase", op.phi, sites[table, 0] * sites[table, 2]))
-            continue
-        if kind == "swap":
-            s1, s2 = op.pair(m_max)
-            step = ident.copy()
-            if max(s1 + s2) <= m_max:  # below cutoff 1 W's sites do not exist
-                step[_encode([s1, s2], m_max)] = _encode([s2, s1], m_max)
-        elif kind == "empty":
-            step = _encode(sites * (np.arange(3) != op.level), m_max)
-        else:
-            raise ValueError(f"script contains non-classical operation {op!r}")
-        table = step[table]
-    if table is not ident:
-        steps.append(("table", table))
-    for arr in (a for step in steps for a in step if isinstance(a, np.ndarray)):
-        arr.setflags(write=False)  # the cache hands these to every caller
-    return tuple(steps)
-
-
-def _run_classical(occ, script: Script, m_max: int, phase: float | None = None):
-    """Encode (..., L, 3) occupations, run the compiled script, decode.
-
-    With ``phase`` None the phase steps are skipped; otherwise each adds
-    phi * sum(a*p) to it, in op order.
-    """
-    codes = _encode(occ, m_max)
-    for step in _compile(script, m_max):
-        if step[0] == "table":
-            codes = np.take(step[1], codes)
-        elif step[0] == "shift":
-            moved = np.roll(np.take(step[3], codes), step[1], axis=-1)
-            codes = np.take(step[2], codes) + moved
-        elif phase is not None:
-            phase += step[1] * float(np.take(step[2], codes).sum())
-    return np.take(_site_table(m_max), codes, axis=0), phase
 
 
 def apply_classical(occ: np.ndarray, script: Script, m_max: int = DEFAULT_M_MAX) -> np.ndarray:
     """Run a basis-preserving script on classical occupations.
 
     ``occ`` has shape (..., L, 3); leading axes are a batch, so a whole
-    family of lattices runs in one vectorized pass.  Phases from Collide
-    are physically inert on a classical configuration and are dropped
-    here (:func:`execute` tracks them).
+    family of lattices runs in one vectorized pass through the compiled
+    script.  Phases from Collide are physically inert on a classical
+    configuration and are dropped here (:func:`execute` tracks them).
     """
-    return _run_classical(occ, script, m_max)[0]
+    codes = _encode(occ, m_max)
+    for step in _compile(script, m_max):
+        codes = _move(codes, step)
+    return np.take(_site_table(m_max), codes, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -595,21 +567,7 @@ def defect_split(state: MixedState, eps: float) -> MixedState:
 def execute(
     state: MixedState, script: Script, rng: np.random.Generator | None = None
 ) -> tuple[MixedState, list[float]]:
-    """Run a script; returns the final state and any COUNTP outcomes.
-
-    Classical states running basis-preserving scripts take the compiled
-    classical engine per branch; the result is identical to the generic
-    path, including Collide phases.
-    """
-    if state.is_classical() and script.is_basis_preserving():
-        branches = []
-        for w, st in state.branches:
-            config, amp0 = next(iter(st.terms.items()))
-            occ, phase = _run_classical(config.to_array(), script, st.m_max, 0.0)
-            final = {BasisConfig.from_array(occ): amp0 * cmath.exp(1j * phase)}
-            branches.append((w, PureState(final, st.m_max, check=False)))
-        return MixedState(branches, check=False, merge=True), []
-
+    """Run a script op by op; returns the final state and any COUNTP outcomes."""
     counts: list[float] = []
     for op in script:
         state, value = _step(state, op, rng)

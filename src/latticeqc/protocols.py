@@ -18,11 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    BasisConfig,
-    MixedState,
-    classical,
-)
+from .lattice import BasisConfig, MixedState
 from .primitives import (
     DefectSplit,
     EmptyB,
@@ -322,23 +318,6 @@ def repair_occupations(
             RuntimeWarning,
         )
     return a, report
-
-
-def repair(
-    state: MixedState,
-    schedule: str = "exhaustive",
-    rng: np.random.Generator | None = None,
-    rounds: int | None = None,
-) -> tuple[MixedState, RepairReport]:
-    """Repair a classical lattice state; see :func:`repair_occupations`."""
-    config = state.sole_config()
-    occ = config.to_array()
-    if occ[:, 1:].any():
-        raise ValueError("repair expects levels b and p to be empty")
-    a, report = repair_occupations(occ[:, 0], schedule, rng, rounds)
-    out = np.zeros_like(occ)
-    out[:, 0] = a
-    return classical(BasisConfig.from_array(out), state.m_max), report
 
 
 # ---------------------------------------------------------------------------

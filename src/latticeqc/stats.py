@@ -17,7 +17,6 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .lattice import BasisConfig
 from .primitives import apply_classical
 from .protocols import (
     RepairReport,
@@ -61,15 +60,6 @@ def sample_occupations(
     L: int, dist: FillDistribution, rng: np.random.Generator
 ) -> np.ndarray:
     return rng.choice(5, size=L, p=dist.probs)
-
-
-def sample_lattice(
-    L: int, dist: FillDistribution, rng: np.random.Generator
-) -> BasisConfig:
-    a = sample_occupations(L, dist, rng)
-    occ = np.zeros((L, 3), dtype=np.int64)
-    occ[:, 0] = a
-    return BasisConfig.from_array(occ)
 
 
 def expected_yield(L: int, p0: float, p1: float, n: int) -> float:
@@ -176,6 +166,10 @@ def monte_carlo_yield(
     empirical mean from the prediction in standard errors.  ``jobs`` is
     capped at the trial count and the CPU count.
     """
+    if L < 1:
+        raise ValueError("lattice needs at least one site")
+    if n < 1:
+        raise ValueError("computers need at least one qubit site")
     if trials < 2:
         raise ValueError("need at least two trials for a standard error")
     args = [(s, L, tuple(dist.probs), n, mode) for s in trial_seeds(seed, trials)]
@@ -268,9 +262,8 @@ def repair_experiment(
     p0_before = float((a == 0).mean())
     p1_before = float((a == 1).mean())
     yield_before = count_computers_oracle(a, n)
-    a4 = depopulate_classical(a, 4)
-    donors_before = int((a4 == 4).sum())
-    repaired, report = repair_occupations(a4, "exhaustive")
+    donors_before = int((a == 4).sum())
+    repaired, report = repair_occupations(a, "exhaustive")
     a_final = sample_defect_creation(repaired, eps, rng)
     return RepairExperimentReport(
         L=L,

@@ -1,5 +1,7 @@
 """Shared test utilities: dense one-site spaces, random states and the
 straightforward loops that the optimized routines are checked against."""
+import cmath
+import math
 import warnings
 
 import numpy as np
@@ -12,7 +14,7 @@ from latticeqc import (
     SiteOccupancy,
     classical,
 )
-from latticeqc.lattice import BRANCH_MERGE_TOL, _branch_signature
+from latticeqc.lattice import BRANCH_MERGE_TOL, PRUNE_TOL, _branch_signature
 
 
 def dense_site_configs(m_max=6):
@@ -107,3 +109,144 @@ def merge_branches_pairwise(branches):
         else:
             merged.append((w, st))
     return merged
+
+
+# -- the sparse engine on {BasisConfig: complex} dicts ------------------------
+#
+# Reference for the site-code engine in ``latticeqc.primitives``: each op
+# kind as a Python loop over the terms of a dict, with the rounding that
+# the engine reproduces bit for bit.
+
+
+def swap_terms(terms, op, m_max):
+    """Exchange the two one-site states of op.pair on every site."""
+    s1, s2 = op.pair(m_max)
+    if s1 == s2:
+        return dict(terms)
+    swap = {s1: s2, s2: s1}
+    out = {}
+    for config, amp in terms.items():
+        new = BasisConfig(tuple(swap.get(s, s) for s in config.sites))
+        out[new] = out.get(new, 0.0) + amp
+    return out
+
+
+def rotate_terms(terms, op, m_max):
+    """Apply op.images on each site in turn, pruning after every site."""
+    rows = {config.sites: amp for config, amp in terms.items()}
+    images = {}
+    for k in range(len(next(iter(rows)))):
+        out = {}
+        for sites, amp in rows.items():
+            site = sites[k]
+            if site not in images:
+                images[site] = op.images(site, m_max)
+            for new, u in images[site]:
+                key = sites if new == site else sites[:k] + (new,) + sites[k + 1:]
+                out[key] = out.get(key, 0.0) + amp * u
+        rows = {key: a for key, a in out.items() if abs(a) >= PRUNE_TOL}
+    return {BasisConfig(sites): amp for sites, amp in rows.items()}
+
+
+def shift_terms(terms, op, m_max):
+    out = {}
+    for config, amp in terms.items():
+        L = config.L
+        sites = config.sites
+        new = BasisConfig(
+            tuple(
+                SiteOccupancy(sites[k].a, sites[k].b, sites[(k - op.x) % L].p)
+                for k in range(L)
+            )
+        )
+        out[new] = out.get(new, 0.0) + amp
+    return out
+
+
+def phase_terms(terms, op, m_max):
+    out = {}
+    for config, amp in terms.items():
+        weight = sum(s.a * s.p for s in config.sites)
+        out[config] = amp * cmath.exp(1j * op.phi * weight)
+    return out
+
+
+def empty_level(state, level_idx):
+    """Trace out one level: branch on its occupation pattern, then zero it."""
+    new_branches = []
+    for w, st in state.branches:
+        groups = {}
+        for config, amp in st:
+            pattern = tuple(s[level_idx] for s in config.sites)
+            zeroed = BasisConfig(
+                tuple(
+                    SiteOccupancy(*(0 if i == level_idx else s[i] for i in range(3)))
+                    for s in config.sites
+                )
+            )
+            grp = groups.setdefault(pattern, {})
+            grp[zeroed] = grp.get(zeroed, 0.0) + amp
+        for pattern in sorted(groups):
+            terms = groups[pattern]
+            weight = sum(abs(a) ** 2 for a in terms.values())
+            if weight <= 1e-30:
+                continue
+            scale = 1.0 / math.sqrt(weight)
+            new_branches.append(
+                (w * weight,
+                 PureState({c: a * scale for c, a in terms.items()}, st.m_max, check=False))
+            )
+    return MixedState(new_branches, check=False, merge=True)
+
+
+def count_p_terms(state, rng=None):
+    """Sample the total pointer count and collapse, as ``count_p`` does."""
+    dist = {}
+    for w, st in state.branches:
+        for config, amp in st:
+            c = config.level_total(2)
+            dist[c] = dist.get(c, 0.0) + w * abs(amp) ** 2
+    outcomes = sorted(dist)
+    if len(outcomes) == 1:
+        return float(outcomes[0]), state
+    r = rng.random()
+    acc = 0.0
+    outcome = outcomes[-1]
+    for c in outcomes:
+        acc += dist[c]
+        if r < acc:
+            outcome = c
+            break
+    prob = dist[outcome]
+    new_branches = []
+    for w, st in state.branches:
+        kept = {c: a for c, a in st if c.level_total(2) == outcome}
+        if not kept:
+            continue
+        bw = sum(abs(a) ** 2 for a in kept.values())
+        scale = 1.0 / math.sqrt(bw)
+        new_branches.append(
+            (w * bw / prob,
+             PureState({c: a * scale for c, a in kept.items()}, st.m_max, check=False))
+        )
+    return float(outcome), MixedState(new_branches, check=False, merge=True)
+
+
+_TERM_KERNELS = {
+    "swap": swap_terms, "rotate": rotate_terms, "shift": shift_terms, "phase": phase_terms
+}
+
+
+def step_terms(state, op, rng=None):
+    """One op through the dict engine: (state, COUNTP outcome or None)."""
+    if op.kind == "count":
+        value, state = count_p_terms(state, rng)
+        return state, value
+    if op.kind == "empty":
+        return empty_level(state, op.level), None
+    kernel = _TERM_KERNELS[op.kind]
+    branches = [
+        (w, PureState(kernel(st.terms, op, st.m_max), st.m_max, check=False))
+        for w, st in state.branches
+    ]
+    return MixedState(branches, check=False, merge=False), None

@@ -172,6 +172,20 @@ def test_stats_rejects_a_single_trial(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--L", "0", "--n", "5"], "at least one site"),
+     (["--L", "-3", "--n", "5"], "at least one site"),
+     (["--L", "100", "--n", "0"], "at least one qubit site")],
+)
+def test_stats_rejects_bad_lattice_arguments(tmp_path, capsys, flags, message):
+    out = tmp_path / "s.json"
+    rc = main(["stats", *flags, "--trials", "2", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- repair ------------------------------------------------------------------
 
 

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import dense_site_configs, op_matrix, random_config, random_state
+from helpers import dense_site_configs, op_matrix, random_config, random_state, step_terms
 from latticeqc import (
     ABRotation,
     BasisConfig,
@@ -39,6 +39,7 @@ from latticeqc import (
     shift_p,
     w_swap,
 )
+from latticeqc.primitives import _step
 
 SQ = math.sqrt
 
@@ -171,6 +172,13 @@ def test_collide_phase_per_site_product():
     ((_, branch),) = out.branches
     amp = branch.amplitude(st.sole_config())
     assert amp == pytest.approx(cmath.exp(1j * phi * 3))  # 1*1 + 2*1 + 3*0
+
+
+def test_collide_weight_beyond_one_byte():
+    # a*p = 256 on one site at a larger cutoff
+    st = classical([(16, 0, 16)], m_max=16)
+    amp = collide(st, 0.001).branches[0][1].amplitude(st.sole_config())
+    assert amp == pytest.approx(cmath.exp(0.256j))
 
 
 def test_collide_additivity():
@@ -571,6 +579,84 @@ def test_apply_classical_rejects_quantum_ops():
     # a negative count has no site code, so it must not alias another site
     with pytest.raises(ValueError, match="negative"):
         apply_classical(np.array([[-1, 0, 0], [0, 0, 1]]), Script([Shift(1)]))
+
+
+# -- the site-code engine against the dict engine ----------------------------
+
+
+_UNITS = [1.0, -1.0, 1j, -1j]  # exact zero parts, -0.0 among them
+
+
+@st.composite
+def mixed_states(draw):
+    """1-3 branches of 1-6 terms on L <= 4 sites, occupations <= 3."""
+    L = draw(st.integers(1, 4))
+    site = st.tuples(*[st.integers(0, 3)] * 3)
+    amp = st.one_of(
+        st.sampled_from(_UNITS),
+        st.tuples(st.floats(0.1, 1.0), st.floats(-math.pi, math.pi)).map(
+            lambda rp: rp[0] * cmath.exp(1j * rp[1])),
+    )
+    branches = []
+    for _ in range(draw(st.integers(1, 3))):
+        configs = draw(st.lists(st.tuples(*[site] * L), min_size=1, max_size=6, unique=True))
+        amps = np.array(draw(st.lists(amp, min_size=len(configs), max_size=len(configs))))
+        amps /= np.linalg.norm(amps)
+        terms = {BasisConfig.from_counts(c): a for c, a in zip(configs, amps)}
+        branches.append((draw(st.floats(0.05, 1.0)), PureState(terms)))
+    total = sum(w for w, _ in branches)
+    return MixedState([(w / total, b) for w, b in branches])
+
+
+def _any_op():
+    transfer = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda mn: st.integers(-mn[0], mn[1]).map(lambda x: PairTransfer(mn[0], mn[1], x))
+    )
+    angle = st.floats(-math.pi, math.pi)
+    return st.one_of(
+        angle.map(ABRotation),  # twice: rotations sum the most terms
+        transfer,
+        st.just(WSwap()),
+        angle.map(ABRotation),
+        angle.map(Collide),
+        st.integers(-4, 4).map(Shift),
+        st.just(EmptyB()),
+        st.just(EmptyP()),
+        st.floats(0.0, 1.0).map(DefectSplit),
+        st.just(CountP()),
+    )
+
+
+def _reprs(state):
+    return [(repr(w), [(c, repr(a)) for c, a in b]) for w, b in state.branches]
+
+
+# Two rotations in a row whose sums run over three or more terms, so that
+# their order shows in the last bits (found by a search over random states).
+_ORDER_CASE = MixedState([(1.0, PureState({
+    BasisConfig.from_counts([(1, 3, 3), (2, 2, 1)]): 0.5148991135321371 - 0.2285737675651756j,
+    BasisConfig.from_counts([(3, 0, 1), (3, 3, 1)]): 0.4686021770766209 + 0.6712895794142841j,
+    BasisConfig.from_counts([(3, 0, 2), (0, 0, 0)]): -0.08265153064744028 + 0.07472590150249474j,
+}))])
+
+
+@given(mixed_states(), st.lists(_any_op(), min_size=1, max_size=4), st.integers(0, 2**32))
+@example(_ORDER_CASE, [ABRotation(-1.5699505104210034), ABRotation(0.8147159229441217)], 0)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_prop_engine_matches_dict_engine(state, ops, seed):
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = state
+    for op in ops:
+        try:
+            ref, value_ref = step_terms(ref, op, rng_ref)
+        except OccupationOverflowError:
+            with pytest.raises(OccupationOverflowError):
+                _step(state, op, rng)
+            return
+        state, value = _step(state, op, rng)
+        assert value == value_ref
+        assert _reprs(state) == _reprs(ref)
+    assert rng.random() == rng_ref.random()  # the same draws were taken
 
 
 # -- translation covariance --------------------------------------------------

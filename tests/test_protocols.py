@@ -27,7 +27,6 @@ from latticeqc import (
     oracle_computers,
     oracle_homes,
     prepare_script,
-    repair,
     repair_occupations,
     repair_round_script,
     sample_defect_creation,
@@ -313,15 +312,6 @@ def test_repair_random_schedule_needs_rng():
     assert report.residual_empty == 0
     assert report.residual_single == 0
     assert_array_equal(repaired, [2, 2, 2, 2])
-
-
-def test_repair_state_wrapper():
-    st = classical([(4, 0, 0), (0, 0, 0), (2, 0, 0), (4, 0, 0)])
-    out, report = repair(st)
-    assert out.sole_config() == BasisConfig.from_counts([(2, 0, 0)] * 4)
-    assert report.defects_fixed == 2  # the empty site took two deposits
-    with pytest.raises(ValueError):
-        repair(classical([(1, 0, 1)]))
 
 
 def test_repair_report_json_keys():

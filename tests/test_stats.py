@@ -13,7 +13,6 @@ from latticeqc import (
     repair_experiment,
     repaired_yield,
     repaired_yield_asymptote,
-    sample_lattice,
     sample_occupations,
     trial_seeds,
 )
@@ -58,14 +57,6 @@ def test_sample_occupations_frequencies():
     for value, p in enumerate(dist.probs):
         sigma = math.sqrt(p * (1 - p) / a.size)
         assert abs((a == value).mean() - p) < 4 * sigma
-
-
-def test_sample_lattice_only_populates_level_a():
-    rng = np.random.default_rng(1)
-    cfg = sample_lattice(50, FillDistribution.from_pair(0.1, 0.1), rng)
-    occ = cfg.to_array()
-    assert not occ[:, 1:].any()
-    assert occ[:, 0].max() <= 4
 
 
 def test_counting_routes_agree():
