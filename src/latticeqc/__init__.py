@@ -18,7 +18,6 @@ from .lattice import (
     SiteOccupancy,
     classical,
     fidelity,
-    level_count,
 )
 from .primitives import (
     ABRotation,
@@ -53,7 +52,6 @@ from .protocols import (
     create_defects_script,
     depopulate_classical,
     depopulate_script,
-    expected_formatted,
     format_script,
     formatted_homes,
     oracle_computers,
@@ -70,7 +68,6 @@ from .gates import (
     HadamardLike,
     MeasureQubit,
     PhaseGate,
-    PointerFrame,
     compile_macro,
     computer_config,
     extract_logical_unitary,
@@ -93,7 +90,6 @@ from .stats import (
     monte_carlo_yield,
     repair_experiment,
     repaired_yield,
-    repaired_yield_asymptote,
     sample_occupations,
     trial_seeds,
 )

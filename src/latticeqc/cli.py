@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .lattice import BasisConfig, MixedState, classical
-from .primitives import Script, ScriptParseError, apply_classical, execute
+from .lattice import MixedState, classical
+from .primitives import Script, apply_classical, execute
 from .protocols import (
     FormattingError,
     StrayAtomsError,
@@ -25,12 +25,10 @@ from .protocols import (
     verify_formatted,
 )
 from .gates import (
-    ControlPhasePi,
     GateLeakageError,
-    HadamardLike,
-    PhaseGate,
     extract_logical_unitary,
     hadamard_phase_correction,
+    macro_from_fields,
     matrix_to_json_obj,
 )
 from .stats import (
@@ -68,30 +66,38 @@ def _add_dist_flags(p: argparse.ArgumentParser, p0=0.1, p1=0.1):
     p.add_argument("--p4", type=float, default=0.0)
 
 
-def _read_a_counts(path: str) -> np.ndarray:
-    """Level-a counts of a lattice file; every site must read [a, 0, 0]."""
+def _load_json(path: str):
     with open(path) as fh:
-        sites = json.load(fh)
+        return json.load(fh)
+
+
+def _read_sites(sites, a_only: bool = False) -> list:
+    """A lattice file's list of sites, checked: every site is a list of
+    three integers, and with ``a_only`` (format) it reads [a, 0, 0]."""
     if not isinstance(sites, list):
         raise ValueError("lattice file must hold a list of sites")
+    rule = ("format takes sites [a, 0, 0] with every atom in level a" if a_only
+            else "a site is a list [a, b, p] of three integers")
     for k, site in enumerate(sites):
-        ok = isinstance(site, list) and len(site) == 3
-        if not ok or any(type(x) is not int for x in site) or site[1] or site[2]:
-            raise ValueError(
-                f"lattice site {k} is {json.dumps(site)}; format takes sites "
-                "[a, 0, 0] with every atom in level a"
-            )
-    return np.array([site[0] for site in sites], dtype=np.int64)
+        ok = isinstance(site, list) and len(site) == 3 and all(type(x) is int for x in site)
+        if not ok or (a_only and (site[1] or site[2])):
+            raise ValueError(f"lattice site {k} is {json.dumps(site)}; {rule}")
+    if not sites:
+        raise ValueError("lattice needs at least one site")
+    return sites
 
 
 def cmd_format(args) -> int:
     if args.lattice:
-        a = _read_a_counts(args.lattice)
+        # keep no name for the site list: alive through the report writer,
+        # a large lattice's lists raise peak memory and the collector's work
+        a = np.array([s[0] for s in _read_sites(_load_json(args.lattice), a_only=True)],
+                     dtype=np.int64)
+    elif args.L < 1:
+        raise ValueError("lattice needs at least one site")
     else:
         rng = np.random.default_rng(args.seed)
         a = sample_occupations(args.L, _dist_from_args(args), rng)
-    if not a.size:
-        raise ValueError("lattice needs at least one site")
     cutoff = max(int(a.max()), 2)
     occ = np.zeros((a.size, 3), dtype=np.int64)
     occ[:, 0] = a
@@ -122,25 +128,12 @@ def cmd_format(args) -> int:
 
 
 def cmd_gates(args) -> int:
-    if args.gate == "phase":
-        if args.q is None or args.phi is None:
-            raise ValueError("phase gate needs --q and --phi")
-        macro = PhaseGate(args.q, args.phi)
-    elif args.gate == "h":
-        if args.q is None:
-            raise ValueError("hadamard gate needs --q")
-        macro = HadamardLike(args.q)
-    elif args.gate == "cz":
-        if args.q1 is None or args.q2 is None:
-            raise ValueError("cz gate needs --q1 and --q2")
-        macro = ControlPhasePi(args.q1, args.q2)
-    else:
-        raise ValueError(f"unknown gate {args.gate!r}")
-
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    macro = macro_from_fields(args.gate, given)
     U, leakage = extract_logical_unitary(macro, args.n, L=args.L)
     checks = {}
     if args.gate == "phase":
-        target = np.diag([np.exp(1j * args.phi), 1.0])
+        target = np.diag([np.exp(1j * macro.phi), 1.0])
         checks["matches_diag"] = bool(np.abs(U - target).max() < 1e-10)
     elif args.gate == "h":
         checks["unbiased"] = bool(np.abs(np.abs(U) ** 2 - 0.5).max() < 1e-10)
@@ -212,12 +205,11 @@ def cmd_repair(args) -> int:
 def cmd_run(args) -> int:
     with open(args.script) as fh:
         script = Script.parse(fh.read())
-    with open(args.lattice) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict) and "branches" in obj:
+    obj = _load_json(args.lattice)
+    if isinstance(obj, dict):
         state = MixedState.from_json_obj(obj)
     else:
-        state = classical(BasisConfig.from_json_obj(obj))
+        state = classical(_read_sites(obj))
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     final, counts = execute(state, script, rng)
     report = {
@@ -301,13 +293,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScriptParseError, json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (StrayAtomsError, FormattingError, GateLeakageError) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,8 +4,8 @@ A formatted computer stores one qubit per register site, encoded in
 which level the single atom occupies (|down> = level a, |up> = level b).
 The home site holds one atom plus the pointer atom.  Gates move the
 pointer with global shifts, so every computer on the lattice executes
-the same logical operation in lockstep; macros always return the pointer
-home, so frames compose.
+the same logical operation in lockstep; every macro returns the pointer
+home, so macros compose.
 
 Conventions: qubit offsets are counted leftward from home (offset j is
 site home - j), valid offsets are 1..n.  Gate matrices are written in
@@ -14,7 +14,7 @@ the (|down>, |up>) basis per qubit, first listed qubit most significant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product
 from typing import Union
 
@@ -51,21 +51,17 @@ class GateLeakageError(RuntimeError):
     """Amplitude escaped the logical subspace beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class PointerFrame:
-    """Tracked pointer displacement left of home (0 = at home)."""
-
-    offset: int = 0
-
-
-# Each macro declares the register offsets it uses, ``qubits(n)``, and its
-# pointer walk, ``steps(n)``: (offset, op) pairs that fire op with the
-# pointer at that offset.  ``n`` only matters for MeasureQubit's rest.
+# Each macro declares its JSON ``head`` (its dataclass fields are the other
+# keys), the register offsets it uses, ``qubits(n)``, and its pointer walk,
+# ``steps(n)``: (offset, op) pairs that fire op with the pointer at that
+# offset.  ``n`` only matters for MeasureQubit's rest.
 
 
 @dataclass(frozen=True)
 class PhaseGate:
     """diag(e^{i phi}, 1) on the qubit at offset q."""
+
+    head = "phase"
 
     q: int
     phi: float
@@ -82,6 +78,8 @@ class HadamardLike:
     """Unbiased single-qubit rotation at offset q; equals the Hadamard up
     to diagonal phase corrections on both sides."""
 
+    head = "h"
+
     q: int
 
     def qubits(self, n: int | None = None) -> tuple[int, ...]:
@@ -96,6 +94,8 @@ class HadamardLike:
 @dataclass(frozen=True)
 class ControlPhasePi:
     """Two-qubit entangling gate: a -1 phase on exactly one logical string."""
+
+    head = "cz"
 
     q1: int
     q2: int
@@ -117,6 +117,8 @@ class MeasureQubit:
     off; it must differ from q.  With ``count_up_too`` the protocol is
     repeated after a W swap to count former |up> qubits as well.
     """
+
+    head = "measure"
 
     q: int
     rest: int | None = None
@@ -140,7 +142,8 @@ class MeasureQubit:
         return count + ((q, WSwap()),) + count  # W turns each left |up> into |down>
 
 
-GateMacro = Union[PhaseGate, HadamardLike, ControlPhasePi, MeasureQubit]
+_MACROS = (PhaseGate, HadamardLike, ControlPhasePi, MeasureQubit)
+GateMacro = Union[_MACROS]
 
 
 def _move(cur: int, tgt: int) -> list:
@@ -156,14 +159,12 @@ def resolve_rest(macro: MeasureQubit, n: int | None) -> int:
     return n
 
 
-def compile_macro(
-    macro: GateMacro, n: int | None = None, frame: PointerFrame = PointerFrame(0)
-) -> tuple[Script, PointerFrame]:
-    """Expand a macro into primitives, threading the pointer frame.
+def compile_macro(macro: GateMacro, n: int | None = None) -> tuple[Script, int]:
+    """Expand a macro into primitives and the pointer's end offset.
 
-    The pointer walks from the frame's offset through the macro's steps,
-    one shift between offsets, and back home, so the returned frame always
-    has offset 0 and macros can be concatenated freely.
+    The pointer walks from home through the macro's steps, one shift
+    between offsets, and back home, so the end offset is always 0 and
+    macros can be concatenated freely.
     """
     qubits = macro.qubits(n)
     for q in qubits:
@@ -171,11 +172,11 @@ def compile_macro(
             raise ValueError(f"qubit offset {q} outside register 1..{n}")
     if len(set(qubits)) < len(qubits):
         raise ValueError(f"{type(macro).__name__} needs distinct qubits, got {qubits}")
-    ops, at = [], frame.offset
+    ops, at = [], 0
     for offset, op in macro.steps(n):
         ops += _move(at, offset) + [op]
         at = offset
-    return Script(ops + _move(at, 0)), PointerFrame(0)
+    return Script(ops + _move(at, 0)), 0
 
 
 def computer_config(
@@ -294,10 +295,8 @@ def run_circuit(
     counts: list | None = None,
 ) -> MixedState:
     """Apply a macro sequence; measurement outcomes go to ``counts``."""
-    frame = PointerFrame(0)
     for macro in macros:
-        script, frame = compile_macro(macro, n, frame)
-        state, outcomes = execute(state, script, rng)
+        state, outcomes = execute(state, compile_macro(macro, n)[0], rng)
         if counts is not None:
             counts.extend(outcomes)
     return state
@@ -307,43 +306,53 @@ def run_circuit(
 # serialization
 
 
+# A macro is {"op": head, field: value, ...}; a field with a default may be
+# left out.  Values must have the JSON type of the field's annotation.
+_BY_HEAD = {cls.head: cls for cls in _MACROS}
+_JSON_TYPES = {
+    "int": (int,), "float": (float, int), "bool": (bool,), "int | None": (int, type(None))
+}
+
+
 def macros_to_json_obj(macros) -> list:
     out = []
     for m in macros:
-        if isinstance(m, ControlPhasePi):
-            out.append({"op": "cz", "q1": m.q1, "q2": m.q2})
-        elif isinstance(m, PhaseGate):
-            out.append({"op": "phase", "q": m.q, "phi": m.phi})
-        elif isinstance(m, HadamardLike):
-            out.append({"op": "h", "q": m.q})
-        elif isinstance(m, MeasureQubit):
-            out.append({"op": "measure", "q": m.q, "rest": m.rest, "up": m.count_up_too})
-        else:
+        if type(m) not in _MACROS:
             raise TypeError(f"unknown macro {m!r}")
+        out.append({"op": m.head, **asdict(m)})
     return out
+
+
+def macro_from_fields(head: str, values: dict) -> GateMacro:
+    """The macro named ``head``, its fields read from ``values``; keys
+    that name no field are not read."""
+    cls = _BY_HEAD.get(head) if isinstance(head, str) else None
+    if cls is None:
+        raise ValueError(f"unknown macro op {head!r}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in values:
+            if f.default is MISSING:
+                raise ValueError(f"macro {head!r} needs field {f.name!r}")
+            continue
+        v = values[f.name]
+        if type(v) not in _JSON_TYPES[f.type]:
+            raise ValueError(f"macro {head!r}: {f.name} must be {f.type}, got {v!r}")
+        kwargs[f.name] = float(v) if f.type == "float" else v
+    return cls(**kwargs)
 
 
 def macros_from_json_obj(obj) -> list:
     macros = []
     for item in obj:
-        op = item["op"]
-        if op == "cz":
-            macros.append(ControlPhasePi(int(item["q1"]), int(item["q2"])))
-        elif op == "phase":
-            macros.append(PhaseGate(int(item["q"]), float(item["phi"])))
-        elif op == "h":
-            macros.append(HadamardLike(int(item["q"])))
-        elif op == "measure":
-            rest = item.get("rest")
-            macros.append(
-                MeasureQubit(
-                    int(item["q"]),
-                    None if rest is None else int(rest),
-                    bool(item.get("up", False)),
-                )
-            )
-        else:
-            raise ValueError(f"unknown macro op {op!r}")
+        if not isinstance(item, dict):
+            raise ValueError(f"macro must be an object, got {item!r}")
+        values = dict(item)
+        macro = macro_from_fields(values.pop("op", None), values)
+        extra = set(values) - {f.name for f in fields(macro)}
+        if extra:
+            raise ValueError(f"macro {macro.head!r} has unknown keys {sorted(extra)}")
+        macros.append(macro)
     return macros
 
 

@@ -88,6 +88,10 @@ class BasisConfig:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BasisConfig":
+        for site in obj:
+            if not (isinstance(site, list) and len(site) == 3
+                    and all(type(x) is int for x in site)):
+                raise ValueError(f"a site is a list of three integers, got {site!r}")
         return cls.from_counts(obj)
 
 
@@ -317,17 +321,30 @@ class MixedState:
 
     @classmethod
     def from_json_obj(cls, obj, m_max: int = DEFAULT_M_MAX) -> "MixedState":
+        """The inverse of :meth:`to_json_obj`; malformed input is a ValueError."""
         branches = []
-        for b in obj["branches"]:
-            terms = {
-                BasisConfig.from_json_obj(t["config"]): complex(t["re"], t["im"])
-                for t in b["terms"]
-            }
-            branches.append((b["weight"], PureState(terms, m_max)))
+        try:
+            for b in obj["branches"]:
+                terms = {
+                    BasisConfig.from_json_obj(t["config"]):
+                        complex(_real(t["re"]), _real(t["im"]))
+                    for t in b["terms"]
+                }
+                if len(terms) != len(b["terms"]):
+                    raise ValueError("a branch lists one configuration twice")
+                branches.append((_real(b["weight"]), PureState(terms, m_max)))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed state: {exc!r}") from exc
         return cls(branches)
 
     def __repr__(self):
         return f"MixedState({len(self.branches)} branches, L={self.L})"
+
+
+def _real(x) -> float:
+    if type(x) not in (int, float):
+        raise ValueError(f"expected a number, got {x!r}")
+    return x
 
 
 def classical(config: BasisConfig | Iterable, m_max: int = DEFAULT_M_MAX) -> MixedState:
@@ -335,19 +352,6 @@ def classical(config: BasisConfig | Iterable, m_max: int = DEFAULT_M_MAX) -> Mix
     if not isinstance(config, BasisConfig):
         config = BasisConfig.from_counts(config)
     return MixedState([(1.0, PureState({config: 1.0 + 0.0j}, m_max))])
-
-
-def level_count(state: MixedState, level: str) -> tuple[float, bool]:
-    """Total occupation of one level: (expectation, is_deterministic)."""
-    idx = LEVELS.index(level)
-    counts = set()
-    expectation = 0.0
-    for w, st in state.branches:
-        for config, amp in st:
-            c = config.level_total(idx)
-            counts.add(c)
-            expectation += w * abs(amp) ** 2 * c
-    return expectation, len(counts) == 1
 
 
 def fidelity(x: MixedState, y: MixedState, mode: str = "paired") -> float:

@@ -14,11 +14,10 @@ away, so every corrected defect costs exactly one atom.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lattice import BasisConfig, MixedState
 from .primitives import (
     DefectSplit,
     EmptyB,
@@ -119,16 +118,9 @@ def oracle_homes(a_dep: np.ndarray, n: int) -> np.ndarray:
     return homes
 
 
-def oracle_computers(config, n: int) -> list[ComputerDescriptor]:
-    """Predict the computers format_script(n) will leave behind."""
-    if isinstance(config, BasisConfig):
-        occ = config.to_array()
-        if occ[:, 1:].any():
-            raise ValueError("oracle expects all atoms in level a")
-        a = occ[:, 0]
-    else:
-        a = np.asarray(config, dtype=np.int64)
-    return _descriptors(oracle_homes(a, n), n)
+def oracle_computers(a_dep: np.ndarray, n: int) -> list[ComputerDescriptor]:
+    """Predict the computers format_script(n) leaves on depopulated a-counts."""
+    return _descriptors(oracle_homes(a_dep, n), n)
 
 
 def _descriptors(homes: np.ndarray, n: int) -> list[ComputerDescriptor]:
@@ -138,19 +130,6 @@ def _descriptors(homes: np.ndarray, n: int) -> list[ComputerDescriptor]:
         ComputerDescriptor(home=k, n=n, qubit_sites=tuple(w))
         for k, w in zip(ks.tolist(), windows.tolist())
     ]
-
-
-def expected_formatted(a_dep: np.ndarray, n: int) -> np.ndarray:
-    """Full (..., L, 3) occupation pattern the oracle predicts after format."""
-    a_dep = np.asarray(a_dep)
-    homes = oracle_homes(a_dep, n)
-    window = np.zeros_like(homes)
-    for j in range(1, n + 1):
-        window = window | np.roll(homes, -j, axis=-1)
-    occ = np.zeros(a_dep.shape + (3,), dtype=np.int64)
-    occ[..., 0] = homes | window
-    occ[..., 2] = homes
-    return occ
 
 
 def formatted_homes(occ: np.ndarray, n: int) -> np.ndarray:
@@ -178,21 +157,12 @@ def formatted_homes(occ: np.ndarray, n: int) -> np.ndarray:
     return homes
 
 
-def verify_formatted(state, n: int) -> list[ComputerDescriptor]:
-    """List the computers of a classical formatted state.
-
-    ``state`` is a one-configuration :class:`MixedState`, a
-    :class:`BasisConfig` or an (L, 3) occupation array; the checks are
-    those of :func:`formatted_homes`.
-    """
-    if isinstance(state, MixedState):
-        state = state.sole_config()
-    if isinstance(state, BasisConfig):
-        occ = state.to_array()
-    else:
-        occ = np.asarray(state, dtype=np.int64)
-        if occ.ndim != 2 or occ.shape[1] != 3:
-            raise ValueError(f"expected shape (L, 3), got {occ.shape}")
+def verify_formatted(occ: np.ndarray, n: int) -> list[ComputerDescriptor]:
+    """List the computers of a formatted (L, 3) occupation array; the
+    checks are those of :func:`formatted_homes`."""
+    occ = np.asarray(occ, dtype=np.int64)
+    if occ.ndim != 2 or occ.shape[1] != 3:
+        raise ValueError(f"expected shape (L, 3), got {occ.shape}")
     return _descriptors(formatted_homes(occ, n), n)
 
 
@@ -236,14 +206,7 @@ class RepairReport:
     residual_empty: int
     residual_single: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "defects_fixed": self.defects_fixed,
-            "atoms_lost": self.atoms_lost,
-            "rounds": self.rounds,
-            "residual_empty": self.residual_empty,
-            "residual_single": self.residual_single,
-        }
+    to_json_obj = asdict
 
 
 def repair_occupations(

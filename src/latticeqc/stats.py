@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -72,10 +72,6 @@ def repaired_yield(L: int, n: int) -> float:
     return (L / n) * (1.0 - 1.0 / n) ** n
 
 
-def repaired_yield_asymptote(L: int, n: int) -> float:
-    return L / (n * math.e)
-
-
 def count_computers_oracle(a: np.ndarray, n: int) -> int:
     """Computer count predicted combinatorially from raw a-counts."""
     return int(oracle_homes(depopulate_classical(a, 2), n).sum())
@@ -97,25 +93,13 @@ class YieldReport:
     trials: int
     seed: int
     mode: str
-    counts: tuple[int, ...]
+    counts: list[int]
     mean: float
     stderr: float
     prediction: float
     z: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "L": self.L,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mode": self.mode,
-            "counts": list(self.counts),
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "prediction": self.prediction,
-            "z": self.z,
-        }
+    to_json_obj = asdict
 
     def to_csv(self) -> str:
         """One row per trial, then a summary row."""
@@ -193,7 +177,7 @@ def monte_carlo_yield(
         trials=trials,
         seed=seed,
         mode=mode,
-        counts=tuple(int(c) for c in counts),
+        counts=[int(c) for c in counts],
         mean=mean,
         stderr=stderr,
         prediction=prediction,
@@ -217,22 +201,7 @@ class RepairExperimentReport:
     prediction_after: float
     repair: RepairReport
 
-    def to_json_obj(self) -> dict:
-        return {
-            "L": self.L,
-            "n": self.n,
-            "eps": self.eps,
-            "seed": self.seed,
-            "p0_before": self.p0_before,
-            "p1_before": self.p1_before,
-            "p0_after": self.p0_after,
-            "p1_after": self.p1_after,
-            "donors_before": self.donors_before,
-            "yield_before": self.yield_before,
-            "yield_after": self.yield_after,
-            "prediction_after": self.prediction_after,
-            "repair": self.repair.to_json_obj(),
-        }
+    to_json_obj = asdict
 
 
 def repair_experiment(

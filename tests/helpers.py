@@ -13,6 +13,7 @@ from latticeqc import (
     RepairReport,
     SiteOccupancy,
     classical,
+    oracle_homes,
 )
 from latticeqc.lattice import BRANCH_MERGE_TOL, PRUNE_TOL, _branch_signature
 
@@ -55,6 +56,19 @@ def random_state(rng, L, nterms=4, max_count=2):
     amps /= np.linalg.norm(amps)
     terms = dict(zip(sorted(configs), amps))
     return MixedState([(1.0, PureState(terms))])
+
+
+def expected_formatted(a_dep, n):
+    """Full (..., L, 3) occupation pattern the oracle predicts after format."""
+    a_dep = np.asarray(a_dep)
+    homes = oracle_homes(a_dep, n)
+    window = np.zeros_like(homes)
+    for j in range(1, n + 1):
+        window = window | np.roll(homes, -j, axis=-1)
+    occ = np.zeros(a_dep.shape + (3,), dtype=np.int64)
+    occ[..., 0] = homes | window
+    occ[..., 2] = homes
+    return occ
 
 
 def repair_occupations_dense(a, schedule="exhaustive", rng=None, rounds=None):

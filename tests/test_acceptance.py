@@ -9,7 +9,13 @@ import time
 
 import numpy as np
 
-from helpers import dense_site_configs, op_matrix, random_config, random_state
+from helpers import (
+    dense_site_configs,
+    expected_formatted,
+    op_matrix,
+    random_config,
+    random_state,
+)
 from latticeqc import (
     ABRotation,
     BasisConfig,
@@ -36,7 +42,6 @@ from latticeqc import (
     empty_b,
     empty_p,
     execute,
-    expected_formatted,
     extract_logical_unitary,
     fidelity,
     hadamard_phase_correction,
@@ -47,7 +52,6 @@ from latticeqc import (
     repair_experiment,
     repair_occupations,
     repaired_yield,
-    repaired_yield_asymptote,
     run_circuit,
     shift_p,
     w_swap,
@@ -137,9 +141,8 @@ def test_acceptance_3_repaired_yield():
         details.append(
             f"n={n}: {yields.mean():.1f} +- {stderr:.1f} vs {target:.1f}"
         )
-    formula_gap = abs(
-        repaired_yield(L, 64) - repaired_yield_asymptote(L, 64)
-    ) / repaired_yield_asymptote(L, 64)
+    asymptote = L / (64 * math.e)
+    formula_gap = abs(repaired_yield(L, 64) - asymptote) / asymptote
     ok = ok and formula_gap < 0.01
     details.append(f"n=64 asymptote gap {100 * formula_gap:.2f}%")
     report("criterion 3 (repaired yield)", ok, "; ".join(details))

@@ -56,7 +56,8 @@ def test_format_rejects_empty_lattice(tmp_path, capsys):
     lat.write_text("[]")
     assert main(["format", "--n", "1", "--lattice", str(lat)]) == 2
     assert main(["format", "--n", "1", "--L", "0"]) == 2
-    assert capsys.readouterr().err.count("lattice needs at least one site") == 2
+    assert main(["format", "--n", "1", "--L", "-3"]) == 2
+    assert capsys.readouterr().err.count("lattice needs at least one site") == 3
 
 
 @pytest.mark.parametrize(
@@ -316,6 +317,37 @@ def test_run_error_paths(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["run", str(good), str(broken)]) == 2
+
+
+@pytest.mark.parametrize(
+    "lattice, message",
+    [([1, 2, 3], "lattice site 0 is 1;"),
+     ({"branches": [{"weight": 1}]}, "malformed state"),
+     ([[1.5, 0, 0], [1, 0, 1]], "lattice site 0 is [1.5, 0, 0];"),
+     ([[True, 0, 1]], "lattice site 0 is [true, 0, 1];"),
+     ([[10**30, 0, 0]], "too large")],
+    ids=["bare-list", "branch-without-terms", "float-count", "bool-count", "huge-count"],
+)
+def test_run_rejects_malformed_lattices(tmp_path, capsys, lattice, message):
+    script = tmp_path / "w.txt"
+    script.write_text("W\n")
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps(lattice))
+    out = tmp_path / "out.json"
+    assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "format"])
+def test_unreadable_file_exits_two(tmp_path, capsys, command):
+    # a directory where a file belongs raises IsADirectoryError, an OSError
+    script = tmp_path / "w.txt"
+    script.write_text("W\n")
+    argv = {"run": ["run", str(script), str(tmp_path)],
+            "format": ["format", "--n", "1", "--lattice", str(tmp_path)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_error_exits_two():

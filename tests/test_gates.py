@@ -18,7 +18,6 @@ from latticeqc import (
     MixedState,
     PairTransfer,
     PhaseGate,
-    PointerFrame,
     PureState,
     Script,
     Shift,
@@ -67,9 +66,9 @@ def two_computers(up_a=(), up_b=()):
 
 
 def test_compile_phase_gate():
-    script, frame = compile_macro(PhaseGate(2, 0.5), n=3)
+    script, end = compile_macro(PhaseGate(2, 0.5), n=3)
     assert script.ops == (Shift(-2), Collide(0.5), Shift(2))
-    assert frame == PointerFrame(0)
+    assert end == 0
 
 
 def test_compile_hadamard():
@@ -110,11 +109,6 @@ def test_compile_measure():
         PairTransfer(2, 0, -1),
         Shift(3),
     )
-
-
-def test_compile_threads_the_frame():
-    script, _ = compile_macro(PhaseGate(2, 1.0), n=3, frame=PointerFrame(1))
-    assert script.ops[0] == Shift(-1)  # only one step left remains
 
 
 def test_compile_offset_validation():
@@ -410,8 +404,31 @@ def test_macro_json_round_trip():
     obj = macros_to_json_obj(macros)
     assert macros_from_json_obj(obj) == macros
     assert obj[0] == {"op": "phase", "q": 1, "phi": 0.25}
-    with pytest.raises(ValueError):
-        macros_from_json_obj([{"op": "swap"}])
+    assert obj[3] == {"op": "measure", "q": 2, "rest": 1, "count_up_too": True}
+    # fields with a default may be left out
+    assert macros_from_json_obj([{"op": "measure", "q": 2}]) == [MeasureQubit(2)]
+    assert macros_from_json_obj([{"op": "phase", "q": 1, "phi": 2}]) == [PhaseGate(1, 2.0)]
+    with pytest.raises(TypeError):
+        macros_to_json_obj([Shift(1)])
+    malformed = [
+        {"op": "swap"},                                  # unknown op
+        {"q": 1},                                        # no op
+        {"op": "phase", "q": 1},                         # missing field
+        {"op": "cz", "q1": 1},
+        {"op": "h", "q": 1, "phi": 0.5},                 # extra key
+        {"op": "measure", "q": 1, "up": True},
+        {"op": "h", "q": 1.5},                           # wrong type
+        {"op": "h", "q": True},
+        {"op": "h", "q": "1"},
+        {"op": "phase", "q": 1, "phi": "0.5"},
+        {"op": "phase", "q": 1, "phi": False},
+        {"op": "measure", "q": 1, "rest": 2.0},
+        {"op": "measure", "q": 1, "count_up_too": 1},
+        ["op", "h"],
+    ]
+    for item in malformed:
+        with pytest.raises(ValueError):
+            macros_from_json_obj([item])
 
 
 def test_matrix_json_shape():

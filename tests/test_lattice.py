@@ -14,7 +14,6 @@ from latticeqc import (
     SiteOccupancy,
     classical,
     fidelity,
-    level_count,
 )
 from latticeqc.lattice import _branch_signature, _merge_branches
 
@@ -91,18 +90,6 @@ def test_pure_state_mixed_length_rejected():
         PureState({c1: math.sqrt(0.5), c2: math.sqrt(0.5)})
 
 
-def test_level_count_deterministic_vs_not():
-    st = classical([(1, 0, 1), (0, 0, 1)])
-    val, det = level_count(st, "p")
-    assert val == 2.0 and det
-    c1 = BasisConfig.from_counts([(1, 0, 1)])
-    c2 = BasisConfig.from_counts([(1, 0, 0)])
-    sup = MixedState([(1.0, PureState({c1: math.sqrt(0.5), c2: math.sqrt(0.5)}))])
-    val, det = level_count(sup, "p")
-    assert val == pytest.approx(0.5)
-    assert not det
-
-
 def test_mixed_state_weight_gate_and_merge():
     s = classical([(1, 0, 0)]).branches[0][1]
     with pytest.raises(ValueError):
@@ -170,6 +157,28 @@ def test_json_round_trip_is_exact():
     back = MixedState.from_json_obj(json.loads(blob))
     assert back.branches[0][0] == m.branches[0][0]
     assert back.branches[0][1].terms == m.branches[0][1].terms  # bit-exact
+
+
+def test_state_json_rejects_malformed_input():
+    good = {"config": [[1, 0, 1]], "re": 1.0, "im": 0.0}
+    malformed = [
+        [],                                                    # not an object
+        {"state": []},                                         # no branches
+        {"branches": [{"weight": 1}]},                         # no terms
+        {"branches": [{"terms": [good]}]},                     # no weight
+        {"branches": [{"weight": True, "terms": [good]}]},     # weight not a number
+        {"branches": [{"weight": 1.0, "terms": [dict(good, re="1")]}]},
+        {"branches": [{"weight": 1.0, "terms": [dict(good, config=[[1.5, 0, 1]])]}]},
+        {"branches": [{"weight": 1.0, "terms": [dict(good, config=[[True, 0, 1]])]}]},
+        {"branches": [{"weight": 1.0, "terms": [dict(good, config=[[1, 0]])]}]},
+        {"branches": [{"weight": 1.0, "terms": [dict(good, config=[1, 0, 1])]}]},
+        {"branches": [{"weight": 1.0, "terms": [good, good]}]},  # config twice
+    ]
+    for obj in malformed:
+        with pytest.raises(ValueError):
+            MixedState.from_json_obj(obj)
+    st = MixedState.from_json_obj({"branches": [{"weight": 1, "terms": [good]}]})
+    assert st.sole_config() == BasisConfig.from_counts([(1, 0, 1)])
 
 
 def test_config_json_round_trip():

@@ -12,7 +12,6 @@ from latticeqc import (
     monte_carlo_yield,
     repair_experiment,
     repaired_yield,
-    repaired_yield_asymptote,
     sample_occupations,
     trial_seeds,
 )
@@ -42,12 +41,11 @@ def test_repaired_yield_reference_point():
 
 def test_repaired_yield_approaches_asymptote():
     L = 10**5
-    gap = lambda n: abs(repaired_yield(L, n) - repaired_yield_asymptote(L, n)) / (
-        repaired_yield_asymptote(L, n)
-    )
+    asymptote = lambda L, n: L / (n * math.e)
+    gap = lambda n: abs(repaired_yield(L, n) - asymptote(L, n)) / asymptote(L, n)
     assert gap(64) < 0.01
     assert gap(4) > gap(8) > gap(64)
-    assert repaired_yield_asymptote(math.e, 1) == pytest.approx(1.0)
+    assert asymptote(math.e, 1) == pytest.approx(1.0)
 
 
 def test_sample_occupations_frequencies():
