@@ -15,13 +15,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .lattice import MixedState, classical
-from .primitives import Script, apply_classical, execute
+from .lattice import MixedState, check_sites, classical
+from .primitives import Script, execute
 from .protocols import (
     FormattingError,
     StrayAtomsError,
+    format_counts,
     oracle_computers,
-    prepare_script,
     verify_formatted,
 )
 from .gates import (
@@ -71,37 +71,18 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _read_sites(sites, a_only: bool = False) -> list:
-    """A lattice file's list of sites, checked: every site is a list of
-    three integers, and with ``a_only`` (format) it reads [a, 0, 0]."""
-    if not isinstance(sites, list):
-        raise ValueError("lattice file must hold a list of sites")
-    rule = ("format takes sites [a, 0, 0] with every atom in level a" if a_only
-            else "a site is a list [a, b, p] of three integers")
-    for k, site in enumerate(sites):
-        ok = isinstance(site, list) and len(site) == 3 and all(type(x) is int for x in site)
-        if not ok or (a_only and (site[1] or site[2])):
-            raise ValueError(f"lattice site {k} is {json.dumps(site)}; {rule}")
-    if not sites:
-        raise ValueError("lattice needs at least one site")
-    return sites
-
-
 def cmd_format(args) -> int:
     if args.lattice:
         # keep no name for the site list: alive through the report writer,
         # a large lattice's lists raise peak memory and the collector's work
-        a = np.array([s[0] for s in _read_sites(_load_json(args.lattice), a_only=True)],
+        a = np.array([s[0] for s in check_sites(_load_json(args.lattice), a_only=True)],
                      dtype=np.int64)
     elif args.L < 1:
         raise ValueError("lattice needs at least one site")
     else:
         rng = np.random.default_rng(args.seed)
         a = sample_occupations(args.L, _dist_from_args(args), rng)
-    cutoff = max(int(a.max()), 2)
-    occ = np.zeros((a.size, 3), dtype=np.int64)
-    occ[:, 0] = a
-    final = apply_classical(occ, prepare_script(cutoff, args.n))
+    final = format_counts(a, args.n)
     computers = verify_formatted(final, args.n)
     report = {
         "version": __version__,
@@ -128,8 +109,8 @@ def cmd_format(args) -> int:
 
 
 def cmd_gates(args) -> int:
-    given = {k: v for k, v in vars(args).items() if v is not None}
-    macro = macro_from_fields(args.gate, given)
+    flags = {k: getattr(args, k) for k in ("q", "q1", "q2", "phi")}
+    macro = macro_from_fields(args.gate, {k: v for k, v in flags.items() if v is not None})
     U, leakage = extract_logical_unitary(macro, args.n, L=args.L)
     checks = {}
     if args.gate == "phase":
@@ -209,7 +190,7 @@ def cmd_run(args) -> int:
     if isinstance(obj, dict):
         state = MixedState.from_json_obj(obj)
     else:
-        state = classical(_read_sites(obj))
+        state = classical(check_sites(obj))
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     final, counts = execute(state, script, rng)
     report = {

@@ -20,13 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .lattice import (
-    DEFAULT_M_MAX,
-    BasisConfig,
-    MixedState,
-    SiteOccupancy,
-    classical,
-)
+from .lattice import BasisConfig, MixedState, SiteOccupancy, classical
 from .primitives import (
     ABRotation,
     Collide,
@@ -45,6 +39,7 @@ HOME_SITE = SiteOccupancy(1, 0, 1)
 EMPTY_SITE = SiteOccupancy(0, 0, 0)
 
 V_THETA = math.pi / 8
+LEAK_TOL = 1e-6  # largest leakage out of the logical subspace a gate may have
 
 
 class GateLeakageError(RuntimeError):
@@ -216,14 +211,12 @@ def extract_logical_unitary(
     n: int,
     qubits: tuple[int, ...] | None = None,
     L: int | None = None,
-    m_max: int = DEFAULT_M_MAX,
-    leak_tol: float = 1e-6,
 ) -> tuple[np.ndarray, float]:
     """Simulate the macro on all logical basis inputs over ``qubits``.
 
     Returns the 2^k x 2^k matrix in the computational (|down>, |up>)
     ordering plus the worst-case leakage out of the logical subspace.
-    Leakage above ``leak_tol`` raises :class:`GateLeakageError`.
+    Leakage above ``LEAK_TOL`` raises :class:`GateLeakageError`.
     """
     if qubits is None:
         qubits = involved_qubits(macro)
@@ -238,7 +231,7 @@ def extract_logical_unitary(
     U = np.zeros((2 ** k, 2 ** k), dtype=complex)
     leakage = 0.0
     for col, config in enumerate(configs):
-        out, _ = execute(classical(config, m_max), script)
+        out, _ = execute(classical(config), script)
         if len(out.branches) != 1:
             raise GateLeakageError("gate macro produced a mixed state")
         _, st = out.branches[0]
@@ -249,8 +242,8 @@ def extract_logical_unitary(
                 U[row, col] = amp
                 captured += abs(amp) ** 2
         leakage = max(leakage, 1.0 - captured)
-    if leakage > leak_tol:
-        raise GateLeakageError(f"leakage {leakage:.3e} exceeds {leak_tol:.1e}")
+    if leakage > LEAK_TOL:
+        raise GateLeakageError(f"leakage {leakage:.3e} exceeds {LEAK_TOL:.1e}")
     return U, leakage
 
 
@@ -324,11 +317,14 @@ def macros_to_json_obj(macros) -> list:
 
 
 def macro_from_fields(head: str, values: dict) -> GateMacro:
-    """The macro named ``head``, its fields read from ``values``; keys
-    that name no field are not read."""
+    """The macro named ``head``, its fields read from ``values``; a key
+    that names no field is a ValueError."""
     cls = _BY_HEAD.get(head) if isinstance(head, str) else None
     if cls is None:
         raise ValueError(f"unknown macro op {head!r}")
+    extra = sorted(set(values) - {f.name for f in fields(cls)})
+    if extra:
+        raise ValueError(f"macro {head!r} has no field {extra[0]!r}")
     kwargs = {}
     for f in fields(cls):
         if f.name not in values:
@@ -348,11 +344,7 @@ def macros_from_json_obj(obj) -> list:
         if not isinstance(item, dict):
             raise ValueError(f"macro must be an object, got {item!r}")
         values = dict(item)
-        macro = macro_from_fields(values.pop("op", None), values)
-        extra = set(values) - {f.name for f in fields(macro)}
-        if extra:
-            raise ValueError(f"macro {macro.head!r} has unknown keys {sorted(extra)}")
-        macros.append(macro)
+        macros.append(macro_from_fields(values.pop("op", None), values))
     return macros
 
 

@@ -10,6 +10,7 @@ pointer counter) decohere in the occupation basis.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -88,11 +89,24 @@ class BasisConfig:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BasisConfig":
-        for site in obj:
-            if not (isinstance(site, list) and len(site) == 3
-                    and all(type(x) is int for x in site)):
-                raise ValueError(f"a site is a list of three integers, got {site!r}")
-        return cls.from_counts(obj)
+        return cls.from_counts(check_sites(obj))
+
+
+def check_sites(sites, a_only: bool = False) -> list:
+    """A JSON list of sites, checked in one pass: it is not empty and every
+    site is a list of three integers; with ``a_only`` (format's input)
+    every site reads [a, 0, 0]."""
+    if not isinstance(sites, list):
+        raise ValueError(f"a lattice is a list of sites, got {type(sites).__name__}")
+    rule = ("format takes sites [a, 0, 0] with every atom in level a" if a_only
+            else "a site is a list [a, b, p] of three integers")
+    for k, site in enumerate(sites):
+        ok = isinstance(site, list) and len(site) == 3 and all(type(x) is int for x in site)
+        if not ok or (a_only and (site[1] or site[2])):
+            raise ValueError(f"lattice site {k} is {json.dumps(site)}; {rule}")
+    if not sites:
+        raise ValueError("lattice needs at least one site")
+    return sites
 
 
 @lru_cache(maxsize=8)
@@ -140,9 +154,9 @@ class PureState:
     state as a read-only ``{BasisConfig: complex}`` map.
     """
 
-    __slots__ = ("_codes", "amps", "_terms", "m_max")
+    __slots__ = ("codes", "amps", "_terms", "m_max")
 
-    def __init__(self, terms: dict, m_max: int = DEFAULT_M_MAX, check: bool = True):
+    def __init__(self, terms: dict, m_max: int = DEFAULT_M_MAX):
         cleaned: dict[BasisConfig, complex] = {}
         for config in sorted(terms):
             amp = complex(terms[config])
@@ -150,17 +164,16 @@ class PureState:
                 cleaned[config] = amp
         if not cleaned:
             raise ValueError("state has no support")
-        self._terms = MappingProxyType(cleaned)
-        self._codes = None  # encoded on first use, so check=False defers cutoff errors
+        if len({config.L for config in cleaned}) > 1:
+            raise ValueError("terms live on different lattice sizes")
+        # raises OccupationOverflowError above the cutoff
+        self.codes = _encode([config.sites for config in cleaned], m_max)
         self.amps = np.array(list(cleaned.values()), dtype=complex)
+        self._terms = MappingProxyType(cleaned)
         self.m_max = int(m_max)
-        if check:
-            if len({config.L for config in cleaned}) > 1:
-                raise ValueError("terms live on different lattice sizes")
-            self.codes  # encoding raises OccupationOverflowError above the cutoff
-            nsq = self.norm_sq()
-            if abs(nsq - 1.0) > NORM_TOL:
-                raise ValueError(f"state norm^2 = {nsq!r} drifted from 1")
+        nsq = self.norm_sq()
+        if abs(nsq - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm^2 = {nsq!r} drifted from 1")
 
     @classmethod
     def _from_codes(cls, codes: np.ndarray, amps: np.ndarray, m_max: int) -> "PureState":
@@ -172,21 +185,15 @@ class PureState:
         if not amps.size:
             raise ValueError("state has no support")
         st = cls.__new__(cls)
-        st._codes, st.amps, st._terms, st.m_max = codes, amps, None, m_max
+        st.codes, st.amps, st._terms, st.m_max = codes, amps, None, m_max
         return st
-
-    @property
-    def codes(self) -> np.ndarray:
-        if self._codes is None:
-            self._codes = _encode([c.sites for c in self._terms], self.m_max)
-        return self._codes
 
     @property
     def terms(self) -> MappingProxyType:
         if self._terms is None:
             sites = _site_objects(self.m_max)
             configs = (BasisConfig(tuple(map(sites.__getitem__, row)))
-                       for row in self._codes.tolist())
+                       for row in self.codes.tolist())
             self._terms = MappingProxyType(dict(zip(configs, self.amps.tolist())))
         return self._terms
 
@@ -256,31 +263,20 @@ class MixedState:
 
     __slots__ = ("branches",)
 
-    def __init__(
-        self,
-        branches: Iterable[tuple[float, PureState]],
-        check: bool = True,
-        merge: bool = True,
-    ):
+    def __init__(self, branches: Iterable[tuple[float, PureState]]):
         kept = [(float(w), st) for w, st in branches if float(w) > 1e-15]
         if not kept:
             raise ValueError("mixture has no branches")
         if len(kept) > 1:
             kept.sort(key=lambda ws: (_branch_signature(ws[1]), ws[0]))
-            if merge:
-                kept = _merge_branches(kept)
+            kept = _merge_branches(kept)
         self.branches = tuple(kept)
-        if check:
-            L = self.L
-            m_max = self.m_max
-            for w, st in self.branches:
-                if w <= 0.0:
-                    raise ValueError("branch weights must be positive")
-                if st.L != L or st.m_max != m_max:
-                    raise ValueError("branches disagree on lattice size or cutoff")
-            total = sum(w for w, _ in self.branches)
-            if abs(total - 1.0) > NORM_TOL:
-                raise ValueError(f"branch weights sum to {total!r}, expected 1")
+        L, m_max = self.L, self.m_max
+        if any(st.L != L or st.m_max != m_max for _, st in kept):
+            raise ValueError("branches disagree on lattice size or cutoff")
+        total = sum(w for w, _ in kept)
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValueError(f"branch weights sum to {total!r}, expected 1")
 
     @property
     def L(self) -> int:
@@ -301,9 +297,7 @@ class MixedState:
         return next(iter(self.branches[0][1].terms))
 
     def translate(self, d: int) -> "MixedState":
-        return MixedState(
-            [(w, st.translate(d)) for w, st in self.branches], check=False, merge=False
-        )
+        return MixedState([(w, st.translate(d)) for w, st in self.branches])
 
     def to_json_obj(self) -> dict:
         return {
@@ -320,7 +314,7 @@ class MixedState:
         }
 
     @classmethod
-    def from_json_obj(cls, obj, m_max: int = DEFAULT_M_MAX) -> "MixedState":
+    def from_json_obj(cls, obj) -> "MixedState":
         """The inverse of :meth:`to_json_obj`; malformed input is a ValueError."""
         branches = []
         try:
@@ -332,7 +326,7 @@ class MixedState:
                 }
                 if len(terms) != len(b["terms"]):
                     raise ValueError("a branch lists one configuration twice")
-                branches.append((_real(b["weight"]), PureState(terms, m_max)))
+                branches.append((_real(b["weight"]), PureState(terms)))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed state: {exc!r}") from exc
         return cls(branches)

@@ -446,18 +446,16 @@ def _empty(state: MixedState, op) -> MixedState:
             rows = group == g
             amp = _scale(amps[rows], 1.0 / math.sqrt(weight))
             new_branches.append((w * weight, PureState._from_codes(zeroed[rows], amp, m)))
-    return MixedState(new_branches, check=False, merge=True)
+    return MixedState(new_branches)
 
 
 def count_p(
-    state: MixedState, rng: np.random.Generator | None = None, mode: str = "sample"
+    state: MixedState, rng: np.random.Generator | None = None
 ) -> tuple[float, MixedState]:
-    """Measure the total pointer count.
-
-    ``sample`` draws one outcome (Born rule) and collapses; when a single
-    outcome has all the probability no randomness is consumed, so runs on
-    classical ensembles stay deterministic.  ``expect`` returns the
-    expectation and leaves the state untouched.
+    """Measure the total pointer count: draw one outcome (Born rule) and
+    collapse.  When a single outcome has all the probability no
+    randomness is consumed, so runs on classical ensembles stay
+    deterministic.
     """
     dist: dict[int, float] = {}
     totals = []
@@ -466,10 +464,6 @@ def count_p(
         totals.append(np.take(p, st.codes).sum(axis=1))
         for c, a in zip(totals[-1].tolist(), st.amps.tolist()):
             dist[c] = dist.get(c, 0.0) + w * abs(a) ** 2
-    if mode == "expect":
-        return sum(c * p for c, p in dist.items()), state
-    if mode != "sample":
-        raise ValueError(f"unknown count mode {mode!r}")
     outcomes = sorted(dist)
     if len(outcomes) == 1:
         return float(outcomes[0]), state
@@ -495,7 +489,7 @@ def count_p(
         new_branches.append(
             (w * bw / prob, PureState._from_codes(st.codes[rows], amp, st.m_max))
         )
-    return float(outcome), MixedState(new_branches, check=False, merge=True)
+    return float(outcome), MixedState(new_branches)
 
 
 def _step(
@@ -506,12 +500,12 @@ def _step(
     if type(op) not in _OPS:
         raise TypeError(f"unknown op {op!r}")
     if op.kind == "count":
-        value, state = count_p(state, rng, "sample")
+        value, state = count_p(state, rng)
         return state, value
     if op.kind == "empty":
         return _empty(state, op), None
     branches = [(w, _unitary(st, op)) for w, st in state.branches]
-    return MixedState(branches, check=False, merge=False), None
+    return MixedState(branches), None
 
 
 def apply_classical(occ: np.ndarray, script: Script, m_max: int = DEFAULT_M_MAX) -> np.ndarray:

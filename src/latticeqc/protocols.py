@@ -25,6 +25,7 @@ from .primitives import (
     PairTransfer,
     Script,
     Shift,
+    apply_classical,
 )
 
 
@@ -100,6 +101,16 @@ def format_script(n: int) -> Script:
 def prepare_script(cutoff: int, n: int) -> Script:
     """Depopulate to two atoms per site, then format."""
     return depopulate_script(cutoff, 2) + format_script(n)
+
+
+def format_counts(a: np.ndarray, n: int) -> np.ndarray:
+    """Run :func:`prepare_script` on bare a-level counts, batched over
+    leading axes, with the smallest cutoff that depopulates them all;
+    returns the final (..., L, 3) occupations."""
+    a = np.asarray(a, dtype=np.int64)
+    occ = np.zeros(a.shape + (3,), dtype=np.int64)
+    occ[..., 0] = a
+    return apply_classical(occ, prepare_script(int(a.max(initial=2)), n))
 
 
 def oracle_homes(a_dep: np.ndarray, n: int) -> np.ndarray:

@@ -17,13 +17,12 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .primitives import apply_classical
 from .protocols import (
     RepairReport,
     depopulate_classical,
+    format_counts,
     formatted_homes,
     oracle_homes,
-    prepare_script,
     repair_occupations,
     sample_defect_creation,
 )
@@ -41,6 +40,8 @@ class FillDistribution:
 
     def __post_init__(self):
         probs = self.probs
+        if not np.isfinite(probs).all():
+            raise ValueError(f"probabilities must be finite numbers, got {probs.tolist()}")
         if probs.min() < 0.0 or probs.max() > 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -77,13 +78,9 @@ def count_computers_oracle(a: np.ndarray, n: int) -> int:
     return int(oracle_homes(depopulate_classical(a, 2), n).sum())
 
 
-def count_computers_protocol(a: np.ndarray, n: int, cutoff: int = 4) -> int:
+def count_computers_protocol(a: np.ndarray, n: int) -> int:
     """Computer count from actually running depopulate + format."""
-    a = np.asarray(a, dtype=np.int64)
-    occ = np.zeros(a.shape + (3,), dtype=np.int64)
-    occ[..., 0] = a
-    final = apply_classical(occ, prepare_script(cutoff, n))
-    return int(formatted_homes(final, n).sum())
+    return int(formatted_homes(format_counts(a, n), n).sum())
 
 
 @dataclass(frozen=True)
@@ -156,6 +153,8 @@ def monte_carlo_yield(
         raise ValueError("computers need at least one qubit site")
     if trials < 2:
         raise ValueError("need at least two trials for a standard error")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     args = [(s, L, tuple(dist.probs), n, mode) for s in trial_seeds(seed, trials)]
     jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:

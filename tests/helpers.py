@@ -208,9 +208,9 @@ def empty_level(state, level_idx):
             scale = 1.0 / math.sqrt(weight)
             new_branches.append(
                 (w * weight,
-                 PureState({c: a * scale for c, a in terms.items()}, st.m_max, check=False))
+                 PureState({c: a * scale for c, a in terms.items()}, st.m_max))
             )
-    return MixedState(new_branches, check=False, merge=True)
+    return MixedState(new_branches)
 
 
 def count_p_terms(state, rng=None):
@@ -241,9 +241,9 @@ def count_p_terms(state, rng=None):
         scale = 1.0 / math.sqrt(bw)
         new_branches.append(
             (w * bw / prob,
-             PureState({c: a * scale for c, a in kept.items()}, st.m_max, check=False))
+             PureState({c: a * scale for c, a in kept.items()}, st.m_max))
         )
-    return float(outcome), MixedState(new_branches, check=False, merge=True)
+    return float(outcome), MixedState(new_branches)
 
 
 _TERM_KERNELS = {
@@ -260,7 +260,7 @@ def step_terms(state, op, rng=None):
         return empty_level(state, op.level), None
     kernel = _TERM_KERNELS[op.kind]
     branches = [
-        (w, PureState(kernel(st.terms, op, st.m_max), st.m_max, check=False))
+        (w, PureState(kernel(st.terms, op, st.m_max), st.m_max))
         for w, st in state.branches
     ]
-    return MixedState(branches, check=False, merge=False), None
+    return MixedState(branches), None

@@ -119,6 +119,15 @@ def test_gates_cz(tmp_path, capsys):
     assert checks == {"diagonal": True, "one_minus": True, "entangling": True}
 
 
+def test_gates_rejects_flags_of_other_gates(capsys):
+    assert main(["gates", "--gate", "h", "--q", "1", "--phi", "2", "--q1", "5"]) == 2
+    assert "macro 'h' has no field 'phi'" in capsys.readouterr().err
+    assert main(["gates", "--gate", "phase", "--q", "1", "--phi", "0.5", "--q2", "3"]) == 2
+    assert "macro 'phase' has no field 'q2'" in capsys.readouterr().err
+    assert main(["gates", "--gate", "cz", "--q1", "1", "--q2", "2", "--q", "3"]) == 2
+    assert "macro 'cz' has no field 'q'" in capsys.readouterr().err
+
+
 def test_gates_missing_flags(capsys):
     assert main(["gates", "--gate", "phase", "--q", "1"]) == 2
     assert main(["gates", "--gate", "cz", "--q1", "1"]) == 2
@@ -182,6 +191,20 @@ def test_stats_rejects_a_single_trial(tmp_path, capsys):
 def test_stats_rejects_bad_lattice_arguments(tmp_path, capsys, flags, message):
     out = tmp_path / "s.json"
     rc = main(["stats", *flags, "--trials", "2", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--jobs", "0"], "jobs must be at least 1"),
+     (["--jobs", "-4"], "jobs must be at least 1"),
+     (["--p0", "nan"], "probabilities must be finite")],
+)
+def test_stats_rejects_inputs_it_used_to_drop(tmp_path, capsys, flags, message):
+    out = tmp_path / "s.json"
+    rc = main(["stats", "--L", "100", "--n", "2", "--trials", "2", *flags, "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -337,15 +337,6 @@ def test_count_p_deterministic_needs_no_rng():
     assert after.sole_config() == st.sole_config()
 
 
-def test_count_p_expect_mode():
-    c1 = BasisConfig.from_counts([(1, 0, 1)])
-    c2 = BasisConfig.from_counts([(1, 0, 0)])
-    st = MixedState([(1.0, PureState({c1: SQ(0.25), c2: SQ(0.75)}))])
-    value, after = count_p(st, mode="expect")
-    assert value == pytest.approx(0.25)
-    assert after is st
-
-
 def test_count_p_requires_rng_when_random():
     c1 = BasisConfig.from_counts([(1, 0, 1)])
     c2 = BasisConfig.from_counts([(1, 0, 0)])
@@ -373,8 +364,6 @@ def test_count_p_mixture_distribution():
     b1 = PureState({BasisConfig.from_counts([(0, 0, 2)]): 1.0})
     b2 = PureState({BasisConfig.from_counts([(0, 0, 5)]): 1.0})
     st = MixedState([(0.4, b1), (0.6, b2)])
-    value, _ = count_p(st, mode="expect")
-    assert value == pytest.approx(0.4 * 2 + 0.6 * 5)
     rng = np.random.default_rng(9)
     seen = {count_p(st, rng)[0] for _ in range(200)}
     assert seen == {2.0, 5.0}
@@ -558,9 +547,8 @@ def test_prop_input_above_cutoff_raises_on_both_paths(case, data):
     batch[b, k, level] = m_max + 1
     with pytest.raises(OccupationOverflowError):
         apply_classical(batch, script, m_max)
-    branch = PureState({BasisConfig.from_array(batch[b]): 1.0}, m_max, check=False)
     with pytest.raises(OccupationOverflowError):
-        execute(MixedState([(1.0, branch)], check=False), script)
+        PureState({BasisConfig.from_array(batch[b]): 1.0}, m_max)
 
 
 def test_apply_classical_batched_matches_single():

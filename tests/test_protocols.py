@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -434,3 +435,23 @@ def test_sample_defect_creation_depopulates():
     rng = np.random.default_rng(4)
     out = sample_defect_creation(np.array([6, 1, 0]), 0.0, rng)
     assert_array_equal(out, [2, 1, 0])
+
+
+def test_defect_creation_script_matches_sampler():
+    # the script's exact branch weights against the closed form's frequencies
+    rng = np.random.default_rng(77)
+    eps, draws = 0.3, 20_000
+    for _ in range(5):
+        a = rng.integers(0, 5, size=rng.integers(1, 7))
+        out = apply(classical([(int(x), 0, 0) for x in a]), create_defects_script(eps))
+        exact = {}
+        for w, branch in out.branches:
+            (config,) = branch.terms
+            assert all(s.b == 0 and s.p == 0 for s in config.sites)
+            exact[tuple(s.a for s in config.sites)] = w
+        samples = sample_defect_creation(np.tile(a, (draws, 1)), eps, rng)
+        seen = Counter(map(tuple, samples.tolist()))
+        assert set(seen) <= set(exact)
+        for outcome, w in exact.items():
+            stderr = np.sqrt(w * (1 - w) / draws)
+            assert abs(seen[outcome] / draws - w) <= 3 * stderr, (a, outcome)

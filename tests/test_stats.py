@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from latticeqc import (
@@ -27,6 +29,14 @@ def test_fill_distribution_validation():
     d = FillDistribution.from_pair(0.1, 0.25)
     assert d.p2 == pytest.approx(0.65)
     assert d.p3 == 0.0 and d.p4 == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fill_distribution_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        FillDistribution(bad, 0.1, 0.9)
+    with pytest.raises(ValueError, match="finite"):
+        FillDistribution(0.1, 0.1, 0.8, p4=bad)
 
 
 def test_expected_yield_reference_point():
@@ -63,6 +73,14 @@ def test_counting_routes_agree():
         for _ in range(20):
             a = rng.integers(0, 5, size=128)
             assert count_computers_oracle(a, n) == count_computers_protocol(a, n)
+
+
+@given(a=st.lists(st.integers(0, 6), min_size=1, max_size=30), n=st.integers(1, 4))
+@example(a=[5, 5, 5, 1, 0, 6, 2, 2, 1], n=3)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_prop_protocol_count_matches_oracle_above_cutoff_four(a, n):
+    a = np.array(a, dtype=np.int64)
+    assert count_computers_protocol(a, n) == count_computers_oracle(a, n)
 
 
 def test_monte_carlo_yield_is_deterministic():
@@ -106,6 +124,12 @@ def test_monte_carlo_validation():
         monte_carlo_yield(100, dist, 2, trials=0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_yield(100, dist, 2, trials=2, seed=0, mode="guess")
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_monte_carlo_yield_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        monte_carlo_yield(100, FillDistribution(0.1, 0.1, 0.8), 2, trials=2, seed=0, jobs=jobs)
 
 
 def test_yield_report_serialization():
