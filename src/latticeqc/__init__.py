@@ -10,7 +10,7 @@ pointer-steered logical gates, and Monte Carlo yield statistics.
 __version__ = "0.1.0"
 
 from .lattice import (
-    DEFAULT_M_MAX,
+    M_MAX,
     BasisConfig,
     MixedState,
     OccupationOverflowError,

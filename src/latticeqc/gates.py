@@ -174,19 +174,15 @@ def compile_macro(macro: GateMacro, n: int | None = None) -> tuple[Script, int]:
     return Script(ops + _move(at, 0)), 0
 
 
-def computer_config(
-    n: int, L: int | None = None, up_offsets=(), home: int | None = None
-) -> BasisConfig:
+def computer_config(n: int, L: int | None = None, up_offsets=()) -> BasisConfig:
     """A lattice with one formatted computer in a logical basis state.
 
-    Qubits sit at sites home-n .. home-1 (default home = n, so the
-    register starts at site 0); offsets listed in ``up_offsets`` start in
-    |up>, the rest in |down>.
+    The home is site n and qubit j sits at site n - j, so the register
+    starts at site 0; offsets listed in ``up_offsets`` start in |up>, the
+    rest in |down>.
     """
     if L is None:
         L = n + 2
-    if home is None:
-        home = n
     if L < n + 1:
         raise ValueError("lattice too small for the register")
     up = set(up_offsets)
@@ -195,15 +191,15 @@ def computer_config(
         raise ValueError(f"up offsets {bad} outside register 1..{n}")
     sites = [EMPTY_SITE] * L
     for j in range(1, n + 1):
-        sites[(home - j) % L] = UP_SITE if j in up else DOWN_SITE
-    sites[home % L] = HOME_SITE
+        sites[n - j] = UP_SITE if j in up else DOWN_SITE
+    sites[n] = HOME_SITE
     return BasisConfig(tuple(sites))
 
 
-def involved_qubits(macro: GateMacro) -> tuple[int, ...]:
-    if any(op.kind in ("empty", "count") for _, op in macro.steps()):
+def involved_qubits(macro: GateMacro, n: int | None = None) -> tuple[int, ...]:
+    if any(op.kind in ("empty", "count") for _, op in macro.steps(n)):
         raise ValueError(f"{type(macro).__name__} has no unitary logical action")
-    return macro.qubits()
+    return macro.qubits(n)
 
 
 def extract_logical_unitary(
@@ -219,7 +215,7 @@ def extract_logical_unitary(
     Leakage above ``LEAK_TOL`` raises :class:`GateLeakageError`.
     """
     if qubits is None:
-        qubits = involved_qubits(macro)
+        qubits = involved_qubits(macro, n)
     k = len(qubits)
     script, _ = compile_macro(macro, n)
     basis_bits = list(product((0, 1), repeat=k))

@@ -12,13 +12,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-DEFAULT_M_MAX = 6       # per-level occupation cutoff
+M_MAX = 6               # per-level occupation cutoff
 NORM_TOL = 1e-10        # allowed drift of total probability
 PRUNE_TOL = 1e-14       # amplitudes below this are dropped
 BRANCH_MERGE_TOL = 1e-12
@@ -27,7 +26,7 @@ LEVELS = ("a", "b", "p")
 
 
 class OccupationOverflowError(ValueError):
-    """An occupation count would exceed the configured cutoff."""
+    """An occupation count would exceed the cutoff M_MAX."""
 
 
 class SiteOccupancy(NamedTuple):
@@ -109,32 +108,24 @@ def check_sites(sites, a_only: bool = False) -> list:
     return sites
 
 
-@lru_cache(maxsize=8)
-def _site_table(m_max: int) -> np.ndarray:
-    """Row c holds the occupations (a, b, p) of site code c."""
-    R = m_max + 1
-    sites = np.indices((R, R, R)).reshape(3, -1).T.copy()
-    sites.setflags(write=False)
-    return sites
+_R = M_MAX + 1
+# Row c holds the occupations (a, b, p) of site code c.
+_SITE_TABLE = np.indices((_R, _R, _R)).reshape(3, -1).T.copy()
+_SITE_TABLE.setflags(write=False)
+_SITE_OBJECTS = tuple(SiteOccupancy(*s) for s in _SITE_TABLE.tolist())
 
 
-@lru_cache(maxsize=8)
-def _site_objects(m_max: int) -> tuple:
-    return tuple(SiteOccupancy(*s) for s in _site_table(m_max).tolist())
-
-
-def _encode(occ, m_max: int) -> np.ndarray:
-    """Site codes a*R**2 + b*R + p, R = m_max + 1, of (..., 3) occupations;
-    rows of codes sort like the configurations they encode."""
+def _encode(occ) -> np.ndarray:
+    """Site codes a*R**2 + b*R + p, R = M_MAX + 1, of (..., 3) occupations,
+    as uint16; rows of codes sort like the configurations they encode."""
     occ = np.asarray(occ, dtype=np.int64)
     if occ.shape[-1:] != (3,):
         raise ValueError(f"expected trailing axis of size 3, got {occ.shape}")
-    if occ.size and occ.max() > m_max:
-        raise OccupationOverflowError(f"occupation exceeds cutoff {m_max}")
+    if occ.size and occ.max() > M_MAX:
+        raise OccupationOverflowError(f"occupation exceeds cutoff {M_MAX}")
     if occ.size and occ.min() < 0:
         raise ValueError("negative occupation")
-    R = m_max + 1
-    return (occ @ np.array([R * R, R, 1])).astype(np.min_scalar_type(R**3 - 1))
+    return (occ @ np.array([_R * _R, _R, 1])).astype(np.uint16)
 
 
 def _lexsorted(codes: np.ndarray, amps: np.ndarray) -> tuple:
@@ -154,9 +145,9 @@ class PureState:
     state as a read-only ``{BasisConfig: complex}`` map.
     """
 
-    __slots__ = ("codes", "amps", "_terms", "m_max")
+    __slots__ = ("codes", "amps", "_terms")
 
-    def __init__(self, terms: dict, m_max: int = DEFAULT_M_MAX):
+    def __init__(self, terms: dict):
         cleaned: dict[BasisConfig, complex] = {}
         for config in sorted(terms):
             amp = complex(terms[config])
@@ -167,16 +158,15 @@ class PureState:
         if len({config.L for config in cleaned}) > 1:
             raise ValueError("terms live on different lattice sizes")
         # raises OccupationOverflowError above the cutoff
-        self.codes = _encode([config.sites for config in cleaned], m_max)
+        self.codes = _encode([config.sites for config in cleaned])
         self.amps = np.array(list(cleaned.values()), dtype=complex)
         self._terms = MappingProxyType(cleaned)
-        self.m_max = int(m_max)
         nsq = self.norm_sq()
         if abs(nsq - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 = {nsq!r} drifted from 1")
 
     @classmethod
-    def _from_codes(cls, codes: np.ndarray, amps: np.ndarray, m_max: int) -> "PureState":
+    def _from_codes(cls, codes: np.ndarray, amps: np.ndarray) -> "PureState":
         """A state from distinct code rows in lexicographic order (see
         :func:`_lexsorted`), dropping amplitudes below PRUNE_TOL."""
         keep = np.hypot(amps.real, amps.imag) >= PRUNE_TOL
@@ -185,14 +175,13 @@ class PureState:
         if not amps.size:
             raise ValueError("state has no support")
         st = cls.__new__(cls)
-        st.codes, st.amps, st._terms, st.m_max = codes, amps, None, m_max
+        st.codes, st.amps, st._terms = codes, amps, None
         return st
 
     @property
     def terms(self) -> MappingProxyType:
         if self._terms is None:
-            sites = _site_objects(self.m_max)
-            configs = (BasisConfig(tuple(map(sites.__getitem__, row)))
+            configs = (BasisConfig(tuple(map(_SITE_OBJECTS.__getitem__, row)))
                        for row in self.codes.tolist())
             self._terms = MappingProxyType(dict(zip(configs, self.amps.tolist())))
         return self._terms
@@ -216,9 +205,7 @@ class PureState:
         return len(self.amps) == 1
 
     def translate(self, d: int) -> "PureState":
-        return PureState._from_codes(
-            *_lexsorted(np.roll(self.codes, d, axis=1), self.amps), self.m_max
-        )
+        return PureState._from_codes(*_lexsorted(np.roll(self.codes, d, axis=1), self.amps))
 
     def __iter__(self) -> Iterator[tuple[BasisConfig, complex]]:
         return iter(self.terms.items())
@@ -271,9 +258,8 @@ class MixedState:
             kept.sort(key=lambda ws: (_branch_signature(ws[1]), ws[0]))
             kept = _merge_branches(kept)
         self.branches = tuple(kept)
-        L, m_max = self.L, self.m_max
-        if any(st.L != L or st.m_max != m_max for _, st in kept):
-            raise ValueError("branches disagree on lattice size or cutoff")
+        if any(st.L != self.L for _, st in kept):
+            raise ValueError("branches disagree on lattice size")
         total = sum(w for w, _ in kept)
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"branch weights sum to {total!r}, expected 1")
@@ -281,10 +267,6 @@ class MixedState:
     @property
     def L(self) -> int:
         return self.branches[0][1].L
-
-    @property
-    def m_max(self) -> int:
-        return self.branches[0][1].m_max
 
     def is_classical(self) -> bool:
         """True when every branch is a single classical configuration."""
@@ -341,11 +323,11 @@ def _real(x) -> float:
     return x
 
 
-def classical(config: BasisConfig | Iterable, m_max: int = DEFAULT_M_MAX) -> MixedState:
+def classical(config: BasisConfig | Iterable) -> MixedState:
     """Wrap one classical configuration as a weight-1 single-term state."""
     if not isinstance(config, BasisConfig):
         config = BasisConfig.from_counts(config)
-    return MixedState([(1.0, PureState({config: 1.0 + 0.0j}, m_max))])
+    return MixedState([(1.0, PureState({config: 1.0 + 0.0j}))])
 
 
 def fidelity(x: MixedState, y: MixedState, mode: str = "paired") -> float:

@@ -22,8 +22,10 @@ Blank lines and ``#`` comments are ignored; parse(to_text(s)) == s.
 Each op class declares everything the engines and the DSL read: its
 ``head`` (its dataclass fields are the arguments, in order), its ``kind``
 (swap, rotate, shift, phase, empty or count) and the one-site data of its
-kind: ``pair(m_max)`` for a swap, ``images(site, m_max)`` for a rotation
-and ``level`` for an emptying channel.
+kind: ``pair()`` for a swap, ``images(site)`` for a rotation and
+``level`` for an emptying channel.  A site holds at most M_MAX atoms per
+level, and V also needs a+b <= M_MAX; an op past either limit raises
+:class:`OccupationOverflowError`.
 """
 from __future__ import annotations
 
@@ -36,16 +38,16 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .lattice import (
-    DEFAULT_M_MAX,
+    M_MAX,
     PRUNE_TOL,
+    _SITE_OBJECTS,
+    _SITE_TABLE,
     MixedState,
     OccupationOverflowError,
     PureState,
     SiteOccupancy,
     _encode,
     _lexsorted,
-    _site_objects,
-    _site_table,
 )
 
 
@@ -72,11 +74,11 @@ class PairTransfer:
                 f"invalid transfer endpoints for (m={self.m}, n={self.n}, x={self.x})"
             )
 
-    def pair(self, m_max: int) -> tuple[SiteOccupancy, SiteOccupancy]:
+    def pair(self) -> tuple[SiteOccupancy, SiteOccupancy]:
         m, n, x = self.m, self.n, self.x
-        if max(m, n, m + x, n - x) > m_max:
+        if max(m, n, m + x, n - x) > M_MAX:
             raise OccupationOverflowError(
-                f"transfer endpoint exceeds cutoff {m_max}: (m={m}, n={n}, x={x})"
+                f"transfer endpoint exceeds cutoff {M_MAX}: (m={m}, n={n}, x={x})"
             )
         return SiteOccupancy(m, 0, n), SiteOccupancy(m + x, 0, n - x)
 
@@ -88,7 +90,7 @@ class WSwap:
     head = "W"
     kind = "swap"
 
-    def pair(self, m_max: int) -> tuple[SiteOccupancy, SiteOccupancy]:
+    def pair(self) -> tuple[SiteOccupancy, SiteOccupancy]:
         return SiteOccupancy(1, 0, 1), SiteOccupancy(0, 1, 1)
 
 
@@ -119,14 +121,12 @@ class ABRotation:
 
     theta: float
 
-    def images(self, site: SiteOccupancy, m_max: int) -> tuple:
+    def images(self, site: SiteOccupancy) -> tuple:
         T = site.a + site.b
         if T == 0:
             return ((site, 1.0),)
-        if T > m_max:
-            raise OccupationOverflowError(
-                f"a+b = {T} on a site exceeds sector cutoff {m_max}"
-            )
+        if T > M_MAX:
+            raise OccupationOverflowError(f"a+b = {T} on a site exceeds sector cutoff {M_MAX}")
         col = _sector_unitary(T, self.theta)[:, site.a]
         return tuple(
             (SiteOccupancy(i, T - i, site.p), col[i])
@@ -191,7 +191,7 @@ class DefectSplit:
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
 
-    def images(self, site: SiteOccupancy, m_max: int) -> tuple:
+    def images(self, site: SiteOccupancy) -> tuple:
         c, s = math.sqrt(1.0 - self.eps), math.sqrt(self.eps)
         if site == _SPLIT_X:
             return ((_SPLIT_X, c), (_SPLIT_Y, s))
@@ -286,44 +286,47 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 #
 # A site (a, b, p) is one small int, its site code (see lattice._encode),
 # and a pure branch is an array of code rows with one amplitude per row.
-# A basis-preserving script compiles once per (script, m_max) into steps
-# on codes: one fused sitewise table per run of swaps and emptying
-# channels and a roll of the pointer digit per shift.  The engine runs a
-# swap or a shift as its compiled one-op script on every row, a Collide
-# as one phase factor per distinct weight sum(a*p), an emptying channel
-# by grouping rows on the emptied level's digits, and a rotation by
-# expanding rows through a per-code image table.  Amplitudes round as a
-# loop over a {config: amplitude} dict does (tests/helpers.py keeps that
-# loop): a moved term is 0.0 + amp, complex products are written as real
+# A basis-preserving script compiles once into steps on codes: one fused
+# sitewise table per run of swaps and emptying channels and a roll of the
+# pointer digit per shift.  The engine runs a swap or a shift as its
+# compiled one-op script on every row, a Collide as one phase factor per
+# distinct weight sum(a*p), an emptying channel by grouping rows on the
+# emptied level's digits, and a rotation by expanding rows through a
+# per-code image table.  Amplitudes round as a loop over a
+# {config: amplitude} dict does (tests/helpers.py keeps that loop): a
+# moved term is 0.0 + amp, complex products are written as real
 # products, and sums run in the dict's order.
 
 
+# Per-code constants: the weight a*p of a Collide and each level's digit.
+_A_P = np.prod(_SITE_TABLE[:, ::2], axis=1).astype(np.uint16)
+_DIGITS = np.ascontiguousarray(_SITE_TABLE.T, dtype=np.uint8)
+
+
 @lru_cache(maxsize=256)
-def _compile(script: Script, m_max: int) -> tuple:
+def _compile(script: Script) -> tuple:
     """Steps on site codes: ("table", t) maps code c to t[c]; ("shift", x,
     rest, p) maps it to rest[c] plus p[c'] of the site c' x sites to the
     left.  The table pending at a Shift folds into rest and p.  A Collide
     changes no code and compiles to nothing."""
-    sites = _site_table(m_max)
-    ident = _encode(sites, m_max)
+    ident = _encode(_SITE_TABLE)
     steps = []
     table = ident
     for op in script:
         kind = getattr(op, "kind", None)
         if kind == "shift":
-            p = sites[table, 2].astype(ident.dtype)
+            p = _DIGITS[2, table].astype(ident.dtype)
             steps.append(("shift", op.x, table - p, p))
             table = ident
             continue
         if kind == "phase":
             continue
         if kind == "swap":
-            s1, s2 = op.pair(m_max)
+            s1, s2 = op.pair()
             step = ident.copy()
-            if max(s1 + s2) <= m_max:  # below cutoff 1 W's sites do not exist
-                step[_encode([s1, s2], m_max)] = _encode([s2, s1], m_max)
+            step[_encode([s1, s2])] = _encode([s2, s1])
         elif kind == "empty":
-            step = _encode(sites * (np.arange(3) != op.level), m_max)
+            step = _encode(_SITE_TABLE * (np.arange(3) != op.level))
         else:
             raise ValueError(f"script contains non-classical operation {op!r}")
         table = step[table]
@@ -361,20 +364,18 @@ def _scale(amps: np.ndarray, x: float) -> np.ndarray:
 
 def _unitary(st: PureState, op) -> PureState:
     """One unitary op on one pure branch."""
-    m = st.m_max
     if op.kind == "rotate":
         return _rotate(st, op)
     if op.kind == "phase":
-        a_p = np.prod(_site_table(m)[:, ::2], axis=1).astype(np.uint16)
-        weights = np.take(a_p, st.codes).sum(axis=1).tolist()
+        weights = np.take(_A_P, st.codes).sum(axis=1).tolist()
         factor = {w: cmath.exp(1j * op.phi * w) for w in set(weights)}
         f = np.array([factor[w] for w in weights])
         amps = _complex(*_cmul(st.amps.real, st.amps.imag, f.real, f.imag))
-        return PureState._from_codes(st.codes, amps, m)
-    (step,) = _compile(Script([op]), m)
-    if op.kind == "swap" and op.pair(m)[0] == op.pair(m)[1]:
-        return PureState._from_codes(st.codes, st.amps, m)  # moves no term
-    return PureState._from_codes(*_lexsorted(_move(st.codes, step), st.amps + 0.0), m)
+        return PureState._from_codes(st.codes, amps)
+    (step,) = _compile(Script([op]))
+    if op.kind == "swap" and op.pair()[0] == op.pair()[1]:
+        return PureState._from_codes(st.codes, st.amps)  # moves no term
+    return PureState._from_codes(*_lexsorted(_move(st.codes, step), st.amps + 0.0))
 
 
 def _rows(codes: np.ndarray) -> np.ndarray:
@@ -384,13 +385,13 @@ def _rows(codes: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _image_table(op, m_max: int) -> tuple:
+def _image_table(op) -> tuple:
     """(count, table, fixed) for a rotation: code c has count[c] images,
     table[:, c, j] is (code, re, im) of image j, and fixed[c] says that c
     is its own only image, times 1.  Filled in as codes turn up, so only
     the sites a state holds reach op.images."""
-    n = (m_max + 1) ** 3
-    return np.zeros(n, dtype=np.int64), np.zeros((3, n, m_max + 1)), np.zeros(n, dtype=bool)
+    n = len(_SITE_TABLE)
+    return np.zeros(n, dtype=np.int64), np.zeros((3, n, M_MAX + 1)), np.zeros(n, dtype=bool)
 
 
 def _rotate(st: PureState, op) -> PureState:
@@ -401,15 +402,14 @@ def _rotate(st: PureState, op) -> PureState:
     A site whose codes are all fixed only turns -0.0 parts into 0.0, which
     the final + 0.0 does for all of them.
     """
-    m, codes, re, im = st.m_max, st.codes, st.amps.real, st.amps.imag
-    count, table, fixed = _image_table(op, m)
-    sites = _site_objects(m)
+    codes, re, im = st.codes, st.amps.real, st.amps.imag
+    count, table, fixed = _image_table(op)
     for c in set(codes[count[codes] == 0].tolist()):
-        img = op.images(sites[c], m)
+        img = op.images(_SITE_OBJECTS[c])
         u = np.array([z for _, z in img], dtype=complex)
-        table[:, c, :len(img)] = _encode([s for s, _ in img], m), u.real, u.imag
+        table[:, c, :len(img)] = _encode([s for s, _ in img]), u.real, u.imag
         count[c] = len(img)
-        fixed[c] = len(img) == 1 and img[0][0] == sites[c] and u[0] == 1.0
+        fixed[c] = len(img) == 1 and img[0][0] == _SITE_OBJECTS[c] and u[0] == 1.0
     for k in np.flatnonzero(~fixed[codes].all(axis=0)).tolist():
         col = codes[:, k]
         row, j = np.nonzero(np.arange(table.shape[2]) < count[col][:, None])
@@ -424,7 +424,7 @@ def _rotate(st: PureState, op) -> PureState:
         im = np.bincount(group, pim, group.size)[first]
         keep = np.hypot(re, im) >= PRUNE_TOL
         codes, re, im = new[first[keep]], re[keep], im[keep]
-    return PureState._from_codes(*_lexsorted(codes, _complex(re + 0.0, im + 0.0)), m)
+    return PureState._from_codes(*_lexsorted(codes, _complex(re + 0.0, im + 0.0)))
 
 
 def _empty(state: MixedState, op) -> MixedState:
@@ -432,9 +432,8 @@ def _empty(state: MixedState, op) -> MixedState:
     digit rows, then zero it and renormalize each branch."""
     new_branches: list[tuple[float, PureState]] = []
     for w, st in state.branches:
-        m = st.m_max
-        zeroed = _move(st.codes, _compile(Script([op]), m)[0])
-        digits = np.take(_site_table(m)[:, op.level].astype(np.uint8), st.codes)
+        zeroed = _move(st.codes, _compile(Script([op]))[0])
+        digits = np.take(_DIGITS[op.level], st.codes)
         patterns = _rows(digits).tolist()  # bytes sort like the digit rows
         slot = {p: g for g, p in enumerate(sorted(set(patterns)))}
         group = np.array([slot[p] for p in patterns])
@@ -445,7 +444,7 @@ def _empty(state: MixedState, op) -> MixedState:
                 continue
             rows = group == g
             amp = _scale(amps[rows], 1.0 / math.sqrt(weight))
-            new_branches.append((w * weight, PureState._from_codes(zeroed[rows], amp, m)))
+            new_branches.append((w * weight, PureState._from_codes(zeroed[rows], amp)))
     return MixedState(new_branches)
 
 
@@ -460,8 +459,7 @@ def count_p(
     dist: dict[int, float] = {}
     totals = []
     for w, st in state.branches:
-        p = _site_table(st.m_max)[:, 2].astype(np.uint8)
-        totals.append(np.take(p, st.codes).sum(axis=1))
+        totals.append(np.take(_DIGITS[2], st.codes).sum(axis=1))
         for c, a in zip(totals[-1].tolist(), st.amps.tolist()):
             dist[c] = dist.get(c, 0.0) + w * abs(a) ** 2
     outcomes = sorted(dist)
@@ -486,9 +484,7 @@ def count_p(
         amps = st.amps[rows]
         bw = sum(abs(a) ** 2 for a in amps.tolist())
         amp = _scale(amps, 1.0 / math.sqrt(bw))
-        new_branches.append(
-            (w * bw / prob, PureState._from_codes(st.codes[rows], amp, st.m_max))
-        )
+        new_branches.append((w * bw / prob, PureState._from_codes(st.codes[rows], amp)))
     return float(outcome), MixedState(new_branches)
 
 
@@ -508,7 +504,7 @@ def _step(
     return MixedState(branches), None
 
 
-def apply_classical(occ: np.ndarray, script: Script, m_max: int = DEFAULT_M_MAX) -> np.ndarray:
+def apply_classical(occ: np.ndarray, script: Script) -> np.ndarray:
     """Run a basis-preserving script on classical occupations.
 
     ``occ`` has shape (..., L, 3); leading axes are a batch, so a whole
@@ -516,10 +512,10 @@ def apply_classical(occ: np.ndarray, script: Script, m_max: int = DEFAULT_M_MAX)
     script.  Phases from Collide are physically inert on a classical
     configuration and are dropped here (:func:`execute` tracks them).
     """
-    codes = _encode(occ, m_max)
-    for step in _compile(script, m_max):
+    codes = _encode(occ)
+    for step in _compile(script):
         codes = _move(codes, step)
-    return np.take(_site_table(m_max), codes, axis=0)
+    return np.take(_SITE_TABLE, codes, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 
 from latticeqc import (
+    M_MAX,
     BasisConfig,
     MixedState,
     PureState,
@@ -18,16 +19,16 @@ from latticeqc import (
 from latticeqc.lattice import BRANCH_MERGE_TOL, PRUNE_TOL, _branch_signature
 
 
-def dense_site_configs(m_max=6):
-    """All one-site configurations with a+b <= m_max and p <= m_max.
+def dense_site_configs():
+    """All one-site configurations with a+b <= M_MAX and p <= M_MAX.
 
     On this space every non-channel primitive closes, so unitarity can be
     checked as an honest matrix identity.
     """
     out = []
-    for a in range(m_max + 1):
-        for b in range(m_max + 1 - a):
-            for p in range(m_max + 1):
+    for a in range(M_MAX + 1):
+        for b in range(M_MAX + 1 - a):
+            for p in range(M_MAX + 1):
                 out.append(BasisConfig((SiteOccupancy(a, b, p),)))
     return out
 
@@ -132,9 +133,9 @@ def merge_branches_pairwise(branches):
 # the engine reproduces bit for bit.
 
 
-def swap_terms(terms, op, m_max):
+def swap_terms(terms, op):
     """Exchange the two one-site states of op.pair on every site."""
-    s1, s2 = op.pair(m_max)
+    s1, s2 = op.pair()
     if s1 == s2:
         return dict(terms)
     swap = {s1: s2, s2: s1}
@@ -145,7 +146,7 @@ def swap_terms(terms, op, m_max):
     return out
 
 
-def rotate_terms(terms, op, m_max):
+def rotate_terms(terms, op):
     """Apply op.images on each site in turn, pruning after every site."""
     rows = {config.sites: amp for config, amp in terms.items()}
     images = {}
@@ -154,7 +155,7 @@ def rotate_terms(terms, op, m_max):
         for sites, amp in rows.items():
             site = sites[k]
             if site not in images:
-                images[site] = op.images(site, m_max)
+                images[site] = op.images(site)
             for new, u in images[site]:
                 key = sites if new == site else sites[:k] + (new,) + sites[k + 1:]
                 out[key] = out.get(key, 0.0) + amp * u
@@ -162,7 +163,7 @@ def rotate_terms(terms, op, m_max):
     return {BasisConfig(sites): amp for sites, amp in rows.items()}
 
 
-def shift_terms(terms, op, m_max):
+def shift_terms(terms, op):
     out = {}
     for config, amp in terms.items():
         L = config.L
@@ -177,7 +178,7 @@ def shift_terms(terms, op, m_max):
     return out
 
 
-def phase_terms(terms, op, m_max):
+def phase_terms(terms, op):
     out = {}
     for config, amp in terms.items():
         weight = sum(s.a * s.p for s in config.sites)
@@ -208,7 +209,7 @@ def empty_level(state, level_idx):
             scale = 1.0 / math.sqrt(weight)
             new_branches.append(
                 (w * weight,
-                 PureState({c: a * scale for c, a in terms.items()}, st.m_max))
+                 PureState({c: a * scale for c, a in terms.items()}))
             )
     return MixedState(new_branches)
 
@@ -241,7 +242,7 @@ def count_p_terms(state, rng=None):
         scale = 1.0 / math.sqrt(bw)
         new_branches.append(
             (w * bw / prob,
-             PureState({c: a * scale for c, a in kept.items()}, st.m_max))
+             PureState({c: a * scale for c, a in kept.items()}))
         )
     return float(outcome), MixedState(new_branches)
 
@@ -259,8 +260,5 @@ def step_terms(state, op, rng=None):
     if op.kind == "empty":
         return empty_level(state, op.level), None
     kernel = _TERM_KERNELS[op.kind]
-    branches = [
-        (w, PureState(kernel(st.terms, op, st.m_max), st.m_max))
-        for w, st in state.branches
-    ]
+    branches = [(w, PureState(kernel(st.terms, op))) for w, st in state.branches]
     return MixedState(branches), None

@@ -73,6 +73,15 @@ def test_format_rejects_sites_outside_level_a(tmp_path, capsys, sites):
     assert not out.exists()
 
 
+def test_format_rejects_count_above_cutoff(tmp_path, capsys):
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps([[7, 0, 0], [1, 0, 0], [2, 0, 0]]))
+    out = tmp_path / "fmt.json"
+    assert main(["format", "--n", "1", "--lattice", str(lat), "--out", str(out)]) == 2
+    assert "occupation exceeds cutoff 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_format_maps_formatting_error_to_exit_one(tmp_path, capsys, monkeypatch):
     # no real lattice makes computers overlap, so the check is forced here
     def broken(state, n):

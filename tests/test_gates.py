@@ -132,8 +132,12 @@ def test_resolve_rest_defaults_to_leftmost():
 def test_involved_qubits():
     assert involved_qubits(PhaseGate(2, 0.1)) == (2,)
     assert involved_qubits(ControlPhasePi(1, 3)) == (1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="MeasureQubit has no unitary logical action"):
         involved_qubits(MeasureQubit(1, rest=2))
+    with pytest.raises(ValueError, match="MeasureQubit has no unitary logical action"):
+        involved_qubits(MeasureQubit(1), n=2)
+    with pytest.raises(ValueError, match="MeasureQubit has no unitary logical action"):
+        extract_logical_unitary(MeasureQubit(1), n=2)
 
 
 # -- the computer factory ----------------------------------------------------

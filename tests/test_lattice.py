@@ -52,8 +52,6 @@ def test_classical_respects_cutoff():
     classical([(6, 0, 0)])  # at the boundary is allowed
     with pytest.raises(OccupationOverflowError):
         classical([(7, 0, 0)])
-    with pytest.raises(OccupationOverflowError):
-        classical([(3, 0, 0)], m_max=2)
 
 
 def test_pure_state_norm_gate():

@@ -37,10 +37,10 @@ from latticeqc import (
 from helpers import expected_formatted, repair_occupations_dense
 
 
-def run_on_counts(a_counts, script, m_max=6):
+def run_on_counts(a_counts, script):
     occ = np.zeros((len(a_counts), 3), dtype=np.int64)
     occ[:, 0] = a_counts
-    return apply_classical(occ, script, m_max)
+    return apply_classical(occ, script)
 
 
 # -- depopulation ------------------------------------------------------------
