@@ -77,7 +77,6 @@ from .gates import (
     macros_to_json_obj,
     matrix_to_json_obj,
     measure_qubit,
-    resolve_rest,
     run_circuit,
 )
 from .stats import (

@@ -49,7 +49,7 @@ def _dist_from_args(args) -> FillDistribution:
 
 
 def _write_json(path: str | None, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -154,6 +154,8 @@ def cmd_stats(args) -> int:
     )
     obj = report.to_json_obj()
     obj["version"] = __version__
+    if not math.isfinite(report.z):
+        obj["z"] = None  # strict JSON has no infinity; the exit code says 1
     _write_json(args.out, obj)
     if args.csv:
         with open(args.csv, "w") as fh:

@@ -61,10 +61,10 @@ class PhaseGate:
     q: int
     phi: float
 
-    def qubits(self, n: int | None = None) -> tuple[int, ...]:
+    def qubits(self, n: int) -> tuple[int, ...]:
         return (self.q,)
 
-    def steps(self, n: int | None = None) -> tuple:
+    def steps(self, n: int) -> tuple:
         return ((self.q, Collide(self.phi)),)
 
 
@@ -77,10 +77,10 @@ class HadamardLike:
 
     q: int
 
-    def qubits(self, n: int | None = None) -> tuple[int, ...]:
+    def qubits(self, n: int) -> tuple[int, ...]:
         return (self.q,)
 
-    def steps(self, n: int | None = None) -> tuple:
+    def steps(self, n: int) -> tuple:
         ops = (ABRotation(V_THETA), Collide(math.pi), ABRotation(-V_THETA),
                Collide(math.pi / 2))
         return tuple((self.q, op) for op in ops)
@@ -95,10 +95,10 @@ class ControlPhasePi:
     q1: int
     q2: int
 
-    def qubits(self, n: int | None = None) -> tuple[int, ...]:
+    def qubits(self, n: int) -> tuple[int, ...]:
         return (self.q1, self.q2)
 
-    def steps(self, n: int | None = None) -> tuple:
+    def steps(self, n: int) -> tuple:
         lift = PairTransfer(1, 1, 1)
         return ((self.q1, lift), (self.q2, Collide(math.pi)), (self.q1, lift))
 
@@ -119,10 +119,10 @@ class MeasureQubit:
     rest: int | None = None
     count_up_too: bool = False
 
-    def qubits(self, n: int | None = None) -> tuple[int, ...]:
-        return (self.q, resolve_rest(self, n))
+    def qubits(self, n: int) -> tuple[int, ...]:
+        return (self.q, n if self.rest is None else self.rest)
 
-    def steps(self, n: int | None = None) -> tuple:
+    def steps(self, n: int) -> tuple:
         q, rest = self.qubits(n)
         count = (
             (q, PairTransfer(1, 1, -1)),
@@ -145,16 +145,7 @@ def _move(cur: int, tgt: int) -> list:
     return [] if cur == tgt else [Shift(cur - tgt)]
 
 
-def resolve_rest(macro: MeasureQubit, n: int | None) -> int:
-    """The rest offset, defaulting to n (the leftmost register site)."""
-    if macro.rest is not None:
-        return macro.rest
-    if n is None:
-        raise ValueError("rest offset unset and register size unknown")
-    return n
-
-
-def compile_macro(macro: GateMacro, n: int | None = None) -> tuple[Script, int]:
+def compile_macro(macro: GateMacro, n: int) -> tuple[Script, int]:
     """Expand a macro into primitives and the pointer's end offset.
 
     The pointer walks from home through the macro's steps, one shift
@@ -163,7 +154,7 @@ def compile_macro(macro: GateMacro, n: int | None = None) -> tuple[Script, int]:
     """
     qubits = macro.qubits(n)
     for q in qubits:
-        if q < 1 or (n is not None and q > n):
+        if not 1 <= q <= n:
             raise ValueError(f"qubit offset {q} outside register 1..{n}")
     if len(set(qubits)) < len(qubits):
         raise ValueError(f"{type(macro).__name__} needs distinct qubits, got {qubits}")
@@ -196,7 +187,7 @@ def computer_config(n: int, L: int | None = None, up_offsets=()) -> BasisConfig:
     return BasisConfig(tuple(sites))
 
 
-def involved_qubits(macro: GateMacro, n: int | None = None) -> tuple[int, ...]:
+def involved_qubits(macro: GateMacro, n: int) -> tuple[int, ...]:
     if any(op.kind in ("empty", "count") for _, op in macro.steps(n)):
         raise ValueError(f"{type(macro).__name__} has no unitary logical action")
     return macro.qubits(n)
@@ -261,7 +252,8 @@ def measure_qubit(
     state: MixedState,
     macro: MeasureQubit,
     rng: np.random.Generator | None = None,
-    n: int | None = None,
+    *,
+    n: int,
 ) -> tuple[int, int | None, MixedState]:
     """Measure one qubit on every computer of the lattice at once.
 
@@ -279,7 +271,7 @@ def measure_qubit(
 def run_circuit(
     state: MixedState,
     macros,
-    n: int | None = None,
+    n: int,
     rng: np.random.Generator | None = None,
     counts: list | None = None,
 ) -> MixedState:

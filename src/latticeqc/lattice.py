@@ -9,7 +9,6 @@ pointer counter) decohere in the occupation basis.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -21,8 +20,6 @@ M_MAX = 6               # per-level occupation cutoff
 NORM_TOL = 1e-10        # allowed drift of total probability
 PRUNE_TOL = 1e-14       # amplitudes below this are dropped
 BRANCH_MERGE_TOL = 1e-12
-
-LEVELS = ("a", "b", "p")
 
 
 class OccupationOverflowError(ValueError):
@@ -66,22 +63,6 @@ class BasisConfig:
     @property
     def L(self) -> int:
         return len(self.sites)
-
-    def to_array(self) -> np.ndarray:
-        flat = itertools.chain.from_iterable(self.sites)
-        return np.fromiter(flat, dtype=np.int64, count=3 * self.L).reshape(self.L, 3)
-
-    def max_count(self) -> int:
-        return max(max(s) for s in self.sites)
-
-    def level_total(self, level: int | str) -> int:
-        idx = LEVELS.index(level) if isinstance(level, str) else level
-        return sum(s[idx] for s in self.sites)
-
-    def translate(self, d: int) -> "BasisConfig":
-        """Cyclically relabel sites: new site k holds the old site k-d."""
-        L = self.L
-        return BasisConfig(tuple(self.sites[(k - d) % L] for k in range(L)))
 
     def to_json_obj(self) -> list:
         return [[s.a, s.b, s.p] for s in self.sites]

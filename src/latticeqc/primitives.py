@@ -121,6 +121,10 @@ class ABRotation:
 
     theta: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError(f"rotation angle must be finite, got {self.theta!r}")
+
     def images(self, site: SiteOccupancy) -> tuple:
         T = site.a + site.b
         if T == 0:
@@ -143,6 +147,10 @@ class Collide:
     kind = "phase"
 
     phi: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phase angle must be finite, got {self.phi!r}")
 
 
 @dataclass(frozen=True)
@@ -213,9 +221,6 @@ _OPS = (
 )
 PrimitiveOp = Union[_OPS]
 
-# Kinds that map classical configurations to classical configurations.
-_CLASSICAL_KINDS = ("swap", "shift", "phase", "empty")
-
 
 class Script:
     """Ordered sequence of primitive operations; the unit of execution."""
@@ -242,9 +247,6 @@ class Script:
 
     def __repr__(self):
         return f"Script({len(self.ops)} ops)"
-
-    def is_basis_preserving(self) -> bool:
-        return all(getattr(op, "kind", None) in _CLASSICAL_KINDS for op in self.ops)
 
     def to_text(self) -> str:
         return "".join(_op_to_text(op) + "\n" for op in self.ops)
@@ -482,7 +484,8 @@ def count_p(
         if not rows.any():
             continue
         amps = st.amps[rows]
-        bw = sum(abs(a) ** 2 for a in amps.tolist())
+        # left to right on every Python; sum() compensates from 3.12 on
+        bw = float(np.cumsum([abs(a) ** 2 for a in amps.tolist()])[-1])
         amp = _scale(amps, 1.0 / math.sqrt(bw))
         new_branches.append((w * bw / prob, PureState._from_codes(st.codes[rows], amp)))
     return float(outcome), MixedState(new_branches)

@@ -220,20 +220,14 @@ class RepairReport:
     to_json_obj = asdict
 
 
-def repair_occupations(
-    a: np.ndarray,
-    schedule: str = "exhaustive",
-    rng: np.random.Generator | None = None,
-    rounds: int | None = None,
-) -> tuple[np.ndarray, RepairReport]:
+def repair_occupations(a: np.ndarray) -> tuple[np.ndarray, RepairReport]:
     """Run repair rounds directly on a-level counts (b and p empty).
 
     Equivalent to repeatedly applying :func:`repair_round_script`; per
     round at shift x, every defect whose site x steps to the left holds a
-    donor gets one atom, and that donor drops to two atoms.  The
-    ``exhaustive`` schedule sweeps x = 1 .. L-1 once per phase, which
-    fixes every defect as long as donors remain; ``random`` draws shifts
-    from ``rng`` for at most ``rounds`` rounds per phase.
+    donor gets one atom, and that donor drops to two atoms.  Each phase
+    sweeps x = 1 .. L-1 once, which fixes every defect as long as donors
+    remain.
     """
     a = np.asarray(a)
     if a.ndim != 1:
@@ -244,27 +238,16 @@ def repair_occupations(
     if a.min(initial=0) < 0 or a.max(initial=0) > 4:
         raise ValueError("repair expects counts depopulated to <= 4")
     L = a.size
-    if schedule == "exhaustive":
-        schedules = [range(1, L), range(1, L)]
-    elif schedule == "random":
-        if rng is None or rounds is None:
-            raise ValueError("random schedule needs rng and rounds")
-        if L > 1:
-            schedules = [rng.integers(1, L, size=rounds) for _ in range(2)]
-        else:
-            schedules = [(), ()]
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
 
     # A round touches only the defects left in the current phase: no
     # round creates a defect of the phase's value or a donor, and the
     # donor at j can only serve the defect at j + x, so hits never collide.
     fixed = 0
     executed = 0
-    for defect_val, xs in zip((0, 1), schedules):
+    for defect_val in (0, 1):
         defects = np.flatnonzero(a == defect_val)
         donors = int(np.count_nonzero(a == 4))
-        for x in xs:
+        for x in range(1, L):
             if not defects.size or not donors:
                 break
             executed += 1

@@ -231,7 +231,7 @@ def repair_experiment(
     p1_before = float((a == 1).mean())
     yield_before = count_computers_oracle(a, n)
     donors_before = int((a == 4).sum())
-    repaired, report = repair_occupations(a, "exhaustive")
+    repaired, report = repair_occupations(a)
     a_final = sample_defect_creation(repaired, eps, rng)
     return RepairExperimentReport(
         L=L,

@@ -72,22 +72,16 @@ def expected_formatted(a_dep, n):
     return occ
 
 
-def repair_occupations_dense(a, schedule="exhaustive", rng=None, rounds=None):
+def repair_occupations_dense(a):
     """Reference for :func:`latticeqc.repair_occupations`: every round
     masks the whole lattice, so a round costs O(L) however few defects
-    are left.  Draws the random schedule exactly as the engine does."""
+    are left."""
     a = np.array(a, dtype=np.int64, copy=True)
     L = a.size
-    if schedule == "exhaustive":
-        schedules = [range(1, L), range(1, L)]
-    elif L > 1:
-        schedules = [rng.integers(1, L, size=rounds) for _ in range(2)]
-    else:
-        schedules = [(), ()]
     fixed = 0
     executed = 0
-    for defect_val, xs in zip((0, 1), schedules):
-        for x in xs:
+    for defect_val in (0, 1):
+        for x in range(1, L):
             if not (a == defect_val).any() or not (a == 4).any():
                 break
             executed += 1
@@ -131,6 +125,15 @@ def merge_branches_pairwise(branches):
 # Reference for the site-code engine in ``latticeqc.primitives``: each op
 # kind as a Python loop over the terms of a dict, with the rounding that
 # the engine reproduces bit for bit.
+
+
+def left_sum(xs):
+    """Sum floats left to right, as the engine does; from Python 3.12 on,
+    sum() compensates and can differ in the last bit."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def swap_terms(terms, op):
@@ -203,7 +206,7 @@ def empty_level(state, level_idx):
             grp[zeroed] = grp.get(zeroed, 0.0) + amp
         for pattern in sorted(groups):
             terms = groups[pattern]
-            weight = sum(abs(a) ** 2 for a in terms.values())
+            weight = left_sum(abs(a) ** 2 for a in terms.values())
             if weight <= 1e-30:
                 continue
             scale = 1.0 / math.sqrt(weight)
@@ -219,7 +222,7 @@ def count_p_terms(state, rng=None):
     dist = {}
     for w, st in state.branches:
         for config, amp in st:
-            c = config.level_total(2)
+            c = sum(s.p for s in config.sites)
             dist[c] = dist.get(c, 0.0) + w * abs(amp) ** 2
     outcomes = sorted(dist)
     if len(outcomes) == 1:
@@ -235,10 +238,10 @@ def count_p_terms(state, rng=None):
     prob = dist[outcome]
     new_branches = []
     for w, st in state.branches:
-        kept = {c: a for c, a in st if c.level_total(2) == outcome}
+        kept = {c: a for c, a in st if sum(s.p for s in c.sites) == outcome}
         if not kept:
             continue
-        bw = sum(abs(a) ** 2 for a in kept.values())
+        bw = left_sum(abs(a) ** 2 for a in kept.values())
         scale = 1.0 / math.sqrt(bw)
         new_branches.append(
             (w * bw / prob,

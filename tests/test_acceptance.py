@@ -160,7 +160,7 @@ def test_acceptance_4_repair_correctness():
         demand = 2 * int((a == 0).sum()) + int((a == 1).sum())
         if int((a == 4).sum()) < demand:
             continue  # criterion applies to donor-surplus lattices
-        repaired, rep = repair_occupations(a, "exhaustive")
+        repaired, rep = repair_occupations(a)
         if rep.residual_empty or rep.residual_single:
             failures.append(f"residual defects at L={L}")
         if rep.atoms_lost != rep.defects_fixed:

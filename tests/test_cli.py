@@ -137,6 +137,21 @@ def test_gates_rejects_flags_of_other_gates(capsys):
     assert "macro 'cz' has no field 'q'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_gates_rejects_non_finite_phi(tmp_path, capsys, phi):
+    out = tmp_path / "g.json"
+    assert main(["gates", "--gate", "phase", "--q", "1", f"--phi={phi}", "--n", "2",
+                 "--out", str(out)]) == 2
+    assert "phase angle must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reports_refuse_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(str(tmp_path / "r.json"), {"z": math.inf})
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_gates_missing_flags(capsys):
     assert main(["gates", "--gate", "phase", "--q", "1"]) == 2
     assert main(["gates", "--gate", "cz", "--q1", "1"]) == 2
@@ -179,7 +194,8 @@ def test_stats_z_gate_fails_loudly(tmp_path, capsys):
     assert rc == 1
     report = read_json(out)
     assert report["counts"] == [0, 0]
-    assert report["z"] == -math.inf
+    assert report["z"] is None  # -inf has no strict-JSON spelling
+    assert "Infinity" not in out.read_text()
 
 
 def test_stats_rejects_a_single_trial(tmp_path, capsys):
@@ -349,6 +365,11 @@ def test_run_error_paths(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["run", str(good), str(broken)]) == 2
+    capsys.readouterr()
+    infinite = tmp_path / "inf.txt"
+    infinite.write_text("W\nV inf\n")
+    assert main(["run", str(infinite), str(lat)]) == 2
+    assert "line 2: 'V inf': rotation angle must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

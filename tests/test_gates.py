@@ -34,7 +34,6 @@ from latticeqc import (
     macros_to_json_obj,
     matrix_to_json_obj,
     measure_qubit,
-    resolve_rest,
     run_circuit,
 )
 
@@ -123,17 +122,16 @@ def test_compile_offset_validation():
 
 
 def test_resolve_rest_defaults_to_leftmost():
-    assert resolve_rest(MeasureQubit(1), 4) == 4
-    assert resolve_rest(MeasureQubit(1, rest=2), 4) == 2
-    with pytest.raises(ValueError):
-        resolve_rest(MeasureQubit(1), None)
+    assert MeasureQubit(1).qubits(4) == (1, 4)
+    assert MeasureQubit(1, rest=2).qubits(4) == (1, 2)
+    assert compile_macro(MeasureQubit(1), n=4) == compile_macro(MeasureQubit(1, rest=4), n=4)
 
 
 def test_involved_qubits():
-    assert involved_qubits(PhaseGate(2, 0.1)) == (2,)
-    assert involved_qubits(ControlPhasePi(1, 3)) == (1, 3)
+    assert involved_qubits(PhaseGate(2, 0.1), n=3) == (2,)
+    assert involved_qubits(ControlPhasePi(1, 3), n=3) == (1, 3)
     with pytest.raises(ValueError, match="MeasureQubit has no unitary logical action"):
-        involved_qubits(MeasureQubit(1, rest=2))
+        involved_qubits(MeasureQubit(1, rest=2), n=2)
     with pytest.raises(ValueError, match="MeasureQubit has no unitary logical action"):
         involved_qubits(MeasureQubit(1), n=2)
     with pytest.raises(ValueError, match="MeasureQubit has no unitary logical action"):

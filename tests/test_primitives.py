@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import dense_site_configs, op_matrix, random_config, random_state, step_terms
+from helpers import (
+    count_p_terms,
+    dense_site_configs,
+    op_matrix,
+    random_config,
+    random_state,
+    step_terms,
+)
 from latticeqc import (
     M_MAX,
     ABRotation,
@@ -363,6 +370,29 @@ def test_count_p_mixture_distribution():
     assert seen == {2.0, 5.0}
 
 
+def test_count_p_sums_weights_left_to_right():
+    # The three squared amplitudes of the outcome-1 terms add up to
+    # 0.49999999999999994 left to right, 0.5 when correctly rounded.  The
+    # collapse probability and the branch weight are the same left-to-right
+    # sum, so the lone branch keeps weight exactly 1 on every Python.
+    top = BasisConfig.from_counts([(0, 0, 0), (0, 0, 0)])
+    ones = [BasisConfig.from_counts([(k, 0, 1), (0, 0, 0)]) for k in range(3)]
+    squares = [2 / 30, 6 / 30, 7 / 30]
+    st = MixedState([(1.0, PureState({top: SQ(0.5), **dict(zip(ones, map(SQ, squares)))}))])
+    kept = [abs(complex(SQ(x))) ** 2 for x in squares]
+    assert kept[0] + kept[1] + kept[2] != math.fsum(kept)
+
+    class Upper:
+        def random(self):
+            return 0.75
+
+    for fn in (count_p, count_p_terms):
+        value, after = fn(st, Upper())
+        assert value == 1.0
+        ((w, _),) = after.branches
+        assert w == 1.0
+
+
 # -- script DSL --------------------------------------------------------------
 
 
@@ -407,12 +437,18 @@ def test_script_parse_errors_carry_line_numbers():
             Script.parse(f"W\n{line}\n")
 
 
+@pytest.mark.parametrize("line", ["V inf", "V nan", "C nan", "C -inf"])
+def test_script_parse_rejects_non_finite_angles(line):
+    with pytest.raises(ScriptParseError, match=f"line 3: '{line}': .* must be finite"):
+        Script.parse(f"W\n\n{line}\n")
+    with pytest.raises(ValueError, match="must be finite"):
+        {"V": ABRotation, "C": Collide}[line[0]](float(line[2:]))
+
+
 def test_script_concatenation():
     a = Script([Shift(1)])
     b = Script([EmptyP()])
     assert (a + b).ops == (Shift(1), EmptyP())
-    assert a.is_basis_preserving()
-    assert not Script([ABRotation(0.1)]).is_basis_preserving()
 
 
 # -- interpreter: fast path vs generic path ----------------------------------
@@ -529,7 +565,7 @@ def test_prop_compiled_engine_matches_sparse_kernels(case):
         ((ref_config, ref_amp),) = ref.branches[0][1].terms.items()
         assert config == ref_config
         assert abs(amp - ref_amp) <= 1e-12
-        assert np.array_equal(out, config.to_array())
+        assert np.array_equal(out, np.array(config.sites))
 
 
 @given(classical_cases(), st.data())

@@ -193,14 +193,14 @@ def test_verify_formatted_lists_computers():
     cfg = BasisConfig.from_counts(
         [(0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 0)]
     )
-    (comp,) = verify_formatted(cfg.to_array(), 2)
+    (comp,) = verify_formatted(np.array(cfg.sites), 2)
     assert comp == ComputerDescriptor(home=3, n=2, qubit_sites=(1, 2))
 
 
 def test_verify_formatted_flags_strays():
     cfg = BasisConfig.from_counts([(2, 0, 0), (1, 0, 1)])
     with pytest.raises(StrayAtomsError) as err:
-        verify_formatted(cfg.to_array(), 1)
+        verify_formatted(np.array(cfg.sites), 1)
     assert err.value.sites == (0, 1)
     assert str(err.value) == "stray atoms at sites (0, 1)"
 
@@ -230,7 +230,7 @@ def test_verify_formatted_agrees_with_oracle():
 
 
 def test_verify_empty_lattice_has_no_computers():
-    assert verify_formatted(BasisConfig.from_counts([(0, 0, 0)] * 4).to_array(), 2) == []
+    assert verify_formatted(np.zeros((4, 3), dtype=np.int64), 2) == []
 
 
 # -- repair ------------------------------------------------------------------
@@ -271,7 +271,7 @@ def test_repair_rounds_match_vectorized_driver():
         a = rng.integers(0, 5, size=L)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            repaired, _ = repair_occupations(a, "exhaustive")
+            repaired, _ = repair_occupations(a)
         occ = np.zeros((L, 3), dtype=np.int64)
         occ[:, 0] = a
         for phase in ("fill_empty", "fill_single"):
@@ -284,7 +284,7 @@ def test_repair_rounds_match_vectorized_driver():
 def test_repair_with_surplus_donors_clears_everything():
     rng = np.random.default_rng(33)
     a = rng.choice([0, 1, 2, 4], size=200, p=[0.05, 0.1, 0.35, 0.5])
-    repaired, report = repair_occupations(a, "exhaustive")
+    repaired, report = repair_occupations(a)
     assert report.residual_empty == 0
     assert report.residual_single == 0
     assert (repaired >= 2).all()
@@ -296,22 +296,11 @@ def test_repair_with_surplus_donors_clears_everything():
 
 def test_repair_runs_out_of_donors():
     with pytest.warns(RuntimeWarning, match="insufficient donors"):
-        repaired, report = repair_occupations(np.array([4, 0, 0, 0]), "exhaustive")
+        repaired, report = repair_occupations(np.array([4, 0, 0, 0]))
     assert report.defects_fixed == 1
     assert report.atoms_lost == 1
     assert report.residual_empty == 2
     assert_array_equal(repaired, [2, 1, 0, 0])
-
-
-def test_repair_random_schedule_needs_rng():
-    with pytest.raises(ValueError):
-        repair_occupations(np.array([4, 0]), "random")
-    rng = np.random.default_rng(1)
-    a = np.array([4, 0, 2, 4])
-    repaired, report = repair_occupations(a, "random", rng=rng, rounds=50)
-    assert report.residual_empty == 0
-    assert report.residual_single == 0
-    assert_array_equal(repaired, [2, 2, 2, 2])
 
 
 def test_repair_report_json_keys():
@@ -327,25 +316,25 @@ def test_repair_report_json_keys():
 
 def test_repair_rejects_bad_counts():
     with pytest.raises(ValueError):
-        repair_occupations(np.array([5, 0]), "exhaustive")
+        repair_occupations(np.array([5, 0]))
     with pytest.raises(ValueError):
-        repair_occupations(np.array([[2, 2], [2, 2]]), "exhaustive")
+        repair_occupations(np.array([[2, 2], [2, 2]]))
     with pytest.raises(ValueError, match="integer counts"):
-        repair_occupations(np.array([4.7, 0.2, 2.0]), "exhaustive")
+        repair_occupations(np.array([4.7, 0.2, 2.0]))
     with pytest.raises(ValueError, match="integer counts"):
-        repair_occupations(np.array([4.0, np.nan, 2.0]), "exhaustive")
-    repaired, _ = repair_occupations(np.array([4.0, 1.0, 2.0]), "exhaustive")
+        repair_occupations(np.array([4.0, np.nan, 2.0]))
+    repaired, _ = repair_occupations(np.array([4.0, 1.0, 2.0]))
     assert_array_equal(repaired, [2, 2, 2])
 
 
-def _repair_both_ways(a, schedule, seed, rounds):
-    """Run the engine and the dense reference on the same input and rng
-    stream; return each one's (array, report, warning categories)."""
+def _repair_both_ways(a):
+    """Run the engine and the dense reference on the same input; return
+    each one's (array, report, warning categories)."""
     out = []
     for fn in (repair_occupations, repair_occupations_dense):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            repaired, report = fn(a, schedule, np.random.default_rng(seed), rounds)
+            repaired, report = fn(a)
         out.append((repaired, report, [w.category for w in caught]))
     return out
 
@@ -357,21 +346,14 @@ repair_lattices = st.sets(st.integers(0, 4), min_size=1).flatmap(
 )
 
 
-@given(
-    counts=repair_lattices,
-    schedule=st.sampled_from(["exhaustive", "random"]),
-    rounds=st.integers(0, 10),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(counts=[4, 0, 0, 0], schedule="exhaustive", rounds=0, seed=0)
-@example(counts=[0, 1, 1, 2], schedule="random", rounds=10, seed=0)
-@example(counts=[4], schedule="random", rounds=3, seed=0)
+@given(counts=repair_lattices)
+@example(counts=[4, 0, 0, 0])
+@example(counts=[0, 1, 1, 2])
+@example(counts=[4])
 @settings(max_examples=400, deadline=None, derandomize=True)
-def test_prop_repair_matches_dense_loop(counts, schedule, rounds, seed):
+def test_prop_repair_matches_dense_loop(counts):
     a = np.array(counts, dtype=np.int64)
-    (fast, fast_report, fast_warns), (ref, ref_report, ref_warns) = _repair_both_ways(
-        a, schedule, seed, rounds
-    )
+    (fast, fast_report, fast_warns), (ref, ref_report, ref_warns) = _repair_both_ways(a)
     assert_array_equal(fast, ref)
     assert fast_report == ref_report
     assert fast_warns == ref_warns
@@ -381,9 +363,7 @@ def test_prop_repair_matches_dense_loop(counts, schedule, rounds, seed):
 def test_repair_matches_dense_loop_at_scale():
     dist = FillDistribution(0.05, 0.1, 0.45, 0.1, 0.3)
     a = sample_occupations(100_000, dist, np.random.default_rng(20))
-    (fast, fast_report, fast_warns), (ref, ref_report, ref_warns) = _repair_both_ways(
-        a, "exhaustive", 0, None
-    )
+    (fast, fast_report, fast_warns), (ref, ref_report, ref_warns) = _repair_both_ways(a)
     assert_array_equal(fast, ref)
     assert fast_report == ref_report
     assert fast_warns == ref_warns == []
