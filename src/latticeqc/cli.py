@@ -11,6 +11,8 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,13 +50,79 @@ def _dist_from_args(args) -> FillDistribution:
     return FillDistribution(args.p0, args.p1, p2, args.p3, args.p4)
 
 
+def _dumps(obj) -> str:
+    """The stdlib's JSON text of obj at ``indent=2, sort_keys=True,
+    allow_nan=False``, byte for byte.  With an indent the stdlib encodes
+    item by item in Python; here a list of ints is one join, and a list of
+    equal-width int rows (a lattice's sites) renders each distinct row
+    once.  Scalars other than str and int go to ``json.dumps``."""
+    out: list[str] = []
+    _put(obj, "\n", out)
+    return "".join(out)
+
+
+def _put(value, nl: str, out: list):
+    # nl is a newline plus the indentation of the line that holds value
+    if type(value) is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        out.append("[" + inner)
+        types = set(map(type, value))
+        if types == {int}:
+            out.append(sep.join(map(int.__repr__, value)))
+        elif (types <= {list, tuple} and len(set(map(len, value))) == 1
+              and set(map(type, chain.from_iterable(value))) == {int}):
+            # rows of one width, at least 1, that hold only ints (no bool)
+            width = len(value[0])
+            row_nl = inner + "  "
+            template = "[" + row_nl + ("," + row_nl).join(["{}"] * width) + inner + "]"
+            text = {row: template.format(*row) for row in set(map(tuple, value))}
+            out.append(sep.join(map(text.__getitem__, map(tuple, value))))
+        else:
+            for k, item in enumerate(value):
+                if k:
+                    out.append(sep)
+                _put(item, inner, out)
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        out.append("{" + inner)
+        for k, (key, item) in enumerate(sorted(value.items())):
+            if k:
+                out.append("," + inner)
+            out.append(_key(key) + ": ")
+            _put(item, inner, out)
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(value, allow_nan=False))
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + json.dumps(key, allow_nan=False) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
 def _write_json(path: str | None, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _dumps(obj)  # a value json cannot write raises before the file opens
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            print(text, file=fh)
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
 def _add_dist_flags(p: argparse.ArgumentParser, p0=0.1, p1=0.1):

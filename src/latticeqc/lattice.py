@@ -10,7 +10,10 @@ pointer counter) decohere in the occupation basis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
@@ -73,11 +76,16 @@ class BasisConfig:
 
 
 def check_sites(sites, a_only: bool = False) -> list:
-    """A JSON list of sites, checked in one pass: it is not empty and every
-    site is a list of three integers; with ``a_only`` (format's input)
+    """A JSON list of sites, checked: it is not empty and every site is a
+    list of three integers; with ``a_only`` (format's input)
     every site reads [a, 0, 0]."""
     if not isinstance(sites, list):
         raise ValueError(f"a lattice is a list of sites, got {type(sites).__name__}")
+    # the whole list at C speed first; the walk below only names the bad site
+    if (set(map(type, sites)) == {list} and set(map(len, sites)) == {3}
+            and set(map(type, chain.from_iterable(sites))) == {int}
+            and not (a_only and any(map(any, map(itemgetter(1, 2), sites))))):
+        return sites
     rule = ("format takes sites [a, 0, 0] with every atom in level a" if a_only
             else "a site is a list [a, b, p] of three integers")
     for k, site in enumerate(sites):
@@ -281,15 +289,16 @@ class MixedState:
         """The inverse of :meth:`to_json_obj`; malformed input is a ValueError."""
         branches = []
         try:
-            for b in obj["branches"]:
+            for i, b in enumerate(obj["branches"]):
                 terms = {
-                    BasisConfig.from_json_obj(t["config"]):
-                        complex(_real(t["re"]), _real(t["im"]))
-                    for t in b["terms"]
+                    BasisConfig.from_json_obj(t["config"]): complex(
+                        _real(t["re"], f"branch {i} term {j} re"),
+                        _real(t["im"], f"branch {i} term {j} im"))
+                    for j, t in enumerate(b["terms"])
                 }
                 if len(terms) != len(b["terms"]):
                     raise ValueError("a branch lists one configuration twice")
-                branches.append((_real(b["weight"]), PureState(terms)))
+                branches.append((_real(b["weight"], f"branch {i} weight"), PureState(terms)))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed state: {exc!r}") from exc
         return cls(branches)
@@ -298,10 +307,11 @@ class MixedState:
         return f"MixedState({len(self.branches)} branches, L={self.L})"
 
 
-def _real(x) -> float:
-    if type(x) not in (int, float):
-        raise ValueError(f"expected a number, got {x!r}")
-    return x
+def _real(x, where: str) -> float:
+    # NaN would slip past PureState's pruning and MixedState's weight test
+    if type(x) is int or (type(x) is float and math.isfinite(x)):
+        return x
+    raise ValueError(f"{where} is {json.dumps(x)}; expected a finite number")
 
 
 def classical(config: BasisConfig | Iterable) -> MixedState:

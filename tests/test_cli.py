@@ -61,7 +61,8 @@ def test_format_rejects_empty_lattice(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "sites", [[[1, 1, 0]], [[2, 0, 3]], [[2, 0, 0], [1, 0]], [[1.0, 0, 0]], [2]]
+    "sites", [[[1, 1, 0]], [[2, 0, 3]], [[2, 0, 0], [1, 0]], [[1.0, 0, 0]], [2],
+              [[2, 0, 0], [True, 0, 0]]]
 )
 def test_format_rejects_sites_outside_level_a(tmp_path, capsys, sites):
     # format reads level a only; b, p or a malformed site must not be dropped
@@ -387,6 +388,35 @@ def test_run_rejects_malformed_lattices(tmp_path, capsys, lattice, message):
     lat = tmp_path / "lat.json"
     lat.write_text(json.dumps(lattice))
     out = tmp_path / "out.json"
+    assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [({"re": math.nan}, "branch 0 term 1 re is NaN"),
+     ({"weight": math.nan}, "branch 1 weight is NaN")],
+    ids=["term-re", "branch-weight"],
+)
+def test_run_rejects_non_finite_numbers_in_state_files(tmp_path, capsys, bad, message):
+    # NaN passes neither PureState's pruning nor MixedState's weight test:
+    # unrefused, it would drop its term or branch from this valid state and
+    # exit 0
+    state = {"branches": [
+        {"weight": 1.0, "terms": [{"config": [[1, 0, 0]], "re": 1.0, "im": 0.0},
+                                  {"config": [[1, 0, 1]], "re": 0.0, "im": 0.0}]},
+        {"weight": 0.0, "terms": [{"config": [[1, 0, 1]], "re": 1.0, "im": 0.0}]},
+    ]}
+    lat = tmp_path / "state.json"
+    lat.write_text(json.dumps(state))
+    script = tmp_path / "w.txt"
+    script.write_text("W\n")
+    out = tmp_path / "out.json"
+    assert main(["run", str(script), str(lat)]) == 0
+    where = state["branches"][0]["terms"][1] if "re" in bad else state["branches"][1]
+    where.update(bad)
+    lat.write_text(json.dumps(state))  # json writes the NaN token, json.load reads it
     assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
