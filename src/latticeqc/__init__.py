@@ -31,18 +31,8 @@ from .primitives import (
     ScriptParseError,
     Shift,
     WSwap,
-    ab_rotation,
-    apply,
     apply_classical,
-    collide,
-    count_p,
-    defect_split,
-    empty_b,
-    empty_p,
     execute,
-    pair_transfer,
-    shift_p,
-    w_swap,
 )
 from .protocols import (
     ComputerDescriptor,

@@ -22,6 +22,7 @@ from .primitives import Script, execute
 from .protocols import (
     FormattingError,
     StrayAtomsError,
+    depopulate_classical,
     format_counts,
     oracle_computers,
     verify_formatted,
@@ -166,7 +167,7 @@ def cmd_format(args) -> int:
     }
     status = 0
     if args.check_oracle:
-        predicted = oracle_computers(np.minimum(a, 2), args.n)
+        predicted = oracle_computers(depopulate_classical(a, 2), args.n)
         agree = predicted == computers
         report["oracle_match"] = bool(agree)
         if not agree:

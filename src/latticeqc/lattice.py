@@ -56,13 +56,6 @@ class BasisConfig:
     def from_counts(cls, counts: Iterable[Iterable[int]]) -> "BasisConfig":
         return cls(tuple(SiteOccupancy(int(a), int(b), int(p)) for a, b, p in counts))
 
-    @classmethod
-    def from_array(cls, occ: np.ndarray) -> "BasisConfig":
-        occ = np.asarray(occ)
-        if occ.ndim != 2 or occ.shape[1] != 3:
-            raise ValueError(f"expected shape (L, 3), got {occ.shape}")
-        return cls.from_counts(occ.tolist())
-
     @property
     def L(self) -> int:
         return len(self.sites)

@@ -450,9 +450,7 @@ def _empty(state: MixedState, op) -> MixedState:
     return MixedState(new_branches)
 
 
-def count_p(
-    state: MixedState, rng: np.random.Generator | None = None
-) -> tuple[float, MixedState]:
+def _count_p(state: MixedState, rng: np.random.Generator | None) -> tuple[MixedState, float]:
     """Measure the total pointer count: draw one outcome (Born rule) and
     collapse.  When a single outcome has all the probability no
     randomness is consumed, so runs on classical ensembles stay
@@ -466,7 +464,7 @@ def count_p(
             dist[c] = dist.get(c, 0.0) + w * abs(a) ** 2
     outcomes = sorted(dist)
     if len(outcomes) == 1:
-        return float(outcomes[0]), state
+        return state, float(outcomes[0])
     if rng is None:
         raise ValueError("sampling a non-deterministic count requires an rng")
     r = rng.random()
@@ -488,7 +486,7 @@ def count_p(
         bw = float(np.cumsum([abs(a) ** 2 for a in amps.tolist()])[-1])
         amp = _scale(amps, 1.0 / math.sqrt(bw))
         new_branches.append((w * bw / prob, PureState._from_codes(st.codes[rows], amp)))
-    return float(outcome), MixedState(new_branches)
+    return MixedState(new_branches), float(outcome)
 
 
 def _step(
@@ -499,8 +497,7 @@ def _step(
     if type(op) not in _OPS:
         raise TypeError(f"unknown op {op!r}")
     if op.kind == "count":
-        value, state = count_p(state, rng)
-        return state, value
+        return _count_p(state, rng)
     if op.kind == "empty":
         return _empty(state, op), None
     branches = [(w, _unitary(st, op)) for w, st in state.branches]
@@ -522,39 +519,7 @@ def apply_classical(occ: np.ndarray, script: Script) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public op wrappers and the interpreter
-
-
-def pair_transfer(state: MixedState, m: int, n: int, x: int) -> MixedState:
-    return _step(state, PairTransfer(m, n, x))[0]
-
-
-def w_swap(state: MixedState) -> MixedState:
-    return _step(state, WSwap())[0]
-
-
-def ab_rotation(state: MixedState, theta: float) -> MixedState:
-    return _step(state, ABRotation(theta))[0]
-
-
-def collide(state: MixedState, phi: float) -> MixedState:
-    return _step(state, Collide(phi))[0]
-
-
-def shift_p(state: MixedState, x: int) -> MixedState:
-    return _step(state, Shift(x))[0]
-
-
-def empty_p(state: MixedState) -> MixedState:
-    return _step(state, EmptyP())[0]
-
-
-def empty_b(state: MixedState) -> MixedState:
-    return _step(state, EmptyB())[0]
-
-
-def defect_split(state: MixedState, eps: float) -> MixedState:
-    return _step(state, DefectSplit(eps))[0]
+# the interpreter
 
 
 def execute(
@@ -568,9 +533,3 @@ def execute(
             counts.append(value)
     return state, counts
 
-
-def apply(
-    state: MixedState, script: Script, rng: np.random.Generator | None = None
-) -> MixedState:
-    """Like :func:`execute` but discards measurement outcomes."""
-    return execute(state, script, rng)[0]

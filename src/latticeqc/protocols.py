@@ -281,11 +281,11 @@ def repair_occupations(a: np.ndarray) -> tuple[np.ndarray, RepairReport]:
 # controlled defect creation
 
 
-def create_defects_script(eps: float, cutoff: int = 4) -> Script:
+def create_defects_script(eps: float) -> Script:
     """Depopulate to two atoms, then split each pair site into a
     two-atom/one-atom superposition and trace out level b, leaving an
     independent one-atom defect with probability eps per site."""
-    return depopulate_script(cutoff, 2) + Script([DefectSplit(eps), EmptyB()])
+    return depopulate_script(4, 2) + Script([DefectSplit(eps), EmptyB()])
 
 
 def sample_defect_creation(

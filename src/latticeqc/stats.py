@@ -121,9 +121,8 @@ def trial_seeds(seed: int, trials: int) -> list[int]:
 
 
 def _yield_trial(args) -> int:
-    trial_seed, L, probs, n, mode = args
-    rng = np.random.default_rng(trial_seed)
-    a = rng.choice(5, size=L, p=np.array(probs))
+    trial_seed, L, dist, n, mode = args
+    a = sample_occupations(L, dist, np.random.default_rng(trial_seed))
     if mode == "oracle":
         return count_computers_oracle(a, n)
     if mode == "full_protocol":
@@ -155,7 +154,7 @@ def monte_carlo_yield(
         raise ValueError("need at least two trials for a standard error")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    args = [(s, L, tuple(dist.probs), n, mode) for s in trial_seeds(seed, trials)]
+    args = [(s, L, dist, n, mode) for s in trial_seeds(seed, trials)]
     jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:

@@ -12,8 +12,10 @@ from latticeqc import (
     MixedState,
     PureState,
     RepairReport,
+    Script,
     SiteOccupancy,
     classical,
+    execute,
     oracle_homes,
 )
 from latticeqc.lattice import BRANCH_MERGE_TOL, PRUNE_TOL, _branch_signature
@@ -33,12 +35,16 @@ def dense_site_configs():
     return out
 
 
-def op_matrix(op_fn, configs):
-    """Matrix of a state-to-state map in the given basis."""
+def run_op(state, op, rng=None):
+    return execute(state, Script([op]), rng)[0]
+
+
+def op_matrix(op, configs):
+    """Matrix of one op in the given basis."""
     index = {c: i for i, c in enumerate(configs)}
     M = np.zeros((len(configs), len(configs)), dtype=complex)
     for j, c in enumerate(configs):
-        out = op_fn(classical(c))
+        out = run_op(classical(c), op)
         ((w, st),) = out.branches
         for cfg, amp in st:
             M[index[cfg], j] = amp
@@ -46,7 +52,7 @@ def op_matrix(op_fn, configs):
 
 
 def random_config(rng, L, max_count=2):
-    return BasisConfig.from_array(rng.integers(0, max_count + 1, size=(L, 3)))
+    return BasisConfig.from_counts(rng.integers(0, max_count + 1, size=(L, 3)))
 
 
 def random_state(rng, L, nterms=4, max_count=2):
@@ -218,7 +224,7 @@ def empty_level(state, level_idx):
 
 
 def count_p_terms(state, rng=None):
-    """Sample the total pointer count and collapse, as ``count_p`` does."""
+    """Sample the total pointer count and collapse, as COUNTP does."""
     dist = {}
     for w, st in state.branches:
         for config, amp in st:

@@ -15,12 +15,14 @@ from helpers import (
     op_matrix,
     random_config,
     random_state,
+    run_op,
 )
 from latticeqc import (
     ABRotation,
     BasisConfig,
     Collide,
     ControlPhasePi,
+    DefectSplit,
     EmptyB,
     EmptyP,
     FillDistribution,
@@ -33,28 +35,20 @@ from latticeqc import (
     Script,
     Shift,
     WSwap,
-    ab_rotation,
     apply_classical,
     classical,
-    collide,
     computer_config,
-    defect_split,
-    empty_b,
-    empty_p,
     execute,
     extract_logical_unitary,
     fidelity,
     hadamard_phase_correction,
     measure_qubit,
     monte_carlo_yield,
-    pair_transfer,
     prepare_script,
     repair_experiment,
     repair_occupations,
     repaired_yield,
     run_circuit,
-    shift_p,
-    w_swap,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -232,7 +226,7 @@ def test_acceptance_6_spectator_sandwich():
         while len(configs) < 3:
             occ = rng.integers(0, 4, size=(L, 3))
             occ[:, 2] = 0  # zero pointer occupation everywhere
-            configs.add(BasisConfig.from_array(occ))
+            configs.add(BasisConfig.from_counts(occ))
         amps = rng.normal(size=3) + 1j * rng.normal(size=3)
         amps /= np.linalg.norm(amps)
         state = MixedState([(1.0, PureState(dict(zip(sorted(configs), amps))))])
@@ -340,20 +334,16 @@ def test_acceptance_8_primitive_algebra():
     for i in range(1000):
         kind = i % 5
         if kind == 0:
-            m, n, x = _random_valid_transfer(rng)
-            fn = lambda s: pair_transfer(s, m, n, x)
+            op = PairTransfer(*_random_valid_transfer(rng))
         elif kind == 1:
-            fn = w_swap
+            op = WSwap()
         elif kind == 2:
-            theta = float(rng.uniform(-math.pi, math.pi))
-            fn = lambda s: ab_rotation(s, theta)
+            op = ABRotation(float(rng.uniform(-math.pi, math.pi)))
         elif kind == 3:
-            phi = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-            fn = lambda s: collide(s, phi)
+            op = Collide(float(rng.uniform(-2 * math.pi, 2 * math.pi)))
         else:
-            eps = float(rng.uniform(0, 1))
-            fn = lambda s: defect_split(s, eps)
-        M = op_matrix(fn, configs)
+            op = DefectSplit(float(rng.uniform(0, 1)))
+        M = op_matrix(op, configs)
         if np.abs(M.conj().T @ M - eye).max() > 1e-12:
             failures.append(f"unitarity case {i}")
             break
@@ -361,11 +351,8 @@ def test_acceptance_8_primitive_algebra():
     # involution: transfers and the W swap square to the identity
     for i in range(1000):
         state = random_state(rng, L=3)
-        if i % 2:
-            m, n, x = _random_valid_transfer(rng)
-            twice = pair_transfer(pair_transfer(state, m, n, x), m, n, x)
-        else:
-            twice = w_swap(w_swap(state))
+        op = PairTransfer(*_random_valid_transfer(rng)) if i % 2 else WSwap()
+        twice = run_op(run_op(state, op), op)
         if fidelity(state, twice, mode="strict") != 1.0:
             failures.append(f"involution case {i}")
             break
@@ -374,7 +361,7 @@ def test_acceptance_8_primitive_algebra():
     for i in range(1000):
         state = random_state(rng, L=4)
         x = int(rng.integers(-8, 9))
-        back = shift_p(shift_p(state, x), -x)
+        back = run_op(run_op(state, Shift(x)), Shift(-x))
         if fidelity(state, back, mode="strict") != 1.0:
             failures.append(f"shift-inverse case {i}")
             break
@@ -383,8 +370,8 @@ def test_acceptance_8_primitive_algebra():
     for i in range(1000):
         state = random_state(rng, L=3)
         p1, p2 = rng.uniform(-3, 3, size=2)
-        a = collide(collide(state, p1), p2)
-        b = collide(state, p1 + p2)
+        a = run_op(run_op(state, Collide(p1)), Collide(p2))
+        b = run_op(state, Collide(p1 + p2))
         if fidelity(a, b, mode="paired") < 1 - 1e-12:
             failures.append(f"additivity case {i}")
             break
@@ -396,27 +383,23 @@ def test_acceptance_8_primitive_algebra():
         d = int(rng.integers(1, 4))
         kind = kinds[i % len(kinds)]
         if kind == "transfer":
-            m, n, x = _random_valid_transfer(rng)
-            fn = lambda s: pair_transfer(s, m, n, x)
+            op = PairTransfer(*_random_valid_transfer(rng))
         elif kind == "w":
-            fn = w_swap
+            op = WSwap()
         elif kind == "v":
-            theta = float(rng.uniform(-1, 1))
-            fn = lambda s: ab_rotation(s, theta)
+            op = ABRotation(float(rng.uniform(-1, 1)))
         elif kind == "c":
-            phi = float(rng.uniform(-3, 3))
-            fn = lambda s: collide(s, phi)
+            op = Collide(float(rng.uniform(-3, 3)))
         elif kind == "s":
-            step = int(rng.integers(-4, 5))
-            fn = lambda s: shift_p(s, step)
+            op = Shift(int(rng.integers(-4, 5)))
         elif kind == "ep":
-            fn = empty_p
+            op = EmptyP()
         elif kind == "eb":
-            fn = empty_b
+            op = EmptyB()
         else:
-            eps = float(rng.uniform(0, 1))
-            fn = lambda s: defect_split(s, eps)
-        if fidelity(fn(state).translate(d), fn(state.translate(d)), mode="strict") != 1.0:
+            op = DefectSplit(float(rng.uniform(0, 1)))
+        a, b = run_op(state, op).translate(d), run_op(state.translate(d), op)
+        if fidelity(a, b, mode="strict") != 1.0:
             failures.append(f"covariance case {i} ({kind})")
             break
 
@@ -442,18 +425,7 @@ def test_acceptance_8_primitive_algebra():
         fast, _ = execute(classical(cfg), script)
         slow = classical(cfg)
         for op in ops:
-            if isinstance(op, PairTransfer):
-                slow = pair_transfer(slow, op.m, op.n, op.x)
-            elif isinstance(op, WSwap):
-                slow = w_swap(slow)
-            elif isinstance(op, Shift):
-                slow = shift_p(slow, op.x)
-            elif isinstance(op, Collide):
-                slow = collide(slow, op.phi)
-            elif isinstance(op, EmptyP):
-                slow = empty_p(slow)
-            else:
-                slow = empty_b(slow)
+            slow = run_op(slow, op)
         if fidelity(fast, slow, mode="strict") != 1.0:
             failures.append(f"fast-path case {i}")
             break

@@ -83,7 +83,7 @@ def ensemble_cases():
 def _random_branch(rng, L, nterms, max_count=2):
     configs = set()
     while len(configs) < nterms:
-        configs.add(BasisConfig.from_array(rng.integers(0, max_count + 1, size=(L, 3))))
+        configs.add(BasisConfig.from_counts(rng.integers(0, max_count + 1, size=(L, 3))))
     if nterms == 1 and rng.random() < 0.5:
         amps = np.ones(1, dtype=complex)
     else:

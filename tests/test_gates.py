@@ -242,11 +242,11 @@ def test_rotation_sandwich_is_identity_without_pointers():
         occ = rng.integers(0, 3, size=(4, 3))
         occ[:, 2] = 0  # no pointers anywhere
         terms = {}
-        configs = {BasisConfig.from_array(occ)}
+        configs = {BasisConfig.from_counts(occ)}
         while len(configs) < 3:
             occ2 = rng.integers(0, 3, size=(4, 3))
             occ2[:, 2] = 0
-            configs.add(BasisConfig.from_array(occ2))
+            configs.add(BasisConfig.from_counts(occ2))
         amps = rng.normal(size=3) + 1j * rng.normal(size=3)
         amps /= np.linalg.norm(amps)
         state = MixedState([(1.0, PureState(dict(zip(sorted(configs), amps))))])

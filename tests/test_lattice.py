@@ -24,7 +24,7 @@ def test_config_basics():
     c = BasisConfig.from_counts([(2, 0, 0), (1, 0, 1)])
     assert c.L == 2
     assert c.sites[1] == SiteOccupancy(1, 0, 1)
-    assert c == BasisConfig.from_array(np.array(c.sites))
+    assert c == BasisConfig.from_counts(np.array(c.sites))
 
 
 def test_config_validation():
@@ -33,7 +33,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BasisConfig.from_counts([(-1, 0, 0)])
     with pytest.raises(ValueError):
-        BasisConfig.from_array(np.zeros((2, 2), dtype=int))
+        BasisConfig.from_counts(np.zeros((2, 2), dtype=int))
 
 
 def test_classical_respects_cutoff():

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import (
-    count_p_terms,
     dense_site_configs,
     op_matrix,
     random_config,
     random_state,
+    run_op,
     step_terms,
 )
 from latticeqc import (
@@ -33,19 +33,10 @@ from latticeqc import (
     ScriptParseError,
     Shift,
     WSwap,
-    ab_rotation,
     apply_classical,
     classical,
-    collide,
-    count_p,
-    defect_split,
-    empty_b,
-    empty_p,
     execute,
     fidelity,
-    pair_transfer,
-    shift_p,
-    w_swap,
 )
 from latticeqc.primitives import _step
 
@@ -57,19 +48,19 @@ SQ = math.sqrt
 
 def test_pair_transfer_example():
     st = classical([(2, 0, 1), (1, 0, 1)])
-    out = pair_transfer(st, 2, 1, 1)
+    out = run_op(st, PairTransfer(2, 1, 1))
     assert out.sole_config() == BasisConfig.from_counts([(3, 0, 0), (1, 0, 1)])
 
 
 def test_pair_transfer_swaps_both_directions():
     st = classical([(3, 0, 0)])
-    out = pair_transfer(st, 2, 1, 1)
+    out = run_op(st, PairTransfer(2, 1, 1))
     assert out.sole_config() == BasisConfig.from_counts([(2, 0, 1)])
 
 
 def test_pair_transfer_blocked_by_b():
     st = classical([(2, 1, 1)])  # b != 0: the site is opaque to transfers
-    out = pair_transfer(st, 2, 1, 1)
+    out = run_op(st, PairTransfer(2, 1, 1))
     assert out.sole_config() == st.sole_config()
 
 
@@ -79,7 +70,8 @@ def test_pair_transfer_is_involution():
         state = random_state(rng, L=3)
         m, n = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         x = int(rng.integers(-m, n + 1))
-        twice = pair_transfer(pair_transfer(state, m, n, x), m, n, x)
+        op = PairTransfer(m, n, x)
+        twice = run_op(run_op(state, op), op)
         assert fidelity(state, twice, mode="strict") == 1.0
 
 
@@ -89,7 +81,7 @@ def test_pair_transfer_validation():
     with pytest.raises(ValueError):
         PairTransfer(0, 1, 2)  # n-x < 0
     with pytest.raises(OccupationOverflowError):
-        pair_transfer(classical([(0, 0, 0)]), 4, 3, 3)  # endpoint 7 > cutoff
+        run_op(classical([(0, 0, 0)]), PairTransfer(4, 3, 3))  # endpoint 7 > cutoff
 
 
 # -- W swap ------------------------------------------------------------------
@@ -97,9 +89,9 @@ def test_pair_transfer_validation():
 
 def test_w_swap_example_and_involution():
     st = classical([(1, 0, 1), (1, 0, 0)])
-    out = w_swap(st)
+    out = run_op(st, WSwap())
     assert out.sole_config() == BasisConfig.from_counts([(0, 1, 1), (1, 0, 0)])
-    back = w_swap(out)
+    back = run_op(out, WSwap())
     assert back.sole_config() == st.sole_config()
 
 
@@ -126,13 +118,13 @@ def test_ab_rotation_matches_expm_oracle(theta):
     configs = dense_site_configs()
     H = _dense_ab_hamiltonian(configs)
     expected = scipy.linalg.expm(-1j * theta * H)
-    got = op_matrix(lambda s: ab_rotation(s, theta), configs)
+    got = op_matrix(ABRotation(theta), configs)
     assert_allclose(got, expected, atol=1e-12)
 
 
 def test_ab_rotation_single_particle_sector():
     theta = 0.4
-    out = ab_rotation(classical([(1, 0, 0)]), theta)
+    out = run_op(classical([(1, 0, 0)]), ABRotation(theta))
     ((w, branch),) = out.branches
     assert w == 1.0
     assert branch.amplitude(BasisConfig.from_counts([(1, 0, 0)])) == pytest.approx(
@@ -145,8 +137,8 @@ def test_ab_rotation_single_particle_sector():
 
 def test_ab_rotation_pointer_is_spectator():
     theta = math.pi / 8
-    base = ab_rotation(classical([(1, 0, 0)]), theta).branches[0][1]
-    lifted = ab_rotation(classical([(1, 0, 3)]), theta).branches[0][1]
+    base = run_op(classical([(1, 0, 0)]), ABRotation(theta)).branches[0][1]
+    lifted = run_op(classical([(1, 0, 3)]), ABRotation(theta)).branches[0][1]
     for cfg, amp in base:
         (s,) = cfg.sites
         assert lifted.amplitude(
@@ -159,7 +151,7 @@ def test_ab_rotation_inverse():
     for _ in range(20):
         state = random_state(rng, L=2)
         theta = float(rng.uniform(-math.pi, math.pi))
-        round_trip = ab_rotation(ab_rotation(state, theta), -theta)
+        round_trip = run_op(run_op(state, ABRotation(theta)), ABRotation(-theta))
         assert fidelity(state, round_trip, mode="paired") >= 1 - 1e-12
 
 
@@ -167,7 +159,7 @@ def test_ab_rotation_overflow_above_sector_cutoff():
     # per-level counts are inside the cutoff but the a+b sector is not
     st = classical([(4, 3, 0)])
     with pytest.raises(OccupationOverflowError):
-        ab_rotation(st, 0.1)
+        run_op(st, ABRotation(0.1))
 
 
 # -- collide -----------------------------------------------------------------
@@ -176,7 +168,7 @@ def test_ab_rotation_overflow_above_sector_cutoff():
 def test_collide_phase_per_site_product():
     phi = 0.3
     st = classical([(1, 0, 1), (2, 0, 1), (3, 0, 0)])
-    out = collide(st, phi)
+    out = run_op(st, Collide(phi))
     ((_, branch),) = out.branches
     amp = branch.amplitude(st.sole_config())
     assert amp == pytest.approx(cmath.exp(1j * phi * 3))  # 1*1 + 2*1 + 3*0
@@ -187,8 +179,8 @@ def test_collide_additivity():
     for _ in range(25):
         state = random_state(rng, L=3)
         p1, p2 = rng.uniform(-3, 3, size=2)
-        a = collide(collide(state, p1), p2)
-        b = collide(state, p1 + p2)
+        a = run_op(run_op(state, Collide(p1)), Collide(p2))
+        b = run_op(state, Collide(p1 + p2))
         assert fidelity(a, b, mode="paired") >= 1 - 1e-12
 
 
@@ -197,7 +189,7 @@ def test_collide_additivity():
 
 def test_shift_moves_pointer_right():
     st = classical([(0, 0, 1), (1, 0, 0), (2, 0, 0)])
-    out = shift_p(st, 1)
+    out = run_op(st, Shift(1))
     assert out.sole_config() == BasisConfig.from_counts(
         [(0, 0, 0), (1, 0, 1), (2, 0, 0)]
     )
@@ -208,16 +200,16 @@ def test_shift_composition_and_inverse():
     for _ in range(30):
         state = random_state(rng, L=5)
         x, y = int(rng.integers(-6, 7)), int(rng.integers(-6, 7))
-        ab = shift_p(shift_p(state, x), y)
-        once = shift_p(state, x + y)
+        ab = run_op(run_op(state, Shift(x)), Shift(y))
+        once = run_op(state, Shift(x + y))
         assert fidelity(ab, once, mode="strict") == 1.0
-        undone = shift_p(shift_p(state, x), -x)
+        undone = run_op(run_op(state, Shift(x)), Shift(-x))
         assert fidelity(state, undone, mode="strict") == 1.0
 
 
 def test_shift_full_cycle_is_identity():
     st = classical([(1, 0, 1), (0, 0, 1), (2, 0, 0), (0, 0, 0)])
-    assert shift_p(st, 4).sole_config() == st.sole_config()
+    assert run_op(st, Shift(4)).sole_config() == st.sole_config()
 
 
 # -- emptying channels -------------------------------------------------------
@@ -225,13 +217,13 @@ def test_shift_full_cycle_is_identity():
 
 def test_empty_p_classical():
     st = classical([(1, 0, 1), (2, 0, 3)])
-    out = empty_p(st)
+    out = run_op(st, EmptyP())
     assert out.sole_config() == BasisConfig.from_counts([(1, 0, 0), (2, 0, 0)])
 
 
 def test_empty_b_classical():
     st = classical([(1, 2, 1)])
-    assert empty_b(st).sole_config() == BasisConfig.from_counts([(1, 0, 1)])
+    assert run_op(st, EmptyB()).sole_config() == BasisConfig.from_counts([(1, 0, 1)])
 
 
 def test_empty_p_splits_on_pattern():
@@ -239,7 +231,7 @@ def test_empty_p_splits_on_pattern():
     c2 = BasisConfig.from_counts([(0, 0, 0)])
     alpha, beta = SQ(1 / 3), SQ(2 / 3)
     st = MixedState([(1.0, PureState({c1: alpha, c2: beta}))])
-    out = empty_p(st)
+    out = run_op(st, EmptyP())
     assert len(out.branches) == 2
     lookup = {next(iter(br.terms)): w for w, br in out.branches}
     assert lookup[BasisConfig.from_counts([(0, 0, 0)])] == pytest.approx(beta**2)
@@ -251,7 +243,7 @@ def test_empty_p_keeps_coherence_within_a_pattern():
     c1 = BasisConfig.from_counts([(1, 0, 1), (0, 0, 0)])
     c2 = BasisConfig.from_counts([(0, 1, 1), (0, 0, 0)])
     st = MixedState([(1.0, PureState({c1: SQ(0.5), c2: SQ(0.5)}))])
-    out = empty_p(st)
+    out = run_op(st, EmptyP())
     assert len(out.branches) == 1
     w, branch = out.branches[0]
     assert w == pytest.approx(1.0)
@@ -262,7 +254,7 @@ def test_empty_p_merges_identical_results():
     c1 = BasisConfig.from_counts([(1, 0, 1)])
     c2 = BasisConfig.from_counts([(1, 0, 0)])
     st = MixedState([(1.0, PureState({c1: SQ(0.5), c2: SQ(0.5)}))])
-    out = empty_p(st)
+    out = run_op(st, EmptyP())
     assert len(out.branches) == 1
     assert out.branches[0][0] == pytest.approx(1.0)
     assert out.sole_config() == BasisConfig.from_counts([(1, 0, 0)])
@@ -273,7 +265,7 @@ def test_empty_p_merges_identical_results():
 
 def test_defect_split_columns():
     eps = 0.2
-    out = defect_split(classical([(2, 0, 0)]), eps)
+    out = run_op(classical([(2, 0, 0)]), DefectSplit(eps))
     ((_, branch),) = out.branches
     assert branch.amplitude(BasisConfig.from_counts([(2, 0, 0)])) == pytest.approx(
         SQ(1 - eps)
@@ -281,7 +273,7 @@ def test_defect_split_columns():
     assert branch.amplitude(BasisConfig.from_counts([(1, 1, 0)])) == pytest.approx(
         SQ(eps)
     )
-    out2 = defect_split(classical([(1, 1, 0)]), eps)
+    out2 = run_op(classical([(1, 1, 0)]), DefectSplit(eps))
     ((_, branch2),) = out2.branches
     assert branch2.amplitude(BasisConfig.from_counts([(2, 0, 0)])) == pytest.approx(
         -SQ(eps)
@@ -293,16 +285,16 @@ def test_defect_split_columns():
 
 def test_defect_split_edge_values():
     st = classical([(2, 0, 0), (1, 0, 1)])
-    same = defect_split(st, 0.0)
+    same = run_op(st, DefectSplit(0.0))
     assert same.sole_config() == st.sole_config()
-    flipped = defect_split(st, 1.0)
+    flipped = run_op(st, DefectSplit(1.0))
     assert flipped.sole_config() == BasisConfig.from_counts([(1, 1, 0), (1, 0, 1)])
     with pytest.raises(ValueError):
         DefectSplit(1.5)
 
 
 def test_defect_split_untouched_sites():
-    out = defect_split(classical([(2, 0, 1), (1, 1, 1), (3, 0, 0)]), 0.5)
+    out = run_op(classical([(2, 0, 1), (1, 1, 1), (3, 0, 0)]), DefectSplit(0.5))
     assert out.sole_config() == BasisConfig.from_counts(
         [(2, 0, 1), (1, 1, 1), (3, 0, 0)]
     )
@@ -316,15 +308,15 @@ def test_primitives_unitary_on_dense_space():
     dim = len(configs)
     eye = np.eye(dim)
     cases = [
-        lambda s: pair_transfer(s, 2, 1, 1),
-        lambda s: pair_transfer(s, 0, 4, 2),
-        w_swap,
-        lambda s: ab_rotation(s, math.pi / 8),
-        lambda s: collide(s, 1.1),
-        lambda s: defect_split(s, 0.3),
+        PairTransfer(2, 1, 1),
+        PairTransfer(0, 4, 2),
+        WSwap(),
+        ABRotation(math.pi / 8),
+        Collide(1.1),
+        DefectSplit(0.3),
     ]
-    for fn in cases:
-        M = op_matrix(fn, configs)
+    for op in cases:
+        M = op_matrix(op, configs)
         assert_allclose(M.conj().T @ M, eye, atol=1e-12)
 
 
@@ -333,7 +325,7 @@ def test_primitives_unitary_on_dense_space():
 
 def test_count_p_deterministic_needs_no_rng():
     st = classical([(1, 0, 1), (0, 0, 1)])
-    value, after = count_p(st, rng=None)
+    after, (value,) = execute(st, Script([CountP()]), rng=None)
     assert value == 2.0
     assert after.sole_config() == st.sole_config()
 
@@ -343,7 +335,7 @@ def test_count_p_requires_rng_when_random():
     c2 = BasisConfig.from_counts([(1, 0, 0)])
     st = MixedState([(1.0, PureState({c1: SQ(0.5), c2: SQ(0.5)}))])
     with pytest.raises(ValueError):
-        count_p(st, rng=None)
+        execute(st, Script([CountP()]), rng=None)
 
 
 def test_count_p_collapse_and_statistics():
@@ -354,7 +346,7 @@ def test_count_p_collapse_and_statistics():
     hits = 0
     trials = 4000
     for _ in range(trials):
-        value, after = count_p(st, rng)
+        after, (value,) = execute(st, Script([CountP()]), rng)
         expect_cfg = c1 if value == 1.0 else c2
         assert after.sole_config() == expect_cfg  # collapsed
         hits += value == 1.0
@@ -366,7 +358,7 @@ def test_count_p_mixture_distribution():
     b2 = PureState({BasisConfig.from_counts([(0, 0, 5)]): 1.0})
     st = MixedState([(0.4, b1), (0.6, b2)])
     rng = np.random.default_rng(9)
-    seen = {count_p(st, rng)[0] for _ in range(200)}
+    seen = {execute(st, Script([CountP()]), rng)[1][0] for _ in range(200)}
     assert seen == {2.0, 5.0}
 
 
@@ -386,8 +378,8 @@ def test_count_p_sums_weights_left_to_right():
         def random(self):
             return 0.75
 
-    for fn in (count_p, count_p_terms):
-        value, after = fn(st, Upper())
+    for fn in (_step, step_terms):
+        after, value = fn(st, CountP(), Upper())
         assert value == 1.0
         ((w, _),) = after.branches
         assert w == 1.0
@@ -483,39 +475,14 @@ def test_fast_path_matches_generic_path():
         state = classical(cfg)
         fast, counts = execute(state, script)
         assert counts == []
-        # generic path: apply ops one by one through the unitary kernels
-        slow = state
-        for op in script:
-            if isinstance(op, PairTransfer):
-                slow = pair_transfer(slow, op.m, op.n, op.x)
-            elif isinstance(op, WSwap):
-                slow = w_swap(slow)
-            elif isinstance(op, Shift):
-                slow = shift_p(slow, op.x)
-            elif isinstance(op, Collide):
-                slow = collide(slow, op.phi)
-            elif isinstance(op, EmptyP):
-                slow = empty_p(slow)
-            else:
-                slow = empty_b(slow)
+        slow = _run_generic(state, script)
         assert fidelity(fast, slow, mode="strict") == 1.0
 
 
 def _run_generic(state, script):
     """Apply a basis-preserving script op by op through the sparse kernels."""
     for op in script:
-        if isinstance(op, PairTransfer):
-            state = pair_transfer(state, op.m, op.n, op.x)
-        elif isinstance(op, WSwap):
-            state = w_swap(state)
-        elif isinstance(op, Shift):
-            state = shift_p(state, op.x)
-        elif isinstance(op, Collide):
-            state = collide(state, op.phi)
-        elif isinstance(op, EmptyP):
-            state = empty_p(state)
-        else:
-            state = empty_b(state)
+        state = run_op(state, op)
     return state
 
 
@@ -548,7 +515,7 @@ def classical_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_prop_compiled_engine_matches_sparse_kernels(case):
     batch, script = case
-    states = [classical(BasisConfig.from_array(occ)) for occ in batch]
+    states = [classical(BasisConfig.from_counts(occ)) for occ in batch]
     try:
         slow = [_run_generic(state, script) for state in states]
     except OccupationOverflowError:
@@ -577,7 +544,7 @@ def test_prop_input_above_cutoff_raises_on_both_paths(case, data):
     with pytest.raises(OccupationOverflowError):
         apply_classical(batch, script)
     with pytest.raises(OccupationOverflowError):
-        PureState({BasisConfig.from_array(batch[b]): 1.0})
+        PureState({BasisConfig.from_counts(batch[b]): 1.0})
 
 
 def test_apply_classical_batched_matches_single():
@@ -682,21 +649,21 @@ def test_prop_engine_matches_dict_engine(state, ops, seed):
 def test_translation_covariance():
     rng = np.random.default_rng(31)
     ops = [
-        lambda s: pair_transfer(s, 2, 1, 1),
-        w_swap,
-        lambda s: ab_rotation(s, 0.37),
-        lambda s: collide(s, 1.3),
-        lambda s: shift_p(s, 2),
-        empty_p,
-        empty_b,
-        lambda s: defect_split(s, 0.25),
+        PairTransfer(2, 1, 1),
+        WSwap(),
+        ABRotation(0.37),
+        Collide(1.3),
+        Shift(2),
+        EmptyP(),
+        EmptyB(),
+        DefectSplit(0.25),
     ]
     for _ in range(20):
         state = random_state(rng, L=4)
         d = int(rng.integers(1, 4))
-        for fn in ops:
-            a = fn(state).translate(d)
-            b = fn(state.translate(d))
+        for op in ops:
+            a = run_op(state, op).translate(d)
+            b = run_op(state.translate(d), op)
             assert fidelity(a, b, mode="strict") == 1.0
 
 
@@ -717,7 +684,7 @@ def small_states(draw):
 def test_prop_pair_transfer_preserves_norm(state, m, n, x):
     if m + x < 0 or n - x < 0 or max(m, n, m + x, n - x) > M_MAX:
         return
-    out = pair_transfer(state, m, n, x)
+    out = run_op(state, PairTransfer(m, n, x))
     for _, branch in out.branches:
         assert abs(branch.norm_sq() - 1.0) < 1e-9
 
@@ -725,7 +692,7 @@ def test_prop_pair_transfer_preserves_norm(state, m, n, x):
 @given(small_states(), st.floats(-math.pi, math.pi, allow_nan=False))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_prop_ab_rotation_preserves_norm(state, theta):
-    out = ab_rotation(state, theta)
+    out = run_op(state, ABRotation(theta))
     for _, branch in out.branches:
         assert abs(branch.norm_sq() - 1.0) < 1e-9
 
@@ -733,7 +700,7 @@ def test_prop_ab_rotation_preserves_norm(state, theta):
 @given(small_states())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_prop_w_swap_involution(state):
-    assert fidelity(state, w_swap(w_swap(state)), mode="strict") == 1.0
+    assert fidelity(state, run_op(run_op(state, WSwap()), WSwap()), mode="strict") == 1.0
 
 
 # -- V and SPLIT on several sites against a dense Kronecker oracle ----------
@@ -795,8 +762,8 @@ def test_prop_rotations_match_kronecker_oracle_on_several_sites(case, theta, eps
     L, terms = case
     state = MixedState([(1.0, PureState(terms))])
     vec = _dense(terms, L)
-    for out, M in ((ab_rotation(state, theta), _one_site_v(theta)),
-                   (defect_split(state, eps), _one_site_split(eps))):
+    for out, M in ((run_op(state, ABRotation(theta)), _one_site_v(theta)),
+                   (run_op(state, DefectSplit(eps)), _one_site_split(eps))):
         ((w, branch),) = out.branches
         assert w == 1.0
         assert_allclose(_dense(branch.terms, L), _kron_apply(M, vec, L), rtol=0, atol=1e-12)

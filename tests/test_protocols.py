@@ -16,12 +16,12 @@ from latticeqc import (
     RepairReport,
     Script,
     StrayAtomsError,
-    apply,
     apply_classical,
     classical,
     create_defects_script,
     depopulate_classical,
     depopulate_script,
+    execute,
     format_script,
     formatted_homes,
     oracle_computers,
@@ -375,7 +375,7 @@ def test_repair_matches_dense_loop_at_scale():
 
 def test_create_defects_two_site_mixture():
     eps = 0.2
-    out = apply(classical([(2, 0, 0), (2, 0, 0)]), create_defects_script(eps))
+    out = execute(classical([(2, 0, 0), (2, 0, 0)]), create_defects_script(eps))[0]
     weights = {}
     for w, branch in out.branches:
         cfg = next(iter(branch.terms))
@@ -391,13 +391,13 @@ def test_create_defects_two_site_mixture():
 
 def test_create_defects_depopulates_first():
     eps = 0.5
-    out = apply(classical([(4, 0, 0)]), create_defects_script(eps))
+    out = execute(classical([(4, 0, 0)]), create_defects_script(eps))[0]
     weights = sorted(w for w, _ in out.branches)
     assert weights == pytest.approx([0.5, 0.5])
 
 
 def test_create_defects_skips_non_pair_sites():
-    out = apply(classical([(1, 0, 0), (0, 0, 0)]), create_defects_script(0.3))
+    out = execute(classical([(1, 0, 0), (0, 0, 0)]), create_defects_script(0.3))[0]
     assert out.sole_config() == BasisConfig.from_counts([(1, 0, 0), (0, 0, 0)])
 
 
@@ -423,7 +423,7 @@ def test_defect_creation_script_matches_sampler():
     eps, draws = 0.3, 20_000
     for _ in range(5):
         a = rng.integers(0, 5, size=rng.integers(1, 7))
-        out = apply(classical([(int(x), 0, 0) for x in a]), create_defects_script(eps))
+        out = execute(classical([(int(x), 0, 0) for x in a]), create_defects_script(eps))[0]
         exact = {}
         for w, branch in out.branches:
             (config,) = branch.terms
