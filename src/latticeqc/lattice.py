@@ -291,7 +291,10 @@ class MixedState:
                 }
                 if len(terms) != len(b["terms"]):
                     raise ValueError("a branch lists one configuration twice")
-                branches.append((_real(b["weight"], f"branch {i} weight"), PureState(terms)))
+                w = _real(b["weight"], f"branch {i} weight")
+                if w < 0:  # MixedState would drop it without a word
+                    raise ValueError(f"branch {i} weight is {w!r}; expected 0 or more")
+                branches.append((w, PureState(terms)))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed state: {exc!r}") from exc
         return cls(branches)

@@ -291,13 +291,17 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 # A basis-preserving script compiles once into steps on codes: one fused
 # sitewise table per run of swaps and emptying channels and a roll of the
 # pointer digit per shift.  The engine runs a swap or a shift as its
-# compiled one-op script on every row, a Collide as one phase factor per
-# distinct weight sum(a*p), an emptying channel by grouping rows on the
-# emptied level's digits, and a rotation by expanding rows through a
-# per-code image table.  Amplitudes round as a loop over a
-# {config: amplitude} dict does (tests/helpers.py keeps that loop): a
-# moved term is 0.0 + amp, complex products are written as real
-# products, and sums run in the dict's order.
+# compiled one-op script on every row.  The other kernels group equal
+# keys through _groups, one np.unique: a Collide computes one phase
+# factor per distinct weight sum(a*p), an emptying channel branches on
+# the emptied level's digit rows in sorted order, COUNTP sums Born
+# weights per pointer total, and a rotation expands rows through a
+# per-code image table and sums equal rows, kept in order of first
+# occurrence.  Amplitudes round as a loop over a {config: amplitude}
+# dict does (tests/helpers.py keeps that loop): a moved term is
+# 0.0 + amp, complex products are written as real products, sums run in
+# the dict's order, and each |a|^2 is Python's abs(a) ** 2, one call per
+# row, as np.abs and numpy's squaring differ from it in the last bit.
 
 
 # Per-code constants: the weight a*p of a Collide and each level's digit.
@@ -369,9 +373,9 @@ def _unitary(st: PureState, op) -> PureState:
     if op.kind == "rotate":
         return _rotate(st, op)
     if op.kind == "phase":
-        weights = np.take(_A_P, st.codes).sum(axis=1).tolist()
-        factor = {w: cmath.exp(1j * op.phi * w) for w in set(weights)}
-        f = np.array([factor[w] for w in weights])
+        weights = np.take(_A_P, st.codes).sum(axis=1)
+        group, first = _groups(weights)
+        f = np.array([cmath.exp(1j * op.phi * w) for w in weights[first].tolist()])[group]
         amps = _complex(*_cmul(st.amps.real, st.amps.imag, f.real, f.imag))
         return PureState._from_codes(st.codes, amps)
     (step,) = _compile(Script([op]))
@@ -380,10 +384,15 @@ def _unitary(st: PureState, op) -> PureState:
     return PureState._from_codes(*_lexsorted(_move(st.codes, step), st.amps + 0.0))
 
 
-def _rows(codes: np.ndarray) -> np.ndarray:
-    """Each row of a 2-d array as one bytes item, for grouping rows."""
-    codes = np.ascontiguousarray(codes)
-    return codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel()
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal items of a 1-d array, or the equal rows of a 2-d
+    one: each item's group number and each group's first index.  Groups
+    are numbered in sorted order; a row sorts by its bytes."""
+    if keys.ndim == 2:
+        keys = np.ascontiguousarray(keys)
+        keys = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return group, first
 
 
 @lru_cache(maxsize=64)
@@ -419,13 +428,12 @@ def _rotate(st: PureState, op) -> PureState:
         new = codes[row]
         new[:, k] = image[0]
         pre, pim = _cmul(re[row], im[row], image[1], image[2])
-        first_of: dict[bytes, int] = {}  # row -> index of its first copy
-        group = np.array([first_of.setdefault(r, i) for i, r in enumerate(_rows(new).tolist())])
-        first = np.flatnonzero(group == np.arange(group.size))
-        re = np.bincount(group, pre, group.size)[first]
-        im = np.bincount(group, pim, group.size)[first]
+        group, first = _groups(new)
+        order = np.argsort(first)  # the groups in order of first occurrence
+        re = np.bincount(group, pre)[order]
+        im = np.bincount(group, pim)[order]
         keep = np.hypot(re, im) >= PRUNE_TOL
-        codes, re, im = new[first[keep]], re[keep], im[keep]
+        codes, re, im = new[first[order[keep]]], re[keep], im[keep]
     return PureState._from_codes(*_lexsorted(codes, _complex(re + 0.0, im + 0.0)))
 
 
@@ -435,10 +443,7 @@ def _empty(state: MixedState, op) -> MixedState:
     new_branches: list[tuple[float, PureState]] = []
     for w, st in state.branches:
         zeroed = _move(st.codes, _compile(Script([op]))[0])
-        digits = np.take(_DIGITS[op.level], st.codes)
-        patterns = _rows(digits).tolist()  # bytes sort like the digit rows
-        slot = {p: g for g, p in enumerate(sorted(set(patterns)))}
-        group = np.array([slot[p] for p in patterns])
+        group, _ = _groups(np.take(_DIGITS[op.level], st.codes))  # uint8: bytes sort like digits
         amps = st.amps + 0.0
         weights = np.bincount(group, [abs(a) ** 2 for a in amps.tolist()])
         for g, weight in enumerate(weights.tolist()):
@@ -456,26 +461,18 @@ def _count_p(state: MixedState, rng: np.random.Generator | None) -> tuple[MixedS
     randomness is consumed, so runs on classical ensembles stay
     deterministic.
     """
-    dist: dict[int, float] = {}
-    totals = []
-    for w, st in state.branches:
-        totals.append(np.take(_DIGITS[2], st.codes).sum(axis=1))
-        for c, a in zip(totals[-1].tolist(), st.amps.tolist()):
-            dist[c] = dist.get(c, 0.0) + w * abs(a) ** 2
-    outcomes = sorted(dist)
+    totals = [np.take(_DIGITS[2], st.codes).sum(axis=1) for _, st in state.branches]
+    group, first = _groups(np.concatenate(totals))
+    outcomes = np.concatenate(totals)[first].tolist()
     if len(outcomes) == 1:
         return state, float(outcomes[0])
     if rng is None:
         raise ValueError("sampling a non-deterministic count requires an rng")
-    r = rng.random()
-    acc = 0.0
-    outcome = outcomes[-1]
-    for c in outcomes:
-        acc += dist[c]
-        if r < acc:
-            outcome = c
-            break
-    prob = dist[outcome]
+    probs = [w * abs(a) ** 2 for w, st in state.branches for a in st.amps.tolist()]
+    dist = np.bincount(group, probs)
+    # the first outcome whose running total exceeds the draw, else the last
+    g = min(int(np.searchsorted(np.cumsum(dist), rng.random(), side="right")), len(dist) - 1)
+    outcome, prob = outcomes[g], float(dist[g])
     new_branches = []
     for (w, st), total in zip(state.branches, totals):
         rows = total == outcome

@@ -396,13 +396,14 @@ def test_run_rejects_malformed_lattices(tmp_path, capsys, lattice, message):
 @pytest.mark.parametrize(
     "bad, message",
     [({"re": math.nan}, "branch 0 term 1 re is NaN"),
-     ({"weight": math.nan}, "branch 1 weight is NaN")],
-    ids=["term-re", "branch-weight"],
+     ({"weight": math.nan}, "branch 1 weight is NaN"),
+     ({"weight": -1e-11}, "branch 1 weight is -1e-11")],
+    ids=["term-re", "branch-weight", "negative-weight"],
 )
 def test_run_rejects_non_finite_numbers_in_state_files(tmp_path, capsys, bad, message):
-    # NaN passes neither PureState's pruning nor MixedState's weight test:
-    # unrefused, it would drop its term or branch from this valid state and
-    # exit 0
+    # NaN passes neither PureState's pruning nor MixedState's weight test,
+    # and MixedState drops a negative weight: unrefused, each would drop
+    # its term or branch from this valid state and exit 0
     state = {"branches": [
         {"weight": 1.0, "terms": [{"config": [[1, 0, 0]], "re": 1.0, "im": 0.0},
                                   {"config": [[1, 0, 1]], "re": 0.0, "im": 0.0}]},

@@ -38,7 +38,7 @@ from latticeqc import (
     execute,
     fidelity,
 )
-from latticeqc.primitives import _step
+from latticeqc.primitives import _groups, _step
 
 SQ = math.sqrt
 
@@ -385,6 +385,30 @@ def test_count_p_sums_weights_left_to_right():
         assert w == 1.0
 
 
+@pytest.mark.parametrize("r, outcome", [
+    (0.7, 1.0),  # equal to the first running total: not below it
+    (math.nextafter(1.0, 0.0), 2.0),  # the largest draw, equal to the total
+    (1.0, 2.0),  # above every running total
+])
+def test_count_p_draw_at_the_running_totals(r, outcome):
+    # outcomes 0, 1, 2 with probabilities 0.7, 0.2, 0.1, whose running
+    # totals are 0.7, 0.8999999999999999 and 0.9999999999999999
+    st = MixedState([(w, PureState({BasisConfig.from_counts([(0, 0, p)]): 1.0}))
+                     for p, w in enumerate([0.7, 0.2, 0.1])])
+    assert 0.7 + 0.2 + 0.1 == math.nextafter(1.0, 0.0)
+
+    class Fixed:
+        def random(self):
+            return r
+
+    for fn in (_step, step_terms):
+        after, value = fn(st, CountP(), Fixed())
+        assert value == outcome
+        ((w, branch),) = after.branches
+        assert w == 1.0
+        assert branch.terms == {BasisConfig.from_counts([(0, 0, int(outcome))]): 1.0}
+
+
 # -- script DSL --------------------------------------------------------------
 
 
@@ -641,6 +665,45 @@ def test_prop_engine_matches_dict_engine(state, ops, seed):
         assert value == value_ref
         assert _reprs(state) == _reprs(ref)
     assert rng.random() == rng_ref.random()  # the same draws were taken
+
+
+@st.composite
+def group_keys(draw):
+    """1-d uint64 keys, as a Collide weight or a pointer total, or 2-d
+    uint8 or uint16 rows, as digit or code rows, over a few values so that
+    most of them repeat.  uint16's 1 and 256 sort one way as numbers and
+    the other way as bytes."""
+    n = draw(st.integers(1, 30))
+    dtype = draw(st.sampled_from([np.uint64, np.uint8, np.uint16]))
+    if dtype is np.uint64:
+        return np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), dtype=dtype)
+    cols = draw(st.integers(1, 4))
+    value = st.sampled_from([0, 1, 255] if dtype is np.uint8 else [0, 1, 256, 65535])
+    cells = draw(st.lists(value, min_size=n * cols, max_size=n * cols))
+    return np.array(cells, dtype=dtype).reshape(n, cols)
+
+
+@given(group_keys())
+@example(np.array([[1, 0, 255]], dtype=np.uint8))  # one row
+@example(np.array([[256], [1], [256], [0]], dtype=np.uint16))  # one column
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_prop_groups_match_dict_grouping(keys):
+    if keys.ndim == 1:
+        items = keys.tolist()
+    elif keys.dtype == np.uint8:
+        items = [tuple(r) for r in keys.tolist()]  # digit rows sort like their bytes
+    else:
+        items = [r.tobytes() for r in keys]
+    group, first = _groups(keys)
+    # numbered in sorted order, the order of _empty's branches
+    ranked = sorted(set(items))
+    assert group.tolist() == [ranked.index(x) for x in items]
+    assert first.tolist() == [items.index(x) for x in ranked]
+    # re-ranked by first index, the row order that _rotate keeps
+    first_of = {}
+    first_copy = [first_of.setdefault(x, i) for i, x in enumerate(items)]
+    assert first[group].tolist() == first_copy
+    assert first[np.argsort(first)].tolist() == sorted(set(first_copy))
 
 
 # -- translation covariance --------------------------------------------------
