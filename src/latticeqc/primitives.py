@@ -123,7 +123,7 @@ class ABRotation:
 
     def __post_init__(self):
         if not math.isfinite(self.theta):
-            raise ValueError(f"rotation angle must be finite, got {self.theta!r}")
+            raise ValueError(f"rotation angle must be finite, got {float(self.theta)!r}")
 
     def images(self, site: SiteOccupancy) -> tuple:
         T = site.a + site.b
@@ -150,7 +150,7 @@ class Collide:
 
     def __post_init__(self):
         if not math.isfinite(self.phi):
-            raise ValueError(f"phase angle must be finite, got {self.phi!r}")
+            raise ValueError(f"phase angle must be finite, got {float(self.phi)!r}")
 
 
 @dataclass(frozen=True)

@@ -223,11 +223,11 @@ class RepairReport:
 def repair_occupations(a: np.ndarray) -> tuple[np.ndarray, RepairReport]:
     """Run repair rounds directly on a-level counts (b and p empty).
 
-    Equivalent to repeatedly applying :func:`repair_round_script`; per
-    round at shift x, every defect whose site x steps to the left holds a
-    donor gets one atom, and that donor drops to two atoms.  Each phase
-    sweeps x = 1 .. L-1 once, which fixes every defect as long as donors
-    remain.
+    Equivalent to repeatedly applying :func:`repair_round_script`, whose
+    sweep (x = 1 .. L-1 per phase) pairs donors with defects as nested
+    brackets pair on the ring: no unspent donor or defect lies between a
+    pair, or it would have paired at a shorter shift.  Each phase finds
+    its pairs with one stable sort and counts its longest shift as rounds.
     """
     a = np.asarray(a)
     if a.ndim != 1:
@@ -239,27 +239,27 @@ def repair_occupations(a: np.ndarray) -> tuple[np.ndarray, RepairReport]:
         raise ValueError("repair expects counts depopulated to <= 4")
     L = a.size
 
-    # A round touches only the defects left in the current phase: no
-    # round creates a defect of the phase's value or a donor, and the
-    # donor at j can only serve the defect at j + x, so hits never collide.
-    fixed = 0
-    executed = 0
+    fixed = executed = 0
     for defect_val in (0, 1):
-        defects = np.flatnonzero(a == defect_val)
-        donors = int(np.count_nonzero(a == 4))
-        for x in range(1, L):
-            if not defects.size or not donors:
-                break
-            executed += 1
-            src = (defects - x) % L
-            ok = a[src] == 4
-            hits = int(np.count_nonzero(ok))
-            if hits:
-                a[defects[ok]] += 1
-                a[src[ok]] = 2
-                defects = defects[~ok]
-                donors -= hits
-                fixed += hits
+        donor = a == 4
+        pos = np.flatnonzero((a == defect_val) | donor)
+        if not pos.size:
+            continue
+        steps = 2 * donor[pos].view(np.int8) - 1
+        # In ring order from just after the lowest running total, a level's
+        # events (a donor's total before it, a defect's after it) alternate
+        # and open with a donor or close with a defect, so in a stable sort
+        # by level every donor directly before a defect is a pair.
+        start = int(np.argmin(np.cumsum(steps, dtype=np.int32))) + 1
+        pos, steps = np.roll(pos, -start), np.roll(steps, -start)
+        level = np.cumsum(steps, dtype=np.int32) - (steps > 0)
+        order = np.argsort(level, kind="stable")
+        pair = np.flatnonzero(np.diff(steps[order]) < 0)
+        src, dst = pos[order[pair]], pos[order[pair + 1]]
+        a[dst] += 1
+        a[src] = 2
+        fixed += src.size
+        executed += int(((dst - src) % L).max(initial=0))
 
     report = RepairReport(
         defects_fixed=fixed,

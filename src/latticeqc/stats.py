@@ -45,7 +45,7 @@ class FillDistribution:
         if probs.min() < 0.0 or probs.max() > 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, expected 1")
 
     @property
     def probs(self) -> np.ndarray:
@@ -223,7 +223,7 @@ def repair_experiment(
     if eps is None:
         eps = 1.0 / n
     elif not 0.0 <= eps <= 1.0:
-        raise ValueError(f"defect rate eps must lie in [0, 1], got {eps!r}")
+        raise ValueError(f"defect rate eps must lie in [0, 1], got {float(eps)!r}")
     rng = np.random.default_rng(seed)
     a = sample_occupations(L, dist, rng)
     p0_before = float((a == 0).mean())

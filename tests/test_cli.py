@@ -226,7 +226,8 @@ def test_stats_rejects_bad_lattice_arguments(tmp_path, capsys, flags, message):
     "flags, message",
     [(["--jobs", "0"], "jobs must be at least 1"),
      (["--jobs", "-4"], "jobs must be at least 1"),
-     (["--p0", "nan"], "probabilities must be finite")],
+     (["--p0", "nan"], "probabilities must be finite"),
+     (["--p2", "0.85"], "probabilities sum to 1.05, expected 1")],
 )
 def test_stats_rejects_inputs_it_used_to_drop(tmp_path, capsys, flags, message):
     out = tmp_path / "s.json"
@@ -271,7 +272,8 @@ def test_repair_report_carries_what_sets_the_exit_code(tmp_path, capsys, flags, 
      (["--L", "0"], "at least one site"),
      (["--L", "-5"], "at least one site"),
      (["--eps", "1.5"], "eps must lie in [0, 1]"),
-     (["--eps", "-0.1"], "eps must lie in [0, 1]")],
+     (["--eps", "-0.1"], "eps must lie in [0, 1]"),
+     (["--p2", "0.85", "--p4", "0"], "probabilities sum to 1.1, expected 1")],
 )
 def test_repair_rejects_bad_arguments(tmp_path, capsys, flags, message):
     out = tmp_path / "r.json"

@@ -459,6 +459,8 @@ def test_script_parse_rejects_non_finite_angles(line):
         Script.parse(f"W\n\n{line}\n")
     with pytest.raises(ValueError, match="must be finite"):
         {"V": ABRotation, "C": Collide}[line[0]](float(line[2:]))
+    with pytest.raises(ValueError, match=f"must be finite, got {line[2:]}$"):
+        {"V": ABRotation, "C": Collide}[line[0]](np.float64(line[2:]))
 
 
 def test_script_concatenation():

@@ -350,6 +350,11 @@ repair_lattices = st.sets(st.integers(0, 4), min_size=1).flatmap(
 @example(counts=[4, 0, 0, 0])
 @example(counts=[0, 1, 1, 2])
 @example(counts=[4])
+@example(counts=[0, 2, 4])  # the only pair wraps round the ring
+@example(counts=[4, 4, 0, 0])  # nested pairs
+@example(counts=[0, 4, 0, 0, 1])  # more defects than donors
+@example(counts=[2, 3])  # neither donors nor defects
+@example(counts=[4, 1, 0])
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_prop_repair_matches_dense_loop(counts):
     a = np.array(counts, dtype=np.int64)
@@ -368,6 +373,26 @@ def test_repair_matches_dense_loop_at_scale():
     assert fast_report == ref_report
     assert fast_warns == ref_warns == []
     assert fast_report.rounds > 100
+
+
+def test_repair_matches_dense_loop_at_scale_with_scarce_donors():
+    dist = FillDistribution(0.1, 0.2, 0.6, 0.0, 0.1)
+    a = sample_occupations(10_000, dist, np.random.default_rng(5))
+    (fast, fast_report, fast_warns), (ref, ref_report, ref_warns) = _repair_both_ways(a)
+    assert_array_equal(fast, ref)
+    assert fast_report == ref_report
+    assert fast_warns == ref_warns == [RuntimeWarning]
+    assert fast_report.residual_single > 0  # defects are left over
+    assert fast_report.rounds > 1000
+
+
+def test_repair_of_an_empty_lattice():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        repaired, report = repair_occupations(np.array([], dtype=np.int64))
+    assert repaired.dtype == np.int64
+    assert repaired.size == 0
+    assert report == RepairReport(0, 0, 0, 0, 0)
 
 
 # -- controlled defect creation ----------------------------------------------

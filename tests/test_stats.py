@@ -210,6 +210,12 @@ def test_repair_experiment_report():
     }
 
 
+def test_repair_experiment_shows_a_numpy_eps_as_a_plain_float():
+    dist = FillDistribution(0.05, 0.1, 0.45, 0.1, 0.3)
+    with pytest.raises(ValueError, match=r"got 1\.5$"):
+        repair_experiment(100, dist, n=4, eps=np.float64(1.5))
+
+
 def test_repair_experiment_deterministic():
     dist = FillDistribution(0.05, 0.1, 0.45, 0.1, 0.3)
     a = repair_experiment(5000, dist, n=4, seed=12)
