@@ -35,7 +35,6 @@ from .primitives import (
     execute,
 )
 from .protocols import (
-    ComputerDescriptor,
     FormattingError,
     RepairReport,
     StrayAtomsError,

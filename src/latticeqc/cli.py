@@ -22,7 +22,6 @@ from .primitives import Script, execute
 from .protocols import (
     FormattingError,
     StrayAtomsError,
-    depopulate_classical,
     format_counts,
     oracle_computers,
     verify_formatted,
@@ -152,28 +151,29 @@ def cmd_format(args) -> int:
         rng = np.random.default_rng(args.seed)
         a = sample_occupations(args.L, _dist_from_args(args), rng)
     final = format_counts(a, args.n)
-    computers = verify_formatted(final, args.n)
+    homes = verify_formatted(final, args.n)
+    # a register runs home-n .. home-1 (mod L), left to right
+    windows = (homes[:, None] - np.arange(args.n, 0, -1)) % a.size
     report = {
         "version": __version__,
         "L": int(a.size),
         "n": args.n,
         "seed": None if args.lattice else args.seed,
-        "initial": [[int(x), 0, 0] for x in a],
+        "initial": [[x, 0, 0] for x in a.tolist()],
         "final": final.tolist(),
         "computers": [
-            {"home": c.home, "n": c.n, "qubit_sites": list(c.qubit_sites)}
-            for c in computers
+            {"home": k, "n": args.n, "qubit_sites": w}
+            for k, w in zip(homes.tolist(), windows.tolist())
         ],
     }
     status = 0
     if args.check_oracle:
-        predicted = oracle_computers(depopulate_classical(a, 2), args.n)
-        agree = predicted == computers
-        report["oracle_match"] = bool(agree)
+        agree = np.array_equal(oracle_computers(a, args.n), homes)
+        report["oracle_match"] = agree
         if not agree:
             status = 1
     _write_json(args.out, report)
-    print(f"formatted {a.size} sites into {len(computers)} computers", file=sys.stderr)
+    print(f"formatted {a.size} sites into {homes.size} computers", file=sys.stderr)
     return status
 
 

@@ -2,9 +2,11 @@
 
 ``format_script`` turns a depopulated random lattice into disjoint
 "computers": a register of n single-atom qubit sites directly left of a
-home site that holds one atom plus one pointer atom.  Which computers
-survive is predicted combinatorially by ``oracle_computers``; the two
-routes are checked against each other exhaustively in the tests.
+home site that holds one atom plus one pointer atom.  A computer is named
+by its home k alone, since its register is the sites k-n .. k-1 (mod L),
+so the computers of a lattice are a sorted int64 array of homes.  Which
+computers survive is predicted from the raw counts by ``oracle_homes``;
+the two routes are checked against each other exhaustively in the tests.
 
 ``repair_round_script`` implements donor-assisted defect filling: a
 four-atom site lends an atom pair through the pointer level, a shifted
@@ -39,19 +41,6 @@ class StrayAtomsError(ValueError):
 
 class FormattingError(ValueError):
     """Recognized computers overlap, so the formatting itself is broken."""
-
-
-@dataclass(frozen=True)
-class ComputerDescriptor:
-    """One surviving computer: its home site and the qubit register.
-
-    ``qubit_sites`` runs left to right, i.e. (home-n, ..., home-1) mod L;
-    the qubit at pointer offset j is qubit_sites[n-j].
-    """
-
-    home: int
-    n: int
-    qubit_sites: tuple[int, ...]
 
 
 def depopulate_script(cutoff: int, target: int = 2) -> Script:
@@ -113,34 +102,23 @@ def format_counts(a: np.ndarray, n: int) -> np.ndarray:
     return apply_classical(occ, prepare_script(int(a.max(initial=2)), n))
 
 
-def oracle_homes(a_dep: np.ndarray, n: int) -> np.ndarray:
-    """Boolean home mask for depopulated a-counts, batched over leading axes.
+def oracle_homes(a: np.ndarray, n: int) -> np.ndarray:
+    """Boolean home mask for raw a-counts, batched over leading axes.
 
     Site k becomes a home iff a_k == 1 and the n sites to its left all
-    hold exactly two atoms (cyclically).
+    hold two atoms or more (cyclically); depopulation leaves those at two.
     """
-    a_dep = np.asarray(a_dep)
-    if a_dep.max(initial=0) > 2:
-        raise ValueError("oracle expects a depopulated lattice (counts <= 2)")
-    two = a_dep == 2
-    homes = a_dep == 1
+    a = np.asarray(a)
+    pairs = a >= 2
+    homes = a == 1
     for j in range(1, n + 1):
-        homes = homes & np.roll(two, j, axis=-1)
+        homes = homes & np.roll(pairs, j, axis=-1)
     return homes
 
 
-def oracle_computers(a_dep: np.ndarray, n: int) -> list[ComputerDescriptor]:
-    """Predict the computers format_script(n) leaves on depopulated a-counts."""
-    return _descriptors(oracle_homes(a_dep, n), n)
-
-
-def _descriptors(homes: np.ndarray, n: int) -> list[ComputerDescriptor]:
-    ks = np.nonzero(homes)[0]
-    windows = (ks[:, None] - np.arange(n, 0, -1)) % homes.shape[-1]
-    return [
-        ComputerDescriptor(home=k, n=n, qubit_sites=tuple(w))
-        for k, w in zip(ks.tolist(), windows.tolist())
-    ]
+def oracle_computers(a: np.ndarray, n: int) -> np.ndarray:
+    """Homes of the computers :func:`format_counts` leaves on raw a-counts."""
+    return np.flatnonzero(oracle_homes(a, n))
 
 
 def formatted_homes(occ: np.ndarray, n: int) -> np.ndarray:
@@ -168,13 +146,13 @@ def formatted_homes(occ: np.ndarray, n: int) -> np.ndarray:
     return homes
 
 
-def verify_formatted(occ: np.ndarray, n: int) -> list[ComputerDescriptor]:
-    """List the computers of a formatted (L, 3) occupation array; the
+def verify_formatted(occ: np.ndarray, n: int) -> np.ndarray:
+    """Homes of the computers of a formatted (L, 3) occupation array; the
     checks are those of :func:`formatted_homes`."""
     occ = np.asarray(occ, dtype=np.int64)
     if occ.ndim != 2 or occ.shape[1] != 3:
         raise ValueError(f"expected shape (L, 3), got {occ.shape}")
-    return _descriptors(formatted_homes(occ, n), n)
+    return np.flatnonzero(formatted_homes(occ, n))
 
 
 # ---------------------------------------------------------------------------

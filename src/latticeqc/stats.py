@@ -19,7 +19,6 @@ import numpy as np
 
 from .protocols import (
     RepairReport,
-    depopulate_classical,
     format_counts,
     formatted_homes,
     oracle_homes,
@@ -75,7 +74,7 @@ def repaired_yield(L: int, n: int) -> float:
 
 def count_computers_oracle(a: np.ndarray, n: int) -> int:
     """Computer count predicted combinatorially from raw a-counts."""
-    return int(oracle_homes(depopulate_classical(a, 2), n).sum())
+    return int(oracle_homes(a, n).sum())
 
 
 def count_computers_protocol(a: np.ndarray, n: int) -> int:

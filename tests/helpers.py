@@ -65,14 +65,15 @@ def random_state(rng, L, nterms=4, max_count=2):
     return MixedState([(1.0, PureState(terms))])
 
 
-def expected_formatted(a_dep, n):
-    """Full (..., L, 3) occupation pattern the oracle predicts after format."""
-    a_dep = np.asarray(a_dep)
-    homes = oracle_homes(a_dep, n)
+def expected_formatted(a, n):
+    """Full (..., L, 3) occupation pattern the oracle predicts after
+    depopulating and formatting the a-counts."""
+    a = np.asarray(a)
+    homes = oracle_homes(a, n)
     window = np.zeros_like(homes)
     for j in range(1, n + 1):
         window = window | np.roll(homes, -j, axis=-1)
-    occ = np.zeros(a_dep.shape + (3,), dtype=np.int64)
+    occ = np.zeros(a.shape + (3,), dtype=np.int64)
     occ[..., 0] = homes | window
     occ[..., 2] = homes
     return occ

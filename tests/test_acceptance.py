@@ -71,7 +71,7 @@ def test_acceptance_1_format_oracle_equivalence():
         occ[..., 0] = grids
         for n in (1, 2, 3):
             final = apply_classical(occ, prepare_script(3, n))
-            expected = expected_formatted(np.minimum(grids, 2), n)
+            expected = expected_formatted(grids, n)
             mismatches += int((~np.all(final == expected, axis=(-2, -1))).sum())
             runs += grids.shape[0]
     # random: 10^4 lattices at L=64 with occupancies up to 4
@@ -81,7 +81,7 @@ def test_acceptance_1_format_oracle_equivalence():
     occ[..., 0] = a
     for n in (1, 2, 3, 4):
         final = apply_classical(occ, prepare_script(4, n))
-        expected = expected_formatted(np.minimum(a, 2), n)
+        expected = expected_formatted(a, n)
         mismatches += int((~np.all(final == expected, axis=(-2, -1))).sum())
         runs += a.shape[0]
     elapsed = time.perf_counter() - t0

@@ -51,6 +51,50 @@ def test_format_from_lattice_file(tmp_path, capsys):
     assert report["computers"] == [{"home": 1, "n": 1, "qubit_sites": [0]}]
 
 
+@pytest.mark.parametrize(
+    "sites, n, computers",
+    [
+        ([[2, 0, 0], [1, 0, 0], [0, 0, 0], [2, 0, 0]], 2,
+         [{"home": 1, "n": 2, "qubit_sites": [3, 0]}]),
+        ([[0, 0, 0], [2, 0, 0], [2, 0, 0], [2, 0, 0], [1, 0, 0], [0, 0, 0]], 3,
+         [{"home": 4, "n": 3, "qubit_sites": [1, 2, 3]}]),
+    ],
+    ids=["wrapped", "inner"],
+)
+def test_format_writes_each_register(tmp_path, capsys, sites, n, computers):
+    # qubit_sites runs home-n .. home-1 (mod L)
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps(sites))
+    out = tmp_path / "fmt.json"
+    rc = main(["format", "--n", str(n), "--lattice", str(lat), "--check-oracle",
+               "--out", str(out)])
+    assert rc == 0
+    report = read_json(out)
+    assert report["computers"] == computers
+    assert report["oracle_match"] is True
+
+
+@pytest.mark.parametrize(
+    "skew", [lambda homes: homes[:-1], lambda homes: homes + 1], ids=["short", "shifted"]
+)
+def test_format_reports_oracle_mismatch(tmp_path, capsys, monkeypatch, skew):
+    # with two or more computers, an elementwise == on the home arrays
+    # raises instead of reporting the mismatch
+    real = cli.oracle_computers
+
+    def skewed(a, n):
+        homes = real(a, n)
+        assert homes.size >= 2
+        return skew(homes)
+
+    monkeypatch.setattr(cli, "oracle_computers", skewed)
+    out = tmp_path / "fmt.json"
+    rc = main(["format", "--L", "64", "--n", "2", "--seed", "1", "--check-oracle",
+               "--out", str(out)])
+    assert rc == 1
+    assert read_json(out)["oracle_match"] is False
+
+
 def test_format_rejects_empty_lattice(tmp_path, capsys):
     lat = tmp_path / "lat.json"
     lat.write_text("[]")

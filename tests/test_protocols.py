@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from latticeqc import (
+    M_MAX,
     BasisConfig,
-    ComputerDescriptor,
     EmptyP,
     FillDistribution,
     PairTransfer,
@@ -33,6 +33,7 @@ from latticeqc import (
     sample_occupations,
     verify_formatted,
 )
+from latticeqc.protocols import format_counts
 
 from helpers import expected_formatted, repair_occupations_dense
 
@@ -153,9 +154,30 @@ def test_oracle_homes_batched():
     assert_array_equal(homes, [[False, True, False], [False, False, True]])
 
 
-def test_oracle_homes_rejects_raw_lattice():
-    with pytest.raises(ValueError):
-        oracle_homes(np.array([3, 1, 0]), 1)
+raw_lattices = st.integers(1, 12).flatmap(
+    lambda L: st.lists(
+        st.lists(st.integers(0, 8), min_size=L, max_size=L), min_size=1, max_size=4
+    )
+)
+
+
+@given(a=raw_lattices, n=st.integers(1, 4))
+@example(a=[[7, 1, 2]], n=1)
+@example(a=[[8, 7, 1, 0, 3, 2, 1], [1, 2, 2, 2, 2, 2, 2]], n=2)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_prop_oracle_homes_on_raw_counts(a, n):
+    # the rule needs no depopulation: counts of two or more, M_MAX and
+    # above included, act as pairs
+    a = np.array(a, dtype=np.int64)
+    homes = oracle_homes(a, n)
+    assert_array_equal(homes, oracle_homes(depopulate_classical(a, 2), n))
+    for row, row_homes in zip(a, homes):
+        assert_array_equal(oracle_homes(row, n), row_homes)
+        assert_array_equal(row_homes, oracle_homes(depopulate_classical(row, 2), n))
+        capped = np.minimum(row, M_MAX)
+        assert_array_equal(
+            formatted_homes(format_counts(capped, n), n), oracle_homes(capped, n)
+        )
 
 
 def test_oracle_window_cannot_wrap_onto_home():
@@ -164,15 +186,16 @@ def test_oracle_window_cannot_wrap_onto_home():
     assert not oracle_homes(np.array([1]), 1).any()
 
 
-def test_oracle_computers_descriptor():
-    (comp,) = oracle_computers(np.array([0, 2, 2, 2, 1, 0]), 3)
-    assert comp == ComputerDescriptor(home=4, n=3, qubit_sites=(1, 2, 3))
+def test_oracle_computers_lists_homes():
+    # the register of home 4 at n = 3, sites 1..3, is checked at the CLI
+    homes = oracle_computers(np.array([0, 2, 2, 2, 1, 0]), 3)
+    assert homes.dtype == np.int64
+    assert_array_equal(homes, [4])
 
 
 def test_oracle_computers_wraparound_register():
-    (comp,) = oracle_computers(np.array([2, 1, 0, 2]), 2)
-    assert comp.home == 1
-    assert comp.qubit_sites == (3, 0)
+    # the register wraps to sites (3, 0); checked at the CLI
+    assert_array_equal(oracle_computers(np.array([2, 1, 0, 2]), 2), [1])
 
 
 def test_expected_formatted_matches_simulation():
@@ -193,8 +216,9 @@ def test_verify_formatted_lists_computers():
     cfg = BasisConfig.from_counts(
         [(0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 0)]
     )
-    (comp,) = verify_formatted(np.array(cfg.sites), 2)
-    assert comp == ComputerDescriptor(home=3, n=2, qubit_sites=(1, 2))
+    homes = verify_formatted(np.array(cfg.sites), 2)
+    assert homes.dtype == np.int64
+    assert_array_equal(homes, [3])
 
 
 def test_verify_formatted_flags_strays():
@@ -211,10 +235,7 @@ def test_verify_formatted_takes_arrays():
         verify_formatted(np.array(occ), 1)
     assert err.value.sites == (3,)
     occ[3] = [0, 0, 0]
-    got = verify_formatted(np.array(occ), 1)
-    assert got == [ComputerDescriptor(home=1, n=1, qubit_sites=(0,)),
-                   ComputerDescriptor(home=5, n=1, qubit_sites=(4,))]
-    assert [c.home for c in got] == [1, 5]
+    assert_array_equal(verify_formatted(np.array(occ), 1), [1, 5])
     assert_array_equal(formatted_homes(np.array(occ), 1), [0, 1, 0, 0, 0, 1])
     with pytest.raises(ValueError):
         verify_formatted(np.zeros((4, 2), dtype=int), 1)
@@ -226,11 +247,12 @@ def test_verify_formatted_agrees_with_oracle():
         a = rng.integers(0, 3, size=32)
         final = expected_formatted(a, n)
         got = verify_formatted(final, n)
-        assert got == oracle_computers(a, n)
+        assert_array_equal(got, oracle_computers(a, n))
 
 
 def test_verify_empty_lattice_has_no_computers():
-    assert verify_formatted(np.zeros((4, 3), dtype=np.int64), 2) == []
+    homes = verify_formatted(np.zeros((4, 3), dtype=np.int64), 2)
+    assert homes.shape == (0,) and homes.dtype == np.int64
 
 
 # -- repair ------------------------------------------------------------------
