@@ -17,7 +17,6 @@ from .lattice import (
     PureState,
     SiteOccupancy,
     classical,
-    fidelity,
 )
 from .primitives import (
     ABRotation,

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .lattice import BasisConfig, MixedState, SiteOccupancy, classical
+from .lattice import BasisConfig, MixedState, SiteOccupancy, _encode, classical
 from .primitives import (
     ABRotation,
     Collide,
@@ -214,7 +214,8 @@ def extract_logical_unitary(
         computer_config(n, L, up_offsets=[q for q, b in zip(qubits, bits) if b])
         for bits in basis_bits
     ]
-    index = {c: i for i, c in enumerate(configs)}
+    # the input whose code row an output row equals, if any
+    index = {row.tobytes(): i for i, row in enumerate(_encode([c.sites for c in configs]))}
     U = np.zeros((2 ** k, 2 ** k), dtype=complex)
     leakage = 0.0
     for col, config in enumerate(configs):
@@ -223,8 +224,8 @@ def extract_logical_unitary(
             raise GateLeakageError("gate macro produced a mixed state")
         _, st = out.branches[0]
         captured = 0.0
-        for c, amp in st:
-            row = index.get(c)
+        for code, amp in zip(st.codes, st.amps.tolist()):
+            row = index.get(code.tobytes())
             if row is not None:
                 U[row, col] = amp
                 captured += abs(amp) ** 2

@@ -130,19 +130,21 @@ class PureState:
     __slots__ = ("codes", "amps", "_terms")
 
     def __init__(self, terms: dict):
-        cleaned: dict[BasisConfig, complex] = {}
-        for config in sorted(terms):
-            amp = complex(terms[config])
+        """The state of a ``{BasisConfig: complex}`` map: terms below
+        PRUNE_TOL are dropped, the rest encoded and sorted as rows."""
+        kept = {}
+        for config, amp in terms.items():
+            amp = complex(amp)
             if abs(amp) >= PRUNE_TOL:
-                cleaned[config] = amp
-        if not cleaned:
+                kept[config] = amp
+        if not kept:
             raise ValueError("state has no support")
-        if len({config.L for config in cleaned}) > 1:
+        if len({config.L for config in kept}) > 1:
             raise ValueError("terms live on different lattice sizes")
         # raises OccupationOverflowError above the cutoff
-        self.codes = _encode([config.sites for config in cleaned])
-        self.amps = np.array(list(cleaned.values()), dtype=complex)
-        self._terms = MappingProxyType(cleaned)
+        codes = _encode([config.sites for config in kept])
+        st = self._from_codes(*_lexsorted(codes, np.array(list(kept.values()), dtype=complex)))
+        self.codes, self.amps, self._terms = st.codes, st.amps, None
         nsq = self.norm_sq()
         if abs(nsq - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 = {nsq!r} drifted from 1")
@@ -175,19 +177,8 @@ class PureState:
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amps.tolist())
 
-    def amplitude(self, config: BasisConfig) -> complex:
-        return self.terms.get(config, 0.0 + 0.0j)
-
-    def inner(self, other: "PureState") -> complex:
-        if len(self.amps) > len(other.amps):
-            return other.inner(self).conjugate()
-        return sum(a.conjugate() * other.terms.get(c, 0.0) for c, a in self.terms.items())
-
     def is_classical(self) -> bool:
         return len(self.amps) == 1
-
-    def translate(self, d: int) -> "PureState":
-        return PureState._from_codes(*_lexsorted(np.roll(self.codes, d, axis=1), self.amps))
 
     def __iter__(self) -> Iterator[tuple[BasisConfig, complex]]:
         return iter(self.terms.items())
@@ -260,9 +251,6 @@ class MixedState:
             raise ValueError("state is not a single classical configuration")
         return next(iter(self.branches[0][1].terms))
 
-    def translate(self, d: int) -> "MixedState":
-        return MixedState([(w, st.translate(d)) for w, st in self.branches])
-
     def to_json_obj(self) -> dict:
         return {
             "branches": [
@@ -314,35 +302,5 @@ def classical(config: BasisConfig | Iterable) -> MixedState:
     """Wrap one classical configuration as a weight-1 single-term state."""
     if not isinstance(config, BasisConfig):
         config = BasisConfig.from_counts(config)
-    return MixedState([(1.0, PureState({config: 1.0 + 0.0j}))])
-
-
-def fidelity(x: MixedState, y: MixedState, mode: str = "paired") -> float:
-    """Overlap between two states.
-
-    ``paired`` pairs branches positionally (requires matching branch
-    counts and weights) and returns sum_b w_b |<x_b|y_b>|^2; for pure
-    states this is the usual |<x|y>|^2.  ``strict`` returns 1.0 only if
-    the two ensembles are identical term by term, else 0.0.
-    """
-    if x.L != y.L:
-        raise ValueError(f"lattice size mismatch: {x.L} vs {y.L}")
-    if mode == "paired":
-        if len(x.branches) != len(y.branches):
-            raise ValueError("branch counts differ; no positional pairing exists")
-        total = 0.0
-        for (wx, sx), (wy, sy) in zip(x.branches, y.branches):
-            if abs(wx - wy) > NORM_TOL:
-                raise ValueError("paired branches carry different weights")
-            total += wx * abs(sx.inner(sy)) ** 2
-        return total
-    if mode == "strict":
-        if len(x.branches) != len(y.branches):
-            return 0.0
-        for (wx, sx), (wy, sy) in zip(x.branches, y.branches):
-            if abs(wx - wy) > BRANCH_MERGE_TOL:
-                return 0.0
-            if _branch_signature(sx) != _branch_signature(sy) or not _close(sx.amps, sy.amps):
-                return 0.0
-        return 1.0
-    raise ValueError(f"unknown fidelity mode {mode!r}")
+    row = _encode([config.sites])  # OccupationOverflowError above the cutoff
+    return MixedState([(1.0, PureState._from_codes(row, np.ones(1, dtype=complex)))])

@@ -117,7 +117,11 @@ def oracle_homes(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def oracle_computers(a: np.ndarray, n: int) -> np.ndarray:
-    """Homes of the computers :func:`format_counts` leaves on raw a-counts."""
+    """Homes of the computers :func:`format_counts` leaves on raw 1-d
+    a-counts; a batch has no one list of homes, so it is refused."""
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"expected shape (L,), got {a.shape}")
     return np.flatnonzero(oracle_homes(a, n))
 
 

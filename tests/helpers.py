@@ -18,7 +18,15 @@ from latticeqc import (
     execute,
     oracle_homes,
 )
-from latticeqc.lattice import BRANCH_MERGE_TOL, PRUNE_TOL, _branch_signature
+from latticeqc.lattice import (
+    BRANCH_MERGE_TOL,
+    NORM_TOL,
+    PRUNE_TOL,
+    _branch_signature,
+    _close,
+    _encode,
+    _lexsorted,
+)
 
 
 def dense_site_configs():
@@ -41,14 +49,90 @@ def run_op(state, op, rng=None):
 
 def op_matrix(op, configs):
     """Matrix of one op in the given basis."""
-    index = {c: i for i, c in enumerate(configs)}
+    index = {row.tobytes(): i for i, row in enumerate(_encode([c.sites for c in configs]))}
     M = np.zeros((len(configs), len(configs)), dtype=complex)
     for j, c in enumerate(configs):
         out = run_op(classical(c), op)
         ((w, st),) = out.branches
-        for cfg, amp in st:
-            M[index[cfg], j] = amp
+        for code, amp in zip(st.codes, st.amps):
+            M[index[code.tobytes()], j] = amp
     return M
+
+
+# -- state helpers the package itself never needs ------------------------------
+
+
+def amplitude(st, config):
+    """The amplitude of one configuration in a pure state, 0 off its support."""
+    return st.terms.get(config, 0.0 + 0.0j)
+
+
+def inner(x, y):
+    """<x|y> of two pure states, summed over the smaller support."""
+    if len(x.amps) > len(y.amps):
+        return inner(y, x).conjugate()
+    return sum(a.conjugate() * y.terms.get(c, 0.0) for c, a in x.terms.items())
+
+
+def translate(state, d):
+    """A mixed state with every site moved d sites to the right."""
+    return MixedState([
+        (w, PureState._from_codes(*_lexsorted(np.roll(st.codes, d, axis=1), st.amps)))
+        for w, st in state.branches
+    ])
+
+
+def fidelity(x, y, mode="paired"):
+    """Overlap between two states.
+
+    ``paired`` pairs branches positionally (requires matching branch
+    counts and weights) and returns sum_b w_b |<x_b|y_b>|^2; for pure
+    states this is the usual |<x|y>|^2.  ``strict`` returns 1.0 only if
+    the two ensembles are identical term by term, else 0.0.
+    """
+    if x.L != y.L:
+        raise ValueError(f"lattice size mismatch: {x.L} vs {y.L}")
+    if mode == "paired":
+        if len(x.branches) != len(y.branches):
+            raise ValueError("branch counts differ; no positional pairing exists")
+        total = 0.0
+        for (wx, sx), (wy, sy) in zip(x.branches, y.branches):
+            if abs(wx - wy) > NORM_TOL:
+                raise ValueError("paired branches carry different weights")
+            total += wx * abs(inner(sx, sy)) ** 2
+        return total
+    if mode == "strict":
+        if len(x.branches) != len(y.branches):
+            return 0.0
+        for (wx, sx), (wy, sy) in zip(x.branches, y.branches):
+            if abs(wx - wy) > BRANCH_MERGE_TOL:
+                return 0.0
+            if _branch_signature(sx) != _branch_signature(sy) or not _close(sx.amps, sy.amps):
+                return 0.0
+        return 1.0
+    raise ValueError(f"unknown fidelity mode {mode!r}")
+
+
+def pure_state_by_dict(terms):
+    """Reference for ``PureState(terms)``: (codes, amps) as the dict-sorting
+    constructor made them.  It walks the configurations in sorted order,
+    prunes below PRUNE_TOL, then checks support, lattice size, cutoff and
+    norm, in that order."""
+    cleaned = {}
+    for config in sorted(terms):
+        amp = complex(terms[config])
+        if abs(amp) >= PRUNE_TOL:
+            cleaned[config] = amp
+    if not cleaned:
+        raise ValueError("state has no support")
+    if len({config.L for config in cleaned}) > 1:
+        raise ValueError("terms live on different lattice sizes")
+    codes = _encode([config.sites for config in cleaned])
+    amps = np.array(list(cleaned.values()), dtype=complex)
+    nsq = sum(abs(a) ** 2 for a in amps.tolist())
+    if abs(nsq - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm^2 = {nsq!r} drifted from 1")
+    return codes, amps
 
 
 def random_config(rng, L, max_count=2):

@@ -12,10 +12,12 @@ import numpy as np
 from helpers import (
     dense_site_configs,
     expected_formatted,
+    fidelity,
     op_matrix,
     random_config,
     random_state,
     run_op,
+    translate,
 )
 from latticeqc import (
     ABRotation,
@@ -40,7 +42,6 @@ from latticeqc import (
     computer_config,
     execute,
     extract_logical_unitary,
-    fidelity,
     hadamard_phase_correction,
     measure_qubit,
     monte_carlo_yield,
@@ -398,7 +399,7 @@ def test_acceptance_8_primitive_algebra():
             op = EmptyB()
         else:
             op = DefectSplit(float(rng.uniform(0, 1)))
-        a, b = run_op(state, op).translate(d), run_op(state.translate(d), op)
+        a, b = translate(run_op(state, op), d), run_op(translate(state, d), op)
         if fidelity(a, b, mode="strict") != 1.0:
             failures.append(f"covariance case {i} ({kind})")
             break

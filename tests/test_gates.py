@@ -27,7 +27,6 @@ from latticeqc import (
     computer_config,
     execute,
     extract_logical_unitary,
-    fidelity,
     hadamard_phase_correction,
     involved_qubits,
     macros_from_json_obj,
@@ -36,6 +35,8 @@ from latticeqc import (
     measure_qubit,
     run_circuit,
 )
+
+from helpers import amplitude, fidelity
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -274,7 +275,7 @@ def test_lockstep_phase_accumulates_per_computer():
     st = two_computers()
     out = run_circuit(st, [PhaseGate(1, phi)], n=2)
     ((_, branch),) = out.branches
-    amp = branch.amplitude(st.sole_config())
+    amp = amplitude(branch, st.sole_config())
     assert amp == pytest.approx(np.exp(2j * phi))  # both computers fire
 
 
@@ -291,7 +292,7 @@ def test_lockstep_hadamard_gives_product_state():
             sites[1] = list(up if sa else down)
             sites[7] = list(up if sb else down)
             cfg = BasisConfig.from_counts(sites)
-            assert branch.amplitude(cfg) == pytest.approx(U[sa, 0] * U[sb, 1])
+            assert amplitude(branch, cfg) == pytest.approx(U[sa, 0] * U[sb, 1])
 
 
 # -- measurement -------------------------------------------------------------
@@ -369,7 +370,7 @@ def test_circuit_phases_add():
     st = two_computers()
     out = run_circuit(st, [PhaseGate(1, 0.4), PhaseGate(1, 0.5)], n=2)
     ((_, branch),) = out.branches
-    amp = branch.amplitude(st.sole_config())
+    amp = amplitude(branch, st.sole_config())
     assert amp == pytest.approx(np.exp(2j * 0.9))
 
 
@@ -381,8 +382,8 @@ def test_circuit_composes_like_matrix_product():
     UU = U @ U
     down_cfg = computer_config(2)
     up_cfg = computer_config(2, up_offsets=(1,))
-    assert branch.amplitude(down_cfg) == pytest.approx(UU[0, 0])
-    assert branch.amplitude(up_cfg) == pytest.approx(UU[1, 0])
+    assert amplitude(branch, down_cfg) == pytest.approx(UU[0, 0])
+    assert amplitude(branch, up_cfg) == pytest.approx(UU[1, 0])
 
 
 def test_circuit_collects_measurement_outcomes():

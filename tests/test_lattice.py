@@ -13,11 +13,10 @@ from latticeqc import (
     PureState,
     SiteOccupancy,
     classical,
-    fidelity,
 )
-from latticeqc.lattice import _branch_signature, _merge_branches
+from latticeqc.lattice import PRUNE_TOL, _branch_signature, _merge_branches
 
-from helpers import merge_branches_pairwise
+from helpers import fidelity, merge_branches_pairwise, pure_state_by_dict, translate
 
 
 def test_config_basics():
@@ -42,6 +41,22 @@ def test_classical_respects_cutoff():
         classical([(7, 0, 0)])
 
 
+def assert_matches_dict_constructor(terms):
+    """PureState(terms) holds the codes and amplitudes of the dict-sorting
+    constructor kept in tests/helpers.py, or raises as it does."""
+    try:
+        want = pure_state_by_dict(terms)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            PureState(terms)
+        assert str(got.value) == str(exc)
+        return
+    st = PureState(terms)
+    assert st.codes.dtype == want[0].dtype
+    assert np.array_equal(st.codes, want[0])
+    assert repr(st.amps.tolist()) == repr(want[1].tolist())
+
+
 def test_pure_state_norm_gate():
     c1 = BasisConfig.from_counts([(1, 0, 0)])
     c2 = BasisConfig.from_counts([(0, 0, 1)])
@@ -49,6 +64,10 @@ def test_pure_state_norm_gate():
         PureState({c1: 0.7, c2: 0.7})
     # norm drift inside the tolerance window passes
     PureState({c1: math.sqrt(0.5) * (1 + 4e-11), c2: math.sqrt(0.5)})
+    for terms in ({c1: 0.7, c2: 0.7},
+                  {c1: math.sqrt(0.5) * (1 + 4e-11), c2: math.sqrt(0.5)},
+                  {c2: math.sqrt(0.5) * (1 - 4e-10), c1: math.sqrt(0.5)}):
+        assert_matches_dict_constructor(terms)
 
 
 def test_pure_state_prunes_tiny_terms():
@@ -58,6 +77,21 @@ def test_pure_state_prunes_tiny_terms():
     s = PureState({c1: math.sqrt(0.5), c2: math.sqrt(0.5), junk: 1e-15})
     assert len(s.terms) == 2
     assert junk not in dict(s.terms)
+    over = BasisConfig.from_counts([(7, 0, 0)])  # above the cutoff
+    longer = BasisConfig.from_counts([(1, 0, 0), (0, 0, 0)])  # another L
+    cases = [
+        {c1: math.sqrt(0.5), c2: math.sqrt(0.5), junk: 1e-15},
+        {c1: 1.0, over: 1e-16},  # a pruned term is never encoded
+        {over: 1e-16, c1: 1.0},
+        {c1: 1.0, longer: 1e-15j},  # nor compared for lattice size
+        {c1: 1.0, over: 1e-15, longer: 1e-15},
+        {c1: 1e-15, c2: 1e-16},  # no support left after pruning
+        {},
+        {c1: 1.0, junk: PRUNE_TOL},  # kept at the tolerance
+    ]
+    for terms in cases:
+        assert_matches_dict_constructor(terms)
+    assert PureState({c1: 1.0, over: 1e-16}).terms == {c1: 1.0}
 
 
 def test_pure_state_canonical_order():
@@ -67,6 +101,19 @@ def test_pure_state_canonical_order():
     s2 = PureState({b: math.sqrt(0.5), a: math.sqrt(0.5)})
     assert s1.terms == s2.terms
     assert list(s1.terms) == sorted([a, b])
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        configs = [BasisConfig.from_counts(rng.integers(0, 3, size=(3, 3))) for _ in range(6)]
+        amps = rng.normal(size=6) + 1j * rng.normal(size=6)
+        amps /= np.linalg.norm(amps)
+        terms = dict(zip(configs, amps))
+        shuffled = [configs[i] for i in rng.permutation(len(configs))]
+        assert_matches_dict_constructor({c: terms[c] for c in shuffled})
+    # -0.0 parts survive, in either order of insertion
+    signed = {a: complex(-0.0, math.sqrt(0.5)), b: complex(math.sqrt(0.5), -0.0)}
+    assert_matches_dict_constructor(signed)
+    assert_matches_dict_constructor(dict(reversed(signed.items())))
+    assert_matches_dict_constructor({a: -0.0 - 1j, b: 0.0})
 
 
 def test_pure_state_mixed_length_rejected():
@@ -74,6 +121,13 @@ def test_pure_state_mixed_length_rejected():
     c2 = BasisConfig.from_counts([(1, 0, 0), (0, 0, 0)])
     with pytest.raises(ValueError):
         PureState({c1: math.sqrt(0.5), c2: math.sqrt(0.5)})
+    assert_matches_dict_constructor({c1: math.sqrt(0.5), c2: math.sqrt(0.5)})
+    assert_matches_dict_constructor({c2: math.sqrt(0.5), c1: math.sqrt(0.5)})
+    over = BasisConfig.from_counts([(7, 0, 0), (0, 0, 1)])
+    for terms in ({over: 1.0}, {over: math.sqrt(0.5), c2: math.sqrt(0.5)}):
+        with pytest.raises(OccupationOverflowError):
+            PureState(terms)
+        assert_matches_dict_constructor(terms)
 
 
 def test_mixed_state_weight_gate_and_merge():
@@ -83,8 +137,12 @@ def test_mixed_state_weight_gate_and_merge():
     m = MixedState([(0.5, s), (0.5, s)])
     assert len(m.branches) == 1
     assert m.branches[0][0] == pytest.approx(1.0)
-    assert m.is_classical
+    assert m.is_classical()
     assert m.sole_config() == BasisConfig.from_counts([(1, 0, 0)])
+    c1 = BasisConfig.from_counts([(1, 0, 0)])
+    c2 = BasisConfig.from_counts([(0, 0, 1)])
+    sup = PureState({c1: math.sqrt(0.5), c2: math.sqrt(0.5)})
+    assert not MixedState([(0.5, s), (0.5, sup)]).is_classical()
 
 
 def test_mixed_state_branch_order_is_canonical():
@@ -174,11 +232,11 @@ def test_config_json_round_trip():
 
 def test_state_translate_moves_every_level():
     st = classical([(1, 0, 1), (0, 2, 0), (0, 0, 0)])
-    out = st.translate(1)
+    out = translate(st, 1)
     assert out.sole_config() == BasisConfig.from_counts(
         [(0, 0, 0), (1, 0, 1), (0, 2, 0)]
     )
-    assert st.translate(0).sole_config() == st.sole_config()
+    assert translate(st, 0).sole_config() == st.sole_config()
 
 
 _MERGE_CONFIGS = [BasisConfig.from_counts([(a, 0, 0), (b, 0, 1)]) for a in (0, 1) for b in (0, 1)]

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import (
+    amplitude,
     dense_site_configs,
+    fidelity,
     op_matrix,
     random_config,
     random_state,
     run_op,
     step_terms,
+    translate,
 )
 from latticeqc import (
     M_MAX,
@@ -36,7 +39,6 @@ from latticeqc import (
     apply_classical,
     classical,
     execute,
-    fidelity,
 )
 from latticeqc.primitives import _groups, _step
 
@@ -127,10 +129,10 @@ def test_ab_rotation_single_particle_sector():
     out = run_op(classical([(1, 0, 0)]), ABRotation(theta))
     ((w, branch),) = out.branches
     assert w == 1.0
-    assert branch.amplitude(BasisConfig.from_counts([(1, 0, 0)])) == pytest.approx(
+    assert amplitude(branch, BasisConfig.from_counts([(1, 0, 0)])) == pytest.approx(
         math.cos(theta)
     )
-    assert branch.amplitude(BasisConfig.from_counts([(0, 1, 0)])) == pytest.approx(
+    assert amplitude(branch, BasisConfig.from_counts([(0, 1, 0)])) == pytest.approx(
         -1j * math.sin(theta)
     )
 
@@ -141,9 +143,7 @@ def test_ab_rotation_pointer_is_spectator():
     lifted = run_op(classical([(1, 0, 3)]), ABRotation(theta)).branches[0][1]
     for cfg, amp in base:
         (s,) = cfg.sites
-        assert lifted.amplitude(
-            BasisConfig.from_counts([(s.a, s.b, 3)])
-        ) == pytest.approx(amp)
+        assert amplitude(lifted, BasisConfig.from_counts([(s.a, s.b, 3)])) == pytest.approx(amp)
 
 
 def test_ab_rotation_inverse():
@@ -170,7 +170,7 @@ def test_collide_phase_per_site_product():
     st = classical([(1, 0, 1), (2, 0, 1), (3, 0, 0)])
     out = run_op(st, Collide(phi))
     ((_, branch),) = out.branches
-    amp = branch.amplitude(st.sole_config())
+    amp = amplitude(branch, st.sole_config())
     assert amp == pytest.approx(cmath.exp(1j * phi * 3))  # 1*1 + 2*1 + 3*0
 
 
@@ -267,18 +267,18 @@ def test_defect_split_columns():
     eps = 0.2
     out = run_op(classical([(2, 0, 0)]), DefectSplit(eps))
     ((_, branch),) = out.branches
-    assert branch.amplitude(BasisConfig.from_counts([(2, 0, 0)])) == pytest.approx(
+    assert amplitude(branch, BasisConfig.from_counts([(2, 0, 0)])) == pytest.approx(
         SQ(1 - eps)
     )
-    assert branch.amplitude(BasisConfig.from_counts([(1, 1, 0)])) == pytest.approx(
+    assert amplitude(branch, BasisConfig.from_counts([(1, 1, 0)])) == pytest.approx(
         SQ(eps)
     )
     out2 = run_op(classical([(1, 1, 0)]), DefectSplit(eps))
     ((_, branch2),) = out2.branches
-    assert branch2.amplitude(BasisConfig.from_counts([(2, 0, 0)])) == pytest.approx(
+    assert amplitude(branch2, BasisConfig.from_counts([(2, 0, 0)])) == pytest.approx(
         -SQ(eps)
     )
-    assert branch2.amplitude(BasisConfig.from_counts([(1, 1, 0)])) == pytest.approx(
+    assert amplitude(branch2, BasisConfig.from_counts([(1, 1, 0)])) == pytest.approx(
         SQ(1 - eps)
     )
 
@@ -727,8 +727,8 @@ def test_translation_covariance():
         state = random_state(rng, L=4)
         d = int(rng.integers(1, 4))
         for op in ops:
-            a = run_op(state, op).translate(d)
-            b = run_op(state.translate(d), op)
+            a = translate(run_op(state, op), d)
+            b = run_op(translate(state, d), op)
             assert fidelity(a, b, mode="strict") == 1.0
 
 

@@ -193,6 +193,15 @@ def test_oracle_computers_lists_homes():
     assert_array_equal(homes, [4])
 
 
+def test_oracle_computers_refuses_a_batch():
+    # flat indices into a batch are not homes; oracle_homes stays batched
+    batch = np.array([[2, 1, 0], [2, 2, 1]])
+    with pytest.raises(ValueError, match=r"expected shape \(L,\), got \(2, 3\)"):
+        oracle_computers(batch, 1)
+    for row in batch:
+        assert_array_equal(oracle_computers(row, 1), np.flatnonzero(oracle_homes(row, 1)))
+
+
 def test_oracle_computers_wraparound_register():
     # the register wraps to sites (3, 0); checked at the CLI
     assert_array_equal(oracle_computers(np.array([2, 1, 0, 2]), 2), [1])
