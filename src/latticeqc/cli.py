@@ -13,6 +13,7 @@ import math
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -52,10 +53,14 @@ def _dist_from_args(args) -> FillDistribution:
 
 def _dumps(obj) -> str:
     """The stdlib's JSON text of obj at ``indent=2, sort_keys=True,
-    allow_nan=False``, byte for byte.  With an indent the stdlib encodes
-    item by item in Python; here a list of ints is one join, and a list of
-    equal-width int rows (a lattice's sites) renders each distinct row
-    once.  Scalars other than str and int go to ``json.dumps``."""
+    allow_nan=False``, byte for byte, where a numpy integer array stands
+    for its ``tolist()``; any other array is a TypeError, as in the stdlib.
+    With an indent the stdlib encodes item by item in Python.  Here a list
+    of ints is one join, and the rows of a 2-D int array, or of a list of
+    equal-width int rows, are coded as one int64 each so that each
+    distinct row is rendered once.  A list of dicts with one set of str
+    keys is rendered from one template, column by column.  Scalars other
+    than str and int go to ``json.dumps``."""
     out: list[str] = []
     _put(obj, "\n", out)
     return "".join(out)
@@ -63,33 +68,22 @@ def _dumps(obj) -> str:
 
 def _put(value, nl: str, out: list):
     # nl is a newline plus the indentation of the line that holds value
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iu":
+            raise TypeError("Object of type ndarray is not JSON serializable")
+        if value.ndim != 2:
+            value = value.tolist()
     if type(value) is int:
         out.append(int.__repr__(value))
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        if not len(value):
             out.append("[]")
             return
         inner = nl + "  "
-        sep = "," + inner
         out.append("[" + inner)
-        types = set(map(type, value))
-        if types == {int}:
-            out.append(sep.join(map(int.__repr__, value)))
-        elif (types <= {list, tuple} and len(set(map(len, value))) == 1
-              and set(map(type, chain.from_iterable(value))) == {int}):
-            # rows of one width, at least 1, that hold only ints (no bool)
-            width = len(value[0])
-            row_nl = inner + "  "
-            template = "[" + row_nl + ("," + row_nl).join(["{}"] * width) + inner + "]"
-            text = {row: template.format(*row) for row in set(map(tuple, value))}
-            out.append(sep.join(map(text.__getitem__, map(tuple, value))))
-        else:
-            for k, item in enumerate(value):
-                if k:
-                    out.append(sep)
-                _put(item, inner, out)
+        out.append(("," + inner).join(_texts(value, inner)))
         out.append(nl + "]")
     elif isinstance(value, dict):
         if not value:
@@ -107,6 +101,78 @@ def _put(value, nl: str, out: list):
         out.append(json.dumps(value, allow_nan=False))
 
 
+def _texts(items, nl: str) -> list:
+    """The JSON text of each item of a non-empty list, tuple or 2-D int
+    array, on a line that starts with nl."""
+    if isinstance(items, np.ndarray):
+        return _rows(items, nl)
+    types = set(map(type, items))
+    if types == {int}:
+        return list(map(int.__repr__, items))
+    if types <= {list, tuple} and len(set(map(len, items))) == 1:
+        flat = list(chain.from_iterable(items))
+        if set(map(type, flat)) == {int}:
+            # rows of one width, at least 1, that hold only ints (no bool)
+            try:
+                rows = np.array(flat, dtype=np.int64)
+            except OverflowError:
+                pass  # beyond int64: rendered item by item below
+            else:
+                return _rows(rows.reshape(len(items), -1), nl)
+    if types == {dict}:
+        keys = list(items[0])
+        if (keys and all(isinstance(key, str) for key in keys)
+                and set(map(len, items)) == {len(keys)}):
+            try:
+                return _records(items, sorted(keys), nl)
+            except (KeyError, TypeError, ValueError):
+                # KeyError: the key sets differ.  Otherwise raise what the
+                # stdlib raises first, item by item below
+                pass
+    texts = []
+    for item in items:
+        out: list[str] = []
+        _put(item, nl, out)
+        texts.append("".join(out))
+    return texts
+
+
+def _rows(rows: np.ndarray, nl: str) -> list:
+    """The texts of the rows of a 2-D int array; a distinct row is
+    rendered once."""
+    count, width = rows.shape
+    if not width:
+        return ["[]"] * count
+    row_nl = nl + "  "
+    template = "[" + row_nl + ("," + row_nl).join(["{}"] * width) + nl + "]"
+    least = rows.min()
+    radix = int(rows.max()) - int(least) + 1
+    if radix ** width >= 2 ** 63:  # no int64 code per row
+        return [template.format(*row) for row in rows.tolist()]
+    # A row's code has one digit per entry, the entry minus the least one.
+    # int64 arithmetic wraps (uint64 entries), but each digit lies in
+    # [0, radix) and so comes out exact.
+    digits = rows.astype(np.int64, copy=False) - least.astype(np.int64)
+    codes = digits @ np.int64(radix) ** np.arange(width - 1, -1, -1)
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    first = np.empty(distinct.size, dtype=np.intp)
+    first[inverse] = np.arange(count)  # a row of each code; which one does not matter
+    texts = np.array([template.format(*row) for row in rows[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _records(items: list, keys: list, nl: str) -> list:
+    """The texts of dicts that share the str keys ``keys`` (sorted, at
+    least one), rendered from one template with one column of texts per
+    key."""
+    inner = nl + "  "
+    template = "{{" + inner + ("," + inner).join(
+        encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}"
+        for key in keys) + nl + "}}"
+    columns = [_texts(list(map(itemgetter(key), items)), inner) for key in keys]
+    return list(map(template.format, *columns))
+
+
 def _key(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
@@ -117,12 +183,17 @@ def _key(key) -> str:
 
 
 def _write_json(path: str | None, obj):
-    text = _dumps(obj)  # a value json cannot write raises before the file opens
+    # The pieces of _dumps, written one by one: their join, a second copy
+    # of a multi-MB report, would set the peak memory.  A value json
+    # cannot write raises before the file opens.
+    out: list[str] = []
+    _put(obj, "\n", out)
+    out.append("\n")
     if path:
         with open(path, "w") as fh:
-            print(text, file=fh)
+            fh.writelines(out)
     else:
-        print(text)
+        sys.stdout.writelines(out)
 
 
 def _add_dist_flags(p: argparse.ArgumentParser, p0=0.1, p1=0.1):
@@ -159,8 +230,8 @@ def cmd_format(args) -> int:
         "L": int(a.size),
         "n": args.n,
         "seed": None if args.lattice else args.seed,
-        "initial": [[x, 0, 0] for x in a.tolist()],
-        "final": final.tolist(),
+        "initial": np.pad(a[:, None], ((0, 0), (0, 2))),  # [a, 0, 0] per site
+        "final": final,
         "computers": [
             {"home": k, "n": args.n, "qubit_sites": w}
             for k, w in zip(homes.tolist(), windows.tolist())

@@ -299,8 +299,15 @@ def _real(x, where: str) -> float:
 
 
 def classical(config: BasisConfig | Iterable) -> MixedState:
-    """Wrap one classical configuration as a weight-1 single-term state."""
-    if not isinstance(config, BasisConfig):
-        config = BasisConfig.from_counts(config)
-    row = _encode([config.sites])  # OccupationOverflowError above the cutoff
+    """Wrap one classical configuration, a BasisConfig or L sites
+    (a, b, p), as a weight-1 single-term state."""
+    sites = config.sites if isinstance(config, BasisConfig) else config
+    try:
+        row = _encode([sites])
+    except (TypeError, ValueError, OverflowError):
+        row = None
+    if row is None or row.ndim != 2:
+        # BasisConfig names a bad site; a count above the cutoff passes it
+        # and raises OccupationOverflowError here
+        row = _encode([BasisConfig.from_counts(sites).sites])
     return MixedState([(1.0, PureState._from_codes(row, np.ones(1, dtype=complex)))])

@@ -425,8 +425,10 @@ def test_run_error_paths(tmp_path, capsys):
      ({"branches": [{"weight": 1}]}, "malformed state"),
      ([[1.5, 0, 0], [1, 0, 1]], "lattice site 0 is [1.5, 0, 0];"),
      ([[True, 0, 1]], "lattice site 0 is [true, 0, 1];"),
-     ([[10**30, 0, 0]], "too large")],
-    ids=["bare-list", "branch-without-terms", "float-count", "bool-count", "huge-count"],
+     ([[10**30, 0, 0]], "too large"),
+     ([[2, 0, 0], [1, -1, 0]], "error: negative occupation in SiteOccupancy(a=1, b=-1, p=0)\n")],
+    ids=["bare-list", "branch-without-terms", "float-count", "bool-count", "huge-count",
+         "negative-count"],
 )
 def test_run_rejects_malformed_lattices(tmp_path, capsys, lattice, message):
     script = tmp_path / "w.txt"

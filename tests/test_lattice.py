@@ -41,6 +41,25 @@ def test_classical_respects_cutoff():
         classical([(7, 0, 0)])
 
 
+def test_classical_names_the_negative_site():
+    # a negative count is named before a count above the cutoff, as BasisConfig does
+    for sites in ([[1, -1, 0]], [[7, 0, 0], [1, -1, 0]], [(2, 0, 0), (1, -1, 0)]):
+        with pytest.raises(ValueError) as exc:
+            classical(sites)
+        assert str(exc.value) == "negative occupation in SiteOccupancy(a=1, b=-1, p=0)"
+    with pytest.raises(ValueError, match="at least one site"):
+        classical([])
+    with pytest.raises(TypeError):
+        classical([1, 0, 0])  # one site is [[1, 0, 0]], not a bare triple
+
+
+def test_classical_of_sites_equals_classical_of_config():
+    sites = [[2, 0, 1], [0, 3, 0], [6, 6, 6]]
+    got = classical(sites).branches[0][1]
+    want = classical(BasisConfig.from_counts(sites)).branches[0][1]
+    assert np.array_equal(got.codes, want.codes) and got.codes.dtype == want.codes.dtype
+
+
 def assert_matches_dict_constructor(terms):
     """PureState(terms) holds the codes and amplitudes of the dict-sorting
     constructor kept in tests/helpers.py, or raises as it does."""

@@ -8,12 +8,26 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latticeqc import cli
 
 
 def stdlib(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+def plain(obj):
+    """obj with every int array replaced by its ``tolist()``, which is
+    what the writer renders in its place; other arrays stay, and the
+    stdlib refuses them."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(plain, obj))
+    if isinstance(obj, dict):
+        return {key: plain(item) for key, item in obj.items()}
+    return obj
 
 
 def outcome(encode, obj):
@@ -34,12 +48,17 @@ def _as(rows, kind):
     return kind(kind(r) for r in rows)
 
 
+# ints at the edges of int64 and beyond it: rows that hold one cannot be
+# coded as int64 and are rendered item by item
+wide = st.sampled_from([2**62, 2**63 - 1, 2**63, 2**64, 2**70, -2**63, -2**63 - 1, -2**70])
+
+
 @st.composite
 def int_rows(draw):
-    """Lists of rows: of one width (empty rows too), ragged, or with a
-    bool among the ints; as lists or as tuples."""
+    """Lists of rows: of one width (empty rows too), ragged, with a bool
+    among the ints, or with ints beyond int64; as lists or as tuples."""
     width = draw(st.integers(0, 4))
-    element = draw(st.sampled_from([ints, st.one_of(ints, st.booleans())]))
+    element = draw(st.sampled_from([ints, st.one_of(ints, st.booleans()), st.one_of(ints, wide)]))
     row = draw(st.sampled_from([
         st.lists(element, min_size=width, max_size=width),
         st.lists(element, max_size=4),
@@ -66,6 +85,86 @@ values = st.recursive(
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_writer_matches_stdlib_encoding(obj):
     assert outcome(cli._dumps, obj) == outcome(stdlib, obj)
+
+
+def _near_code_overflow(dtype) -> list:
+    # rows of width w get int64 codes while (max - min + 1) ** w < 2**63
+    info = np.iinfo(dtype)
+    edges = [0, 1, -1, info.min, info.max, info.min + 1, info.max - 1,
+             2**20, 2**21 - 1, 2**21, -2**20, 3037000499, 3037000500, -3037000499, 2**62]
+    return [x for x in edges if info.min <= x <= info.max]
+
+
+@st.composite
+def int_arrays(draw):
+    """numpy int arrays of 0 to 3 dimensions, empty along any axis, with
+    values from small to the edges of their dtype, where the row codes
+    of a 2-D array overflow int64."""
+    dtype = draw(st.sampled_from([np.int8, np.uint16, np.int64]))
+    info = np.iinfo(dtype)
+    shape = draw(st.one_of(
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    ))
+    elements = st.one_of(st.integers(max(info.min, -3), 3), st.integers(info.min, info.max),
+                         st.sampled_from(_near_code_overflow(dtype)))
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+@given(int_arrays())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_writer_renders_int_arrays_as_their_lists(arr):
+    assert cli._dumps(arr) == stdlib(arr.tolist())
+    holder = {"x": arr, "y": [arr, (arr, 1)], "z": [{"{a}": arr, "b": 0}, {"{a}": arr, "b": 1}]}
+    assert cli._dumps(holder) == stdlib(plain(holder))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0), (4, 0), (1, 0), (0,), ()])
+def test_writer_renders_empty_int_arrays(shape):
+    arr = np.zeros(shape, dtype=np.int64)
+    assert cli._dumps(arr) == stdlib(arr.tolist())
+    assert cli._dumps({"x": arr, "y": [arr]}) == stdlib({"x": arr.tolist(), "y": [arr.tolist()]})
+
+
+@pytest.mark.parametrize("arr", [
+    np.zeros((2, 3)), np.zeros((2, 3), dtype=bool), np.array([[1, "a"]], dtype=object),
+    np.array([1, 2], dtype=object), np.array(1.5), np.zeros(3, dtype=bool), np.zeros((0, 3)),
+])
+def test_writer_refuses_arrays_that_are_not_int(arr):
+    for holder in (arr, {"x": arr}, [arr, 1], [{"a": arr}, {"a": arr}]):
+        assert outcome(stdlib, holder) is TypeError
+        with pytest.raises(TypeError):
+            cli._dumps(holder)
+
+
+array_values = st.recursive(
+    st.one_of(scalars, int_rows(), int_arrays(),
+              st.sampled_from([np.zeros(2), np.ones((1, 2), dtype=bool)])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(text, inner, max_size=4),
+        # lists of dicts with one key set, keys that hold format braces too
+        st.lists(st.one_of(text, st.sampled_from(["{}", "{0}", "}{"])), max_size=3,
+                 unique=True).flatmap(lambda keys: st.lists(
+                     st.fixed_dictionaries({key: inner for key in keys}),
+                     min_size=1, max_size=4)),
+    ),
+    max_leaves=16,
+)
+
+
+@given(array_values)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_writer_matches_stdlib_on_arrays_and_records(obj):
+    assert outcome(cli._dumps, obj) == outcome(stdlib, plain(obj))
+
+
+def test_records_raise_the_first_error_the_stdlib_meets():
+    # rendered column by column, column "a" would meet the set first
+    for obj in ([{"a": 1, "b": math.nan}, {"a": {1}, "b": 1}],
+                [{"a": 1, "b": {1}}, {"a": math.nan, "b": 1}]):
+        assert outcome(cli._dumps, obj) == outcome(stdlib, obj)
+    assert outcome(stdlib, [{"a": 1, "b": math.nan}, {"a": {1}, "b": 1}]) is ValueError
 
 
 @dataclass
@@ -121,4 +220,5 @@ def test_format_report_bytes_equal_stdlib_encoding(tmp_path, capsys, monkeypatch
             "--out", str(out)]
     assert cli.main(argv) == 0
     (report,) = seen
-    assert out.read_bytes() == (stdlib(report) + "\n").encode()
+    assert isinstance(report["initial"], np.ndarray)  # the writer's array branch is exercised
+    assert out.read_bytes() == (stdlib(plain(report)) + "\n").encode()
