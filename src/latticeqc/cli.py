@@ -18,7 +18,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .lattice import MixedState, check_sites, classical
+from .lattice import _SITE_TABLE, MixedState, classical, read_sites
 from .primitives import Script, execute
 from .protocols import (
     FormattingError,
@@ -205,17 +205,9 @@ def _add_dist_flags(p: argparse.ArgumentParser, p0=0.1, p1=0.1):
     p.add_argument("--p4", type=float, default=0.0)
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def cmd_format(args) -> int:
     if args.lattice:
-        # keep no name for the site list: alive through the report writer,
-        # a large lattice's lists raise peak memory and the collector's work
-        a = np.array([s[0] for s in check_sites(_load_json(args.lattice), a_only=True)],
-                     dtype=np.int64)
+        a = read_sites(args.lattice, a_only=True)
     elif args.L < 1:
         raise ValueError("lattice needs at least one site")
     else:
@@ -328,11 +320,14 @@ def cmd_repair(args) -> int:
 def cmd_run(args) -> int:
     with open(args.script) as fh:
         script = Script.parse(fh.read())
-    obj = _load_json(args.lattice)
-    if isinstance(obj, dict):
-        state = MixedState.from_json_obj(obj)
+    with open(args.lattice, "rb") as fh:
+        # a JSON text that starts so holds a state object or is malformed
+        is_state = fh.read().lstrip(b" \t\n\r")[:1] == b"{"
+    if is_state:
+        with open(args.lattice) as fh:
+            state = MixedState.from_json_obj(json.load(fh))
     else:
-        state = classical(check_sites(obj))
+        state = classical(read_sites(args.lattice))
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     final, counts = execute(state, script, rng)
     report = {
@@ -342,7 +337,7 @@ def cmd_run(args) -> int:
         "state": final.to_json_obj(),
     }
     if final.is_classical() and len(final.branches) == 1:
-        report["config"] = final.sole_config().to_json_obj()
+        report["config"] = _SITE_TABLE[final.branches[0][1].codes[0]]
     _write_json(args.out, report)
     print(f"ran {len(script)} ops; {len(counts)} counts recorded", file=sys.stderr)
     return 0

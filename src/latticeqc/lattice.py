@@ -90,6 +90,42 @@ def check_sites(sites, a_only: bool = False) -> list:
     return sites
 
 
+def read_sites(path: str, a_only: bool = False) -> np.ndarray:
+    """The (L, 3) int64 sites of a lattice file, checked as by
+    :func:`check_sites`; with ``a_only`` the a column of sites [a, 0, 0].
+
+    A file of one-digit counts, ``[[d,d,d],...]`` with any JSON
+    whitespace, is read as bytes; every other file goes through
+    ``json.load`` and :func:`check_sites` and raises what they raise."""
+    with open(path, "rb") as fh:
+        digits = _one_digit_sites(fh.read().translate(None, b" \t\n\r"))
+    if digits is None or (a_only and digits[:, 1:].any()):
+        with open(path) as fh:
+            sites = check_sites(json.load(fh), a_only)
+        return np.array([s[0] for s in sites] if a_only else sites, dtype=np.int64)
+    return (digits[:, 0] if a_only else digits).astype(np.int64)
+
+
+_ROW_PUNCTUATION = np.frombuffer(b"[,,]", dtype=np.uint8)
+
+
+def _one_digit_sites(text: bytes) -> np.ndarray | None:
+    """The (L, 3) uint8 counts of a text that is exactly ``[`` plus L >= 1
+    rows ``[d,d,d]`` joined by commas plus ``]``, d one ASCII digit;
+    None for any other text.  Whitespace inside a count of the original
+    file leaves two digits side by side here, so it is refused too."""
+    L, rest = divmod(len(text) - 1, 8)
+    if L < 1 or rest or text[0] != ord("["):
+        return None
+    rows = np.frombuffer(text, dtype=np.uint8, offset=1).reshape(L, 8)
+    # columns 0, 2, 4, 6 read "[,,]"; column 7 is "," and "]" on the last row
+    if not ((rows[:, ::2] == _ROW_PUNCTUATION).all()
+            and (rows[:-1, 7] == ord(",")).all() and rows[-1, 7] == ord("]")):
+        return None
+    digits = rows[:, 1:6:2] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    return digits if (digits <= 9).all() else None
+
+
 _R = M_MAX + 1
 # Row c holds the occupations (a, b, p) of site code c.
 _SITE_TABLE = np.indices((_R, _R, _R)).reshape(3, -1).T.copy()

@@ -118,6 +118,37 @@ def test_format_rejects_sites_outside_level_a(tmp_path, capsys, sites):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("[[1 2, 0, 0]]", "Expecting ',' delimiter: line 1 column 5 (char 4)"),
+     ("[[01, 0, 0]]", "Expecting ',' delimiter: line 1 column 4 (char 3)")],
+    ids=["split-count", "leading-zero"],
+)
+def test_format_rejects_malformed_json(tmp_path, capsys, text, message):
+    # dropping the whitespace of "1 2" leaves "12", but json refuses both
+    lat = tmp_path / "lat.json"
+    lat.write_text(text)
+    out = tmp_path / "fmt.json"
+    assert main(["format", "--n", "1", "--lattice", str(lat), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_format_report_ignores_lattice_whitespace(tmp_path, capsys):
+    sites = [[a, 0, 0] for a in [2, 2, 1, 0, 2, 2, 2, 1, 1, 2, 0, 2, 2, 1]]
+    texts = [json.dumps(sites, separators=(",", ":")), json.dumps(sites),
+             json.dumps(sites, indent=2).replace("\n", "\r\n")]
+    reports = []
+    for k, text in enumerate(texts):
+        lat, out = tmp_path / f"lat{k}.json", tmp_path / f"fmt{k}.json"
+        lat.write_bytes(text.encode())
+        assert main(["format", "--n", "2", "--lattice", str(lat), "--check-oracle",
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert len(json.loads(reports[0])["computers"]) == 3
+
+
 def test_format_rejects_count_above_cutoff(tmp_path, capsys):
     lat = tmp_path / "lat.json"
     lat.write_text(json.dumps([[7, 0, 0], [1, 0, 0], [2, 0, 0]]))
@@ -426,15 +457,17 @@ def test_run_error_paths(tmp_path, capsys):
      ([[1.5, 0, 0], [1, 0, 1]], "lattice site 0 is [1.5, 0, 0];"),
      ([[True, 0, 1]], "lattice site 0 is [true, 0, 1];"),
      ([[10**30, 0, 0]], "too large"),
-     ([[2, 0, 0], [1, -1, 0]], "error: negative occupation in SiteOccupancy(a=1, b=-1, p=0)\n")],
+     ([[2, 0, 0], [1, -1, 0]], "error: negative occupation in SiteOccupancy(a=1, b=-1, p=0)\n"),
+     ("[[1 2, 0, 0]]", "error: Expecting ',' delimiter: line 1 column 5 (char 4)\n"),
+     ("[[01, 0, 0]]", "error: Expecting ',' delimiter: line 1 column 4 (char 3)\n")],
     ids=["bare-list", "branch-without-terms", "float-count", "bool-count", "huge-count",
-         "negative-count"],
+         "negative-count", "split-count", "leading-zero"],
 )
 def test_run_rejects_malformed_lattices(tmp_path, capsys, lattice, message):
     script = tmp_path / "w.txt"
     script.write_text("W\n")
     lat = tmp_path / "lat.json"
-    lat.write_text(json.dumps(lattice))
+    lat.write_text(lattice if isinstance(lattice, str) else json.dumps(lattice))
     out = tmp_path / "out.json"
     assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err

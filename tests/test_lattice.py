@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeqc import (
@@ -14,7 +14,13 @@ from latticeqc import (
     SiteOccupancy,
     classical,
 )
-from latticeqc.lattice import PRUNE_TOL, _branch_signature, _merge_branches
+from latticeqc.lattice import (
+    PRUNE_TOL,
+    _branch_signature,
+    _merge_branches,
+    check_sites,
+    read_sites,
+)
 
 from helpers import fidelity, merge_branches_pairwise, pure_state_by_dict, translate
 
@@ -287,3 +293,77 @@ def test_prop_merge_branches_matches_pairwise_loop(branches):
     for (w, state), (w_ref, state_ref) in zip(got, want):
         assert w == w_ref
         assert state is state_ref
+
+
+@st.composite
+def lattice_texts(draw):
+    """Lattice files as json writes them, one- and multi-digit counts, with
+    random separators, indent, line ends and surrounding whitespace, and
+    at most one byte deleted, inserted or replaced."""
+    count = st.integers(0, 9)
+    if draw(st.booleans()):
+        count |= st.integers(-12, 10**20)
+    sites = draw(st.lists(st.lists(count, min_size=3, max_size=3), max_size=5))
+    if draw(st.booleans()):
+        sites = [[a, 0, 0] for a, _, _ in sites]
+    comma = draw(st.sampled_from([",", ", ", " ,", ",\t", ",\n"]))
+    text = json.dumps(sites, indent=draw(st.sampled_from([None, 0, 1, 2, "\t"])),
+                      separators=(comma, ": "))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    space = st.text(" \t\n\r", max_size=3)
+    data = (draw(space) + text + draw(space)).encode()
+    # edit where the byte reader looks: it drops whitespace before its checks
+    k = draw(st.sampled_from([k for k in range(len(data)) if data[k] not in b" \t\n\r"]
+                             + [len(data)]))
+    byte = draw(st.sampled_from(b"[],0123456789 -.e\x0b")).to_bytes(1, "big")
+    edit = draw(st.sampled_from(["none", "delete", "insert", "replace"]))
+    return {"none": data, "delete": data[:k] + data[k + 1:], "insert": data[:k] + byte + data[k:],
+            "replace": data[:k] + byte + data[k + 1:]}[edit]
+
+
+@pytest.fixture(scope="module")
+def lattice_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("lattice") / "lat.json"
+
+
+def _outcome(read, path, a_only):
+    try:
+        return read(path, a_only)
+    except Exception as exc:  # any error: its type and message are compared
+        return type(exc), str(exc)
+
+
+def _read_sites_by_json(path, a_only):
+    with open(path) as fh:
+        sites = check_sites(json.load(fh), a_only)
+    return np.array([s[0] for s in sites] if a_only else sites, dtype=np.int64)
+
+
+@given(lattice_texts(), st.booleans())
+@example(b"[[1 2,0,0]]", False)
+@example(b"[[01,0,0]]", False)
+@example(b"[[-0,0,0]]", False)
+@example(b"[]", False)
+@example(b"[[1,0,0],]", False)
+@example(b"[[1,0,0]]x", False)
+@example("\ufeff[[1,0,0]]".encode(), False)
+@example(b"[[1,0,0.0]]", False)
+@example(b"[[true,0,0]]", False)
+@example(b"[[7,0,0]]", True)
+@example(b"[[10,0,0]]", True)
+@example(b"[[1,0,1]]", True)
+@example(b"[[-,0,0]]", False)  # punctuation in place, a count that is no digit
+@example(b"[[1,0,0]][2,0,0],", False)  # rows in place, "]" and "," swapped
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_prop_read_sites_matches_json_route(lattice_path, data, a_only):
+    # the byte reader must give the json route's array, or raise its error
+    lattice_path.write_bytes(data)
+    got = _outcome(read_sites, lattice_path, a_only)
+    want = _outcome(_read_sites_by_json, lattice_path, a_only)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
