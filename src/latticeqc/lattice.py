@@ -135,15 +135,19 @@ _SITE_OBJECTS = tuple(SiteOccupancy(*s) for s in _SITE_TABLE.tolist())
 
 def _encode(occ) -> np.ndarray:
     """Site codes a*R**2 + b*R + p, R = M_MAX + 1, of (..., 3) occupations,
-    as uint16; rows of codes sort like the configurations they encode."""
-    occ = np.asarray(occ, dtype=np.int64)
+    as uint16; rows of codes sort like the configurations they encode.
+    An integer array is checked in its own dtype, anything else as int64."""
+    occ = np.asarray(occ)
+    if occ.dtype.kind not in "iu":
+        occ = occ.astype(np.int64)
     if occ.shape[-1:] != (3,):
         raise ValueError(f"expected trailing axis of size 3, got {occ.shape}")
     if occ.size and occ.max() > M_MAX:
         raise OccupationOverflowError(f"occupation exceeds cutoff {M_MAX}")
     if occ.size and occ.min() < 0:
         raise ValueError("negative occupation")
-    return (occ @ np.array([_R * _R, _R, 1])).astype(np.uint16)
+    a, b, p = (occ[..., k].astype(np.uint16) for k in range(3))
+    return a * np.uint16(_R * _R) + b * np.uint16(_R) + p
 
 
 def _lexsorted(codes: np.ndarray, amps: np.ndarray) -> tuple:
@@ -293,8 +297,8 @@ class MixedState:
                 {
                     "weight": w,
                     "terms": [
-                        {"config": c.to_json_obj(), "re": a.real, "im": a.imag}
-                        for c, a in st
+                        {"config": c, "re": a.real, "im": a.imag}
+                        for c, a in zip(_SITE_TABLE[st.codes].tolist(), st.amps.tolist())
                     ],
                 }
                 for w, st in self.branches

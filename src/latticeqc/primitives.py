@@ -289,8 +289,11 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 # A site (a, b, p) is one small int, its site code (see lattice._encode),
 # and a pure branch is an array of code rows with one amplitude per row.
 # A basis-preserving script compiles once into steps on codes: one fused
-# sitewise table per run of swaps and emptying channels and a roll of the
-# pointer digit per shift.  The engine runs a swap or a shift as its
+# sitewise table per run of swaps and emptying channels, and per shift
+# one lookup of a packed table, the code without its pointer digit and
+# the pointer digit in one uint16, and one roll of the pointer digit.
+# Input occupations of any integer dtype encode without a copy to int64
+# (lattice._encode).  The engine runs a swap or a shift as its
 # compiled one-op script on every row.  The other kernels group equal
 # keys through _groups, one np.unique: a Collide computes one phase
 # factor per distinct weight sum(a*p), an emptying channel branches on
@@ -312,9 +315,10 @@ _DIGITS = np.ascontiguousarray(_SITE_TABLE.T, dtype=np.uint8)
 @lru_cache(maxsize=256)
 def _compile(script: Script) -> tuple:
     """Steps on site codes: ("table", t) maps code c to t[c]; ("shift", x,
-    rest, p) maps it to rest[c] plus p[c'] of the site c' x sites to the
-    left.  The table pending at a Shift folds into rest and p.  A Collide
-    changes no code and compiles to nothing."""
+    pack) maps it to rest[c] plus p[c'] of the site c' x sites to the
+    left, where pack[c] = rest[c] << 3 | p[c] (rest <= 336 and p <= 6, so
+    pack fits 12 bits).  The table pending at a Shift folds into pack.  A
+    Collide changes no code and compiles to nothing."""
     ident = _encode(_SITE_TABLE)
     steps = []
     table = ident
@@ -322,7 +326,7 @@ def _compile(script: Script) -> tuple:
         kind = getattr(op, "kind", None)
         if kind == "shift":
             p = _DIGITS[2, table].astype(ident.dtype)
-            steps.append(("shift", op.x, table - p, p))
+            steps.append(("shift", op.x, (table - p) << 3 | p))
             table = ident
             continue
         if kind == "phase":
@@ -345,10 +349,13 @@ def _compile(script: Script) -> tuple:
 
 def _move(codes: np.ndarray, step: tuple) -> np.ndarray:
     """Apply a "table" or "shift" step to site codes of shape (..., L)."""
+    v = np.take(step[-1], codes)
     if step[0] == "table":
-        return np.take(step[1], codes)
-    moved = np.roll(np.take(step[3], codes), step[1], axis=-1)
-    return np.take(step[2], codes) + moved
+        return v
+    moved = np.roll(v & 7, step[1], axis=-1)
+    v >>= 3  # v is np.take's own array
+    v += moved
+    return v
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:

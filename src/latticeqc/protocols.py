@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .lattice import M_MAX
 from .primitives import (
     DefectSplit,
     EmptyB,
@@ -96,8 +97,10 @@ def format_counts(a: np.ndarray, n: int) -> np.ndarray:
     """Run :func:`prepare_script` on bare a-level counts, batched over
     leading axes, with the smallest cutoff that depopulates them all;
     returns the final (..., L, 3) occupations."""
-    a = np.asarray(a, dtype=np.int64)
-    occ = np.zeros(a.shape + (3,), dtype=np.int64)
+    # int8 sites: the clip keeps a count outside 0..M_MAX outside, for
+    # _encode to refuse, and the script's cutoff at most M_MAX + 1
+    a = np.clip(np.asarray(a, dtype=np.int64), -1, M_MAX + 1)
+    occ = np.zeros(a.shape + (3,), dtype=np.int8)
     occ[..., 0] = a
     return apply_classical(occ, prepare_script(int(a.max(initial=2)), n))
 
@@ -131,20 +134,26 @@ def formatted_homes(occ: np.ndarray, n: int) -> np.ndarray:
     A home is a site (1,0,1) whose n left neighbours (cyclically) all hold
     (1,0,0).  Raises :class:`FormattingError` if two computers claim the
     same site and :class:`StrayAtomsError` if an occupied site lies
-    outside every computer.
+    outside every computer.  Two homes overlap iff they lie 1..n sites
+    apart, which the cover finds as it grows; a home needs n left
+    neighbours other than itself, so when n >= L there is none.
     """
+    occ = np.asarray(occ)
+    if occ.ndim != 2 or occ.shape[1] != 3:
+        raise ValueError(f"expected shape (L, 3), got {occ.shape}")
     a, b, p = occ[:, 0], occ[:, 1], occ[:, 2]
     qubit = (a == 1) & (b == 0)
     homes = qubit & (p == 1)
     qubit &= p == 0
     for j in range(1, n + 1):
         homes &= np.roll(qubit, j)
-    cover = homes.astype(np.int64)
+    cover = homes.copy()
     for j in range(1, n + 1):
-        cover += np.roll(homes, -j)
-    if cover.max(initial=0) > 1:
-        raise FormattingError("computers overlap; formatting is broken")
-    strays = np.nonzero((a | b | p).astype(bool) & (cover == 0))[0]
+        shifted = np.roll(homes, -j)
+        if (cover & shifted).any():
+            raise FormattingError("computers overlap; formatting is broken")
+        cover |= shifted
+    strays = np.flatnonzero(((a | b | p) != 0) & ~cover)
     if strays.size:
         raise StrayAtomsError(strays.tolist())
     return homes
@@ -153,10 +162,7 @@ def formatted_homes(occ: np.ndarray, n: int) -> np.ndarray:
 def verify_formatted(occ: np.ndarray, n: int) -> np.ndarray:
     """Homes of the computers of a formatted (L, 3) occupation array; the
     checks are those of :func:`formatted_homes`."""
-    occ = np.asarray(occ, dtype=np.int64)
-    if occ.ndim != 2 or occ.shape[1] != 3:
-        raise ValueError(f"expected shape (L, 3), got {occ.shape}")
-    return np.flatnonzero(formatted_homes(occ, n))
+    return np.flatnonzero(formatted_homes(np.asarray(occ, dtype=np.int64), n))
 
 
 # ---------------------------------------------------------------------------

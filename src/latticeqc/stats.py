@@ -78,7 +78,11 @@ def count_computers_oracle(a: np.ndarray, n: int) -> int:
 
 
 def count_computers_protocol(a: np.ndarray, n: int) -> int:
-    """Computer count from actually running depopulate + format."""
+    """Computer count from actually running depopulate + format on 1-d
+    a-counts; a batch is refused, as :func:`oracle_computers` refuses it."""
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"expected shape (L,), got {a.shape}")
     return int(formatted_homes(format_counts(a, n), n).sum())
 
 

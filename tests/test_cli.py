@@ -158,6 +158,18 @@ def test_format_rejects_count_above_cutoff(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", [127, 128, 255, 256, 300, 70000, 2**40, -1, -129])
+def test_format_rejects_count_outside_cutoff(tmp_path, capsys, count):
+    # counts that a narrow integer type would wrap back into 0..6
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps([[count, 0, 0], [1, 0, 0], [2, 0, 0]]))
+    out = tmp_path / "fmt.json"
+    assert main(["format", "--n", "1", "--lattice", str(lat), "--out", str(out)]) == 2
+    want = "occupation exceeds cutoff 6" if count > 0 else "negative occupation"
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not out.exists()
+
+
 def test_format_maps_formatting_error_to_exit_one(tmp_path, capsys, monkeypatch):
     # no real lattice makes computers overlap, so the check is forced here
     def broken(state, n):

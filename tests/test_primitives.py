@@ -519,31 +519,37 @@ def _basis_op():
     return st.one_of(
         transfer,
         st.just(WSwap()),
-        st.integers(-5, 5).map(Shift),
+        st.integers(-12, 12).map(Shift),  # |x| >= L on the lattices below
         st.floats(-4.0, 4.0, allow_nan=False).map(Collide),
         st.just(EmptyB()),
         st.just(EmptyP()),
     )
 
 
+_INT_DTYPES = [np.int8, np.uint8, np.int16, np.int32, np.int64]
+
+
 @st.composite
 def classical_cases(draw):
-    """A batch of lattices with occupations up to M_MAX and a
-    basis-preserving script whose transfers may reach past it."""
+    """A batch of L <= 5 lattices with occupations up to M_MAX, in any of
+    the integer dtypes apply_classical takes, and a basis-preserving
+    script whose transfers may reach past M_MAX."""
     L = draw(st.integers(1, 5))
     site = st.tuples(*[st.integers(0, M_MAX)] * 3)
     batch = draw(st.lists(st.lists(site, min_size=L, max_size=L), min_size=1, max_size=4))
     script = Script(draw(st.lists(_basis_op(), min_size=1, max_size=12)))
-    return np.array(batch, dtype=np.int64), script
+    return np.array(batch, dtype=draw(st.sampled_from(_INT_DTYPES))), script
 
 
 @given(classical_cases())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_prop_compiled_engine_matches_sparse_kernels(case):
+    # the reference is the dict engine, which shares no step with the
+    # compiled one; execute runs the compiled one-op steps
     batch, script = case
-    states = [classical(BasisConfig.from_counts(occ)) for occ in batch]
+    states = [classical(BasisConfig.from_counts(occ.tolist())) for occ in batch]
     try:
-        slow = [_run_generic(state, script) for state in states]
+        slow = [_run_dict(state, script) for state in states]
     except OccupationOverflowError:
         with pytest.raises(OccupationOverflowError):
             execute(states[0], script)
@@ -551,6 +557,7 @@ def test_prop_compiled_engine_matches_sparse_kernels(case):
             apply_classical(batch, script)
         return
     batched = apply_classical(batch, script)
+    assert batched.dtype == np.int64 and batched.shape == batch.shape
     for state, ref, out in zip(states, slow, batched):
         fast, counts = execute(state, script)
         assert counts == [] and len(fast.branches) == 1
@@ -559,6 +566,12 @@ def test_prop_compiled_engine_matches_sparse_kernels(case):
         assert config == ref_config
         assert abs(amp - ref_amp) <= 1e-12
         assert np.array_equal(out, np.array(config.sites))
+
+
+def _run_dict(state, script):
+    for op in script:
+        state, _ = step_terms(state, op)
+    return state
 
 
 @given(classical_cases(), st.data())

@@ -12,6 +12,7 @@ from latticeqc import (
     BasisConfig,
     EmptyP,
     FillDistribution,
+    OccupationOverflowError,
     PairTransfer,
     RepairReport,
     Script,
@@ -133,6 +134,30 @@ def test_format_adjacent_singles_compete():
     assert_array_equal(out, [[1, 0, 0], [1, 0, 0], [1, 0, 1], [0, 0, 0]])
 
 
+_BAD_COUNTS = [7, 127, 128, 255, 256, 300, 70000, 2**40, -1, -129]
+
+
+def _refused(count):
+    """The error a count past the cutoff, or below zero, raises."""
+    if count > M_MAX:
+        return pytest.raises(OccupationOverflowError, match="^occupation exceeds cutoff 6$")
+    return pytest.raises(ValueError, match="^negative occupation$")
+
+
+@pytest.mark.parametrize("count", _BAD_COUNTS)
+def test_bad_count_is_refused_in_any_dtype(count):
+    # the narrow sites format_counts builds must not wrap a count back
+    # into range, and a narrow input is checked in its own dtype
+    with _refused(count):
+        format_counts(np.array([1, count, 2, 2]), 1)
+    with _refused(count):
+        format_counts(np.array([[2, 1, 2], [2, 2, count]]), 1)
+    for dtype in (np.min_scalar_type(count), np.int64):
+        occ = np.array([[2, 0, 0], [count, 0, 0], [1, 0, 0]], dtype=dtype)
+        with _refused(count):
+            apply_classical(occ, prepare_script(2, 1))
+
+
 def test_prepare_handles_overfilled_sites():
     out = run_on_counts([6, 2, 2, 1, 5], prepare_script(6, 2))
     # 6 and 5 depopulate to 2, giving window sites for the home at 3
@@ -248,6 +273,52 @@ def test_verify_formatted_takes_arrays():
     assert_array_equal(formatted_homes(np.array(occ), 1), [0, 1, 0, 0, 0, 1])
     with pytest.raises(ValueError):
         verify_formatted(np.zeros((4, 2), dtype=int), 1)
+
+
+def test_formatted_homes_refuses_a_batch():
+    # a batch's stray sites would be axis indices, not sites
+    batch = np.zeros((2, 50, 3), dtype=np.int64)
+    batch[:, 1] = 1
+    with pytest.raises(ValueError, match=r"^expected shape \(L, 3\), got \(2, 50, 3\)$"):
+        formatted_homes(batch, 1)
+    with pytest.raises(ValueError, match=r"^expected shape \(L, 3\), got \(4, 2\)$"):
+        formatted_homes(np.zeros((4, 2), dtype=np.int64), 1)
+
+
+def formatted_homes_loop(occ, n):
+    """Homes and stray sites of a formatted lattice, site by site."""
+    L = len(occ)
+    homes = [k for k in range(L) if occ[k] == (1, 0, 1)
+             and all(occ[(k - j) % L] == (1, 0, 0) for j in range(1, n + 1))]
+    covered = {(k - j) % L for k in homes for j in range(n + 1)}
+    return homes, [k for k in range(L) if any(occ[k]) and k not in covered]
+
+
+_formatted_sites = st.one_of(
+    st.sampled_from([(0, 0, 0), (1, 0, 0), (1, 0, 1)]),
+    st.tuples(*[st.integers(0, M_MAX)] * 3),
+)
+
+
+@given(occ=st.lists(_formatted_sites, min_size=1, max_size=12), n=st.integers(1, 14))
+@example(occ=[(1, 0, 0), (1, 0, 1), (1, 0, 0), (1, 0, 1)], n=1)
+@example(occ=[(1, 0, 0), (1, 0, 1)], n=2)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_prop_formatted_homes_matches_site_rule(occ, n):
+    """formatted_homes against the home and stray rule, site by site.
+
+    FormattingError can never fire: a home's n left neighbours are all
+    (1,0,0), so no other home, a (1,0,1) site, lies within n sites of it
+    on either side, and no two computers share a site.  n >= L leaves no
+    home at all, since the home is then one of its own left neighbours.
+    """
+    homes, strays = formatted_homes_loop(occ, n)
+    if strays:
+        with pytest.raises(StrayAtomsError) as err:
+            formatted_homes(np.array(occ), n)
+        assert err.value.sites == tuple(strays)
+    else:
+        assert np.flatnonzero(formatted_homes(np.array(occ), n)).tolist() == homes
 
 
 def test_verify_formatted_agrees_with_oracle():
