@@ -34,14 +34,12 @@ from .primitives import (
     execute,
 )
 from .protocols import (
-    FormattingError,
     RepairReport,
     StrayAtomsError,
     create_defects_script,
     depopulate_classical,
     depopulate_script,
     format_script,
-    formatted_homes,
     oracle_computers,
     oracle_homes,
     prepare_script,

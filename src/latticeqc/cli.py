@@ -21,7 +21,6 @@ from . import __version__
 from .lattice import _SITE_TABLE, MixedState, classical, read_sites
 from .primitives import Script, execute
 from .protocols import (
-    FormattingError,
     StrayAtomsError,
     format_counts,
     oracle_computers,
@@ -411,7 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StrayAtomsError, FormattingError, GateLeakageError) as exc:
+    except (StrayAtomsError, GateLeakageError) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OverflowError, OSError) as exc:

@@ -151,7 +151,9 @@ def _encode(occ) -> np.ndarray:
 
 
 def _lexsorted(codes: np.ndarray, amps: np.ndarray) -> tuple:
-    """Rows of codes in lexicographic order, with their amplitudes."""
+    """Rows of codes in lexicographic order, with their amplitudes; one row as it is."""
+    if len(codes) < 2:
+        return codes, amps
     order = np.lexsort(codes.T[::-1])
     return codes[order], amps[order]
 

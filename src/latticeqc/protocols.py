@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lattice import M_MAX
+from .lattice import M_MAX, _encode
 from .primitives import (
     DefectSplit,
     EmptyB,
@@ -38,10 +38,6 @@ class StrayAtomsError(ValueError):
     def __init__(self, sites):
         self.sites = tuple(sites)
         super().__init__(f"stray atoms at sites {self.sites}")
-
-
-class FormattingError(ValueError):
-    """Recognized computers overlap, so the formatting itself is broken."""
 
 
 def depopulate_script(cutoff: int, target: int = 2) -> Script:
@@ -105,6 +101,14 @@ def format_counts(a: np.ndarray, n: int) -> np.ndarray:
     return apply_classical(occ, prepare_script(int(a.max(initial=2)), n))
 
 
+def _left_window(site: np.ndarray, left: np.ndarray, n: int) -> np.ndarray:
+    """The sites of mask ``site`` whose n left neighbours, cyclically along
+    the last axis, all lie in mask ``left``; narrows ``site`` in place."""
+    for j in range(1, n + 1):
+        site &= np.roll(left, j, axis=-1)
+    return site
+
+
 def oracle_homes(a: np.ndarray, n: int) -> np.ndarray:
     """Boolean home mask for raw a-counts, batched over leading axes.
 
@@ -112,11 +116,7 @@ def oracle_homes(a: np.ndarray, n: int) -> np.ndarray:
     hold two atoms or more (cyclically); depopulation leaves those at two.
     """
     a = np.asarray(a)
-    pairs = a >= 2
-    homes = a == 1
-    for j in range(1, n + 1):
-        homes = homes & np.roll(pairs, j, axis=-1)
-    return homes
+    return _left_window(a == 1, a >= 2, n)
 
 
 def oracle_computers(a: np.ndarray, n: int) -> np.ndarray:
@@ -128,41 +128,30 @@ def oracle_computers(a: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(oracle_homes(a, n))
 
 
-def formatted_homes(occ: np.ndarray, n: int) -> np.ndarray:
-    """Home mask of a formatted (L, 3) lattice.
+# Site codes of a register qubit (1,0,0) and of a home (1,0,1).
+_QUBIT, _HOME = _encode([(1, 0, 0), (1, 0, 1)])
+
+
+def verify_formatted(occ: np.ndarray, n: int) -> np.ndarray:
+    """Homes of the computers of a formatted (L, 3) occupation array.
 
     A home is a site (1,0,1) whose n left neighbours (cyclically) all hold
-    (1,0,0).  Raises :class:`FormattingError` if two computers claim the
-    same site and :class:`StrayAtomsError` if an occupied site lies
-    outside every computer.  Two homes overlap iff they lie 1..n sites
-    apart, which the cover finds as it grows; a home needs n left
-    neighbours other than itself, so when n >= L there is none.
+    (1,0,0), so no two computers share a site, and with n >= L there is
+    none.  An occupied site outside every computer raises
+    :class:`StrayAtomsError`; a count outside 0..M_MAX, ``_encode``'s error.
     """
     occ = np.asarray(occ)
     if occ.ndim != 2 or occ.shape[1] != 3:
         raise ValueError(f"expected shape (L, 3), got {occ.shape}")
-    a, b, p = occ[:, 0], occ[:, 1], occ[:, 2]
-    qubit = (a == 1) & (b == 0)
-    homes = qubit & (p == 1)
-    qubit &= p == 0
-    for j in range(1, n + 1):
-        homes &= np.roll(qubit, j)
+    codes = _encode(occ)
+    homes = _left_window(codes == _HOME, codes == _QUBIT, n)
     cover = homes.copy()
     for j in range(1, n + 1):
-        shifted = np.roll(homes, -j)
-        if (cover & shifted).any():
-            raise FormattingError("computers overlap; formatting is broken")
-        cover |= shifted
-    strays = np.flatnonzero(((a | b | p) != 0) & ~cover)
+        cover |= np.roll(homes, -j)
+    strays = np.flatnonzero((codes != 0) & ~cover)
     if strays.size:
         raise StrayAtomsError(strays.tolist())
-    return homes
-
-
-def verify_formatted(occ: np.ndarray, n: int) -> np.ndarray:
-    """Homes of the computers of a formatted (L, 3) occupation array; the
-    checks are those of :func:`formatted_homes`."""
-    return np.flatnonzero(formatted_homes(np.asarray(occ, dtype=np.int64), n))
+    return np.flatnonzero(homes)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ import numpy as np
 from .protocols import (
     RepairReport,
     format_counts,
-    formatted_homes,
     oracle_homes,
     repair_occupations,
     sample_defect_creation,
+    verify_formatted,
 )
 
 
@@ -73,7 +73,11 @@ def repaired_yield(L: int, n: int) -> float:
 
 
 def count_computers_oracle(a: np.ndarray, n: int) -> int:
-    """Computer count predicted combinatorially from raw a-counts."""
+    """Computer count predicted combinatorially from raw 1-d a-counts; a
+    batch is refused, as :func:`count_computers_protocol` refuses it."""
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"expected shape (L,), got {a.shape}")
     return int(oracle_homes(a, n).sum())
 
 
@@ -83,7 +87,7 @@ def count_computers_protocol(a: np.ndarray, n: int) -> int:
     a = np.asarray(a)
     if a.ndim != 1:
         raise ValueError(f"expected shape (L,), got {a.shape}")
-    return int(formatted_homes(format_counts(a, n), n).sum())
+    return verify_formatted(format_counts(a, n), n).size
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from latticeqc import BasisConfig, FormattingError, MixedState, PureState, cli
+from latticeqc import BasisConfig, MixedState, PureState, cli
 from latticeqc.cli import main
 
 
@@ -168,17 +168,6 @@ def test_format_rejects_count_outside_cutoff(tmp_path, capsys, count):
     want = "occupation exceeds cutoff 6" if count > 0 else "negative occupation"
     assert capsys.readouterr().err == f"error: {want}\n"
     assert not out.exists()
-
-
-def test_format_maps_formatting_error_to_exit_one(tmp_path, capsys, monkeypatch):
-    # no real lattice makes computers overlap, so the check is forced here
-    def broken(state, n):
-        raise FormattingError("computers overlap; formatting is broken")
-
-    monkeypatch.setattr(cli, "verify_formatted", broken)
-    rc = main(["format", "--L", "16", "--n", "2", "--seed", "1"])
-    assert rc == 1
-    assert "property failure: computers overlap" in capsys.readouterr().err
 
 
 # -- gates -------------------------------------------------------------------

@@ -596,6 +596,18 @@ def test_apply_classical_batched_matches_single():
         assert np.array_equal(out[i], single)
 
 
+def test_execute_matches_apply_classical_on_a_long_lattice():
+    # a one-term state is not sorted by its 10^4 site keys after each op
+    rng = np.random.default_rng(29)
+    occ = np.stack([rng.integers(0, 3, 10_000), rng.integers(0, 2, 10_000),
+                    rng.integers(0, 2, 10_000)], axis=-1)
+    script = Script.parse("W\nS 3\nU 2 1 1\nS -3\nW\n")
+    out, counts = execute(classical(occ.tolist()), script)
+    ((weight, state),) = out.branches
+    assert counts == [] and weight == 1.0 and state.amps.tolist() == [1.0]
+    assert np.array_equal(out.sole_config().sites, apply_classical(occ, script))
+
+
 def test_apply_classical_rejects_quantum_ops():
     with pytest.raises(ValueError):
         apply_classical(np.zeros((2, 3), dtype=int), Script([ABRotation(0.1)]))

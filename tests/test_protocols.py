@@ -24,7 +24,6 @@ from latticeqc import (
     depopulate_script,
     execute,
     format_script,
-    formatted_homes,
     oracle_computers,
     oracle_homes,
     prepare_script,
@@ -147,7 +146,8 @@ def _refused(count):
 @pytest.mark.parametrize("count", _BAD_COUNTS)
 def test_bad_count_is_refused_in_any_dtype(count):
     # the narrow sites format_counts builds must not wrap a count back
-    # into range, and a narrow input is checked in its own dtype
+    # into range, and a narrow input is checked in its own dtype;
+    # verify_formatted reads site codes before it looks for strays
     with _refused(count):
         format_counts(np.array([1, count, 2, 2]), 1)
     with _refused(count):
@@ -156,6 +156,8 @@ def test_bad_count_is_refused_in_any_dtype(count):
         occ = np.array([[2, 0, 0], [count, 0, 0], [1, 0, 0]], dtype=dtype)
         with _refused(count):
             apply_classical(occ, prepare_script(2, 1))
+        with _refused(count):
+            verify_formatted(occ, 1)
 
 
 def test_prepare_handles_overfilled_sites():
@@ -201,7 +203,7 @@ def test_prop_oracle_homes_on_raw_counts(a, n):
         assert_array_equal(row_homes, oracle_homes(depopulate_classical(row, 2), n))
         capped = np.minimum(row, M_MAX)
         assert_array_equal(
-            formatted_homes(format_counts(capped, n), n), oracle_homes(capped, n)
+            verify_formatted(format_counts(capped, n), n), oracle_computers(capped, n)
         )
 
 
@@ -270,22 +272,21 @@ def test_verify_formatted_takes_arrays():
     assert err.value.sites == (3,)
     occ[3] = [0, 0, 0]
     assert_array_equal(verify_formatted(np.array(occ), 1), [1, 5])
-    assert_array_equal(formatted_homes(np.array(occ), 1), [0, 1, 0, 0, 0, 1])
     with pytest.raises(ValueError):
         verify_formatted(np.zeros((4, 2), dtype=int), 1)
 
 
-def test_formatted_homes_refuses_a_batch():
+def test_verify_formatted_refuses_a_batch():
     # a batch's stray sites would be axis indices, not sites
     batch = np.zeros((2, 50, 3), dtype=np.int64)
     batch[:, 1] = 1
     with pytest.raises(ValueError, match=r"^expected shape \(L, 3\), got \(2, 50, 3\)$"):
-        formatted_homes(batch, 1)
+        verify_formatted(batch, 1)
     with pytest.raises(ValueError, match=r"^expected shape \(L, 3\), got \(4, 2\)$"):
-        formatted_homes(np.zeros((4, 2), dtype=np.int64), 1)
+        verify_formatted(np.zeros((4, 2), dtype=np.int64), 1)
 
 
-def formatted_homes_loop(occ, n):
+def verify_formatted_loop(occ, n):
     """Homes and stray sites of a formatted lattice, site by site."""
     L = len(occ)
     homes = [k for k in range(L) if occ[k] == (1, 0, 1)
@@ -302,23 +303,26 @@ _formatted_sites = st.one_of(
 
 @given(occ=st.lists(_formatted_sites, min_size=1, max_size=12), n=st.integers(1, 14))
 @example(occ=[(1, 0, 0), (1, 0, 1), (1, 0, 0), (1, 0, 1)], n=1)
+@example(occ=[(1, 0, 0), (1, 0, 1), (1, 0, 1), (0, 0, 0)], n=1)  # adjacent homes
 @example(occ=[(1, 0, 0), (1, 0, 1)], n=2)
+@example(occ=[(1, 0, 0), (1, 0, 0), (1, 0, 1)], n=5)  # n >= L
+@example(occ=[(1, 0, 0), (1, 0, 1), (0, 0, 0), (1, 0, 0)], n=2)  # register 3, 0
 @settings(max_examples=400, deadline=None, derandomize=True)
-def test_prop_formatted_homes_matches_site_rule(occ, n):
-    """formatted_homes against the home and stray rule, site by site.
+def test_prop_verify_formatted_matches_site_rule(occ, n):
+    """verify_formatted against the home and stray rule, site by site.
 
-    FormattingError can never fire: a home's n left neighbours are all
+    No two computers can share a site: a home's n left neighbours are all
     (1,0,0), so no other home, a (1,0,1) site, lies within n sites of it
-    on either side, and no two computers share a site.  n >= L leaves no
-    home at all, since the home is then one of its own left neighbours.
+    on either side.  n >= L leaves no home at all, since the home is then
+    one of its own left neighbours.
     """
-    homes, strays = formatted_homes_loop(occ, n)
+    homes, strays = verify_formatted_loop(occ, n)
     if strays:
         with pytest.raises(StrayAtomsError) as err:
-            formatted_homes(np.array(occ), n)
+            verify_formatted(np.array(occ), n)
         assert err.value.sites == tuple(strays)
     else:
-        assert np.flatnonzero(formatted_homes(np.array(occ), n)).tolist() == homes
+        assert verify_formatted(np.array(occ), n).tolist() == homes
 
 
 def test_verify_formatted_agrees_with_oracle():

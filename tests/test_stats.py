@@ -82,6 +82,13 @@ def test_protocol_count_refuses_a_batch():
         count_computers_protocol(a, 1)
 
 
+def test_oracle_count_refuses_a_batch():
+    # a batch's count would be a total over all its lattices
+    a = np.random.default_rng(4).integers(0, 3, size=(2, 50))
+    with pytest.raises(ValueError, match=r"^expected shape \(L,\), got \(2, 50\)$"):
+        count_computers_oracle(a, 1)
+
+
 @given(a=st.lists(st.integers(0, 6), min_size=1, max_size=30), n=st.integers(1, 4))
 @example(a=[5, 5, 5, 1, 0, 6, 2, 2, 1], n=3)
 @settings(max_examples=300, deadline=None, derandomize=True)
