@@ -320,11 +320,9 @@ def cmd_run(args) -> int:
     with open(args.script) as fh:
         script = Script.parse(fh.read())
     with open(args.lattice, "rb") as fh:
-        # a JSON text that starts so holds a state object or is malformed
-        is_state = fh.read().lstrip(b" \t\n\r")[:1] == b"{"
-    if is_state:
-        with open(args.lattice) as fh:
-            state = MixedState.from_json_obj(json.load(fh))
+        text = fh.read()
+    if text.lstrip(b" \t\n\r")[:1] == b"{":  # a state object, or malformed JSON
+        state = MixedState.from_json_obj(json.loads(text))
     else:
         state = classical(read_sites(args.lattice))
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
@@ -413,7 +411,7 @@ def main(argv=None) -> int:
     except (StrayAtomsError, GateLeakageError) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, RecursionError) as exc:  # deeply nested JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

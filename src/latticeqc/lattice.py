@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -59,13 +59,6 @@ class BasisConfig:
     @property
     def L(self) -> int:
         return len(self.sites)
-
-    def to_json_obj(self) -> list:
-        return [[s.a, s.b, s.p] for s in self.sites]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "BasisConfig":
-        return cls.from_counts(check_sites(obj))
 
 
 def check_sites(sites, a_only: bool = False) -> list:
@@ -172,24 +165,9 @@ class PureState:
     __slots__ = ("codes", "amps", "_terms")
 
     def __init__(self, terms: dict):
-        """The state of a ``{BasisConfig: complex}`` map: terms below
-        PRUNE_TOL are dropped, the rest encoded and sorted as rows."""
-        kept = {}
-        for config, amp in terms.items():
-            amp = complex(amp)
-            if abs(amp) >= PRUNE_TOL:
-                kept[config] = amp
-        if not kept:
-            raise ValueError("state has no support")
-        if len({config.L for config in kept}) > 1:
-            raise ValueError("terms live on different lattice sizes")
-        # raises OccupationOverflowError above the cutoff
-        codes = _encode([config.sites for config in kept])
-        st = self._from_codes(*_lexsorted(codes, np.array(list(kept.values()), dtype=complex)))
+        """The state of a ``{BasisConfig: complex}`` map, built by :func:`_pure`."""
+        st = _pure([config.sites for config in terms], terms.values())
         self.codes, self.amps, self._terms = st.codes, st.amps, None
-        nsq = self.norm_sq()
-        if abs(nsq - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 = {nsq!r} drifted from 1")
 
     @classmethod
     def _from_codes(cls, codes: np.ndarray, amps: np.ndarray) -> "PureState":
@@ -222,9 +200,6 @@ class PureState:
     def is_classical(self) -> bool:
         return len(self.amps) == 1
 
-    def __iter__(self) -> Iterator[tuple[BasisConfig, complex]]:
-        return iter(self.terms.items())
-
     def __repr__(self):
         return f"PureState({len(self.amps)} terms, L={self.L})"
 
@@ -233,6 +208,10 @@ def _branch_signature(state: PureState) -> bytes:
     # Big-endian bytes compare like the rows of codes, hence like the
     # tuple of the state's configurations.
     return state.codes.astype(">u4").tobytes()
+
+
+def _branch_order(branch: tuple[float, PureState]) -> tuple:
+    return _branch_signature(branch[1]), branch[0]
 
 
 def _close(x: np.ndarray, y: np.ndarray) -> bool:
@@ -270,8 +249,10 @@ class MixedState:
         if not kept:
             raise ValueError("mixture has no branches")
         if len(kept) > 1:
-            kept.sort(key=lambda ws: (_branch_signature(ws[1]), ws[0]))
-            kept = _merge_branches(kept)
+            merged = _merge_branches(sorted(kept, key=_branch_order))
+            if len(merged) < len(kept):  # a summed weight can move its branch
+                merged.sort(key=_branch_order)
+            kept = merged
         self.branches = tuple(kept)
         if any(st.L != self.L for _, st in kept):
             raise ValueError("branches disagree on lattice size")
@@ -286,12 +267,6 @@ class MixedState:
     def is_classical(self) -> bool:
         """True when every branch is a single classical configuration."""
         return all(st.is_classical() for _, st in self.branches)
-
-    def sole_config(self) -> BasisConfig:
-        """The configuration of a one-branch, one-term state."""
-        if len(self.branches) != 1 or not self.branches[0][1].is_classical():
-            raise ValueError("state is not a single classical configuration")
-        return next(iter(self.branches[0][1].terms))
 
     def to_json_obj(self) -> dict:
         return {
@@ -309,28 +284,40 @@ class MixedState:
 
     @classmethod
     def from_json_obj(cls, obj) -> "MixedState":
-        """The inverse of :meth:`to_json_obj`; malformed input is a ValueError."""
+        """The inverse of :meth:`to_json_obj`; malformed input, an unknown
+        key included, is a ValueError.  Every term is checked, pruned or not."""
         branches = []
         try:
-            for i, b in enumerate(obj["branches"]):
-                terms = {
-                    BasisConfig.from_json_obj(t["config"]): complex(
-                        _real(t["re"], f"branch {i} term {j} re"),
-                        _real(t["im"], f"branch {i} term {j} im"))
-                    for j, t in enumerate(b["terms"])
-                }
-                if len(terms) != len(b["terms"]):
+            for i, b in enumerate(_fields(obj, "state", "branches")[0]):
+                terms, w = _fields(b, f"branch {i}", "terms", "weight")
+                sites, amps = [], []
+                for j, t in enumerate(terms):
+                    where = f"branch {i} term {j}"
+                    config, re, im = _fields(t, where, "config", "re", "im")
+                    sites.append(check_sites(config))
+                    if min(chain.from_iterable(config)) < 0:
+                        BasisConfig.from_counts(config)  # raises, naming the site
+                    amps.append(complex(_real(re, f"{where} re"), _real(im, f"{where} im")))
+                if len(sites) > 1 and len({tuple(map(tuple, c)) for c in sites}) < len(sites):
                     raise ValueError("a branch lists one configuration twice")
-                w = _real(b["weight"], f"branch {i} weight")
+                w = _real(w, f"branch {i} weight")
                 if w < 0:  # MixedState would drop it without a word
                     raise ValueError(f"branch {i} weight is {w!r}; expected 0 or more")
-                branches.append((w, PureState(terms)))
+                branches.append((w, _pure(sites, amps)))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed state: {exc!r}") from exc
         return cls(branches)
 
     def __repr__(self):
         return f"MixedState({len(self.branches)} branches, L={self.L})"
+
+
+def _fields(obj, where: str, *keys) -> list:
+    """The values at ``keys`` of a JSON object that has no other key."""
+    extra = sorted(obj.keys() - set(keys)) if isinstance(obj, dict) else ()
+    if extra:
+        raise ValueError(f"{where} has no field {extra[0]!r}")
+    return [obj[key] for key in keys]
 
 
 def _real(x, where: str) -> float:
@@ -340,16 +327,33 @@ def _real(x, where: str) -> float:
     raise ValueError(f"{where} is {json.dumps(x)}; expected a finite number")
 
 
+def _pure(sites: list, amps: Iterable) -> PureState:
+    """The state with amplitude ``amps[t]`` on configuration ``sites[t]``,
+    L sites (a, b, p) each: terms below PRUNE_TOL are dropped, the rest
+    encoded, sorted as rows and checked for norm."""
+    kept = [(config, amp) for config, amp in zip(sites, map(complex, amps))
+            if abs(amp) >= PRUNE_TOL]
+    if not kept:
+        raise ValueError("state has no support")
+    sites, amps = zip(*kept)
+    if len(set(map(len, sites))) > 1:
+        raise ValueError("terms live on different lattice sizes")
+    try:
+        codes = _encode(sites)
+    except (TypeError, ValueError, OverflowError):
+        codes = None
+    if codes is None or codes.ndim != 2:
+        # BasisConfig names a negative or empty site before a count above M_MAX
+        codes = _encode([BasisConfig.from_counts(config).sites for config in sites])
+    st = PureState._from_codes(*_lexsorted(codes, np.array(amps)))
+    nsq = st.norm_sq()
+    if abs(nsq - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm^2 = {nsq!r} drifted from 1")
+    return st
+
+
 def classical(config: BasisConfig | Iterable) -> MixedState:
     """Wrap one classical configuration, a BasisConfig or L sites
     (a, b, p), as a weight-1 single-term state."""
     sites = config.sites if isinstance(config, BasisConfig) else config
-    try:
-        row = _encode([sites])
-    except (TypeError, ValueError, OverflowError):
-        row = None
-    if row is None or row.ndim != 2:
-        # BasisConfig names a bad site; a count above the cutoff passes it
-        # and raises OccupationOverflowError here
-        row = _encode([BasisConfig.from_counts(sites).sites])
-    return MixedState([(1.0, PureState._from_codes(row, np.ones(1, dtype=complex)))])
+    return MixedState([(1.0, _pure([sites], [1.0]))])

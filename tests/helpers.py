@@ -74,6 +74,13 @@ def inner(x, y):
     return sum(a.conjugate() * y.terms.get(c, 0.0) for c, a in x.terms.items())
 
 
+def sole_config(state):
+    """The configuration of a one-branch, one-term state."""
+    if len(state.branches) != 1 or not state.branches[0][1].is_classical():
+        raise ValueError("state is not a single classical configuration")
+    return next(iter(state.branches[0][1].terms))
+
+
 def translate(state, d):
     """A mixed state with every site moved d sites to the right."""
     return MixedState([
@@ -285,7 +292,7 @@ def empty_level(state, level_idx):
     new_branches = []
     for w, st in state.branches:
         groups = {}
-        for config, amp in st:
+        for config, amp in st.terms.items():
             pattern = tuple(s[level_idx] for s in config.sites)
             zeroed = BasisConfig(
                 tuple(
@@ -312,7 +319,7 @@ def count_p_terms(state, rng=None):
     """Sample the total pointer count and collapse, as COUNTP does."""
     dist = {}
     for w, st in state.branches:
-        for config, amp in st:
+        for config, amp in st.terms.items():
             c = sum(s.p for s in config.sites)
             dist[c] = dist.get(c, 0.0) + w * abs(amp) ** 2
     outcomes = sorted(dist)
@@ -329,7 +336,7 @@ def count_p_terms(state, rng=None):
     prob = dist[outcome]
     new_branches = []
     for w, st in state.branches:
-        kept = {c: a for c, a in st if sum(s.p for s in c.sites) == outcome}
+        kept = {c: a for c, a in st.terms.items() if sum(s.p for s in c.sites) == outcome}
         if not kept:
             continue
         bw = left_sum(abs(a) ** 2 for a in kept.values())

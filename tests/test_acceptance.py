@@ -17,6 +17,7 @@ from helpers import (
     random_config,
     random_state,
     run_op,
+    sole_config,
     translate,
 )
 from latticeqc import (
@@ -256,7 +257,7 @@ def test_acceptance_6_spectator_sandwich():
     for macro in (PhaseGate(1, 0.4), HadamardLike(2), ControlPhasePi(1, 3)):
         out = run_circuit(st, [macro], n=3)
         for _, branch in out.branches:
-            for cfg, _ in branch:
+            for cfg, _ in branch.terms.items():
                 for home in (3, 9):
                     if cfg.sites[home] != (1, 0, 1):
                         failures.append(f"{type(macro).__name__} moved a home")
@@ -287,7 +288,7 @@ def test_acceptance_7_measurement_semantics():
     )
     if (down, up) != (2, 1):
         failures.append(f"classical counts ({down}, {up})")
-    cfg = post.sole_config()
+    cfg = sole_config(post)
     for home in ups:
         if cfg.sites[home] != (1, 0, 1) or cfg.sites[home - 2] != (1, 0, 0):
             failures.append("pointer or resting qubit damaged")
@@ -300,7 +301,7 @@ def test_acceptance_7_measurement_semantics():
         d, _, post = measure_qubit(prepared, MeasureQubit(1, rest=2), rng=rng, n=2)
         downs += d
         for _, branch in post.branches:
-            for c, _ in branch:
+            for c, _ in branch.terms.items():
                 if c.sites[2] != (1, 0, 1) or c.sites[0] != (1, 0, 0):
                     failures.append("post-measurement damage")
     freq = downs / trials

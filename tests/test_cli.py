@@ -505,6 +505,53 @@ def test_run_rejects_non_finite_numbers_in_state_files(tmp_path, capsys, bad, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "where, message",
+    [("state", "error: state has no field 'extra'\n"),
+     ("branch", "error: branch 0 has no field 'junk'\n"),
+     ("term", "error: branch 0 term 1 has no field 'junk'\n")],
+    ids=["top-level", "branch", "term"],
+)
+def test_run_refuses_unknown_keys_in_state_files(tmp_path, capsys, where, message):
+    # each key would be dropped without a word
+    state = {"branches": [{"weight": 1.0, "terms": [
+        {"config": [[1, 0, 0]], "re": 1.0, "im": 0.0},
+        {"config": [[1, 0, 1]], "re": 0.0, "im": 0.0}]}]}
+    {"state": state, "branch": state["branches"][0],
+     "term": state["branches"][0]["terms"][1]}[where].update(
+        {"extra": 5} if where == "state" else {"junk": 1})
+    lat = tmp_path / "state.json"
+    lat.write_text(json.dumps(state))
+    script = tmp_path / "w.txt"
+    script.write_text("W\n")
+    out = tmp_path / "out.json"
+    assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("format", "[" * 100000 + "]" * 100000),
+     ("run", "[" * 100000 + "]" * 100000),
+     ("run", '{"a":' * 100000 + "1" + "}" * 100000)],
+    ids=["format-list", "run-list", "run-object"],
+)
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command, text):
+    # json gives up with a RecursionError, which is input error, not a failed property
+    lat = tmp_path / "deep.json"
+    lat.write_text(text)
+    script = tmp_path / "w.txt"
+    script.write_text("W\n")
+    out = tmp_path / "out.json"
+    argv = {"run": ["run", str(script), str(lat)],
+            "format": ["format", "--n", "1", "--lattice", str(lat)]}[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "format"])
 def test_unreadable_file_exits_two(tmp_path, capsys, command):
     # a directory where a file belongs raises IsADirectoryError, an OSError

@@ -53,7 +53,7 @@ def dump(state):
     """Branch weights and terms, every float as its repr."""
     return [
         [repr(w), [["".join(f"{a}{b}{p}." for a, b, p in c.sites), repr(amp)]
-                   for c, amp in st]]
+                   for c, amp in st.terms.items()]]
         for w, st in state.branches
     ]
 

@@ -36,7 +36,7 @@ from latticeqc import (
     run_circuit,
 )
 
-from helpers import amplitude, fidelity
+from helpers import amplitude, fidelity, sole_config
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -260,7 +260,7 @@ def test_gate_restores_home_and_idle_sites():
     for macro in (PhaseGate(1, 0.3), HadamardLike(2), ControlPhasePi(1, 2)):
         out = run_circuit(st, [macro], n=3)
         for _, branch in out.branches:
-            for cfg, _ in branch:
+            for cfg, _ in branch.terms.items():
                 assert cfg.sites[3] == (1, 0, 1)  # home intact, pointer back
                 assert cfg.sites[0] == (0, 1, 0)  # untouched up qubit
                 for k in (4, 5, 6, 7, 8):
@@ -275,7 +275,7 @@ def test_lockstep_phase_accumulates_per_computer():
     st = two_computers()
     out = run_circuit(st, [PhaseGate(1, phi)], n=2)
     ((_, branch),) = out.branches
-    amp = amplitude(branch, st.sole_config())
+    amp = amplitude(branch, sole_config(st))
     assert amp == pytest.approx(np.exp(2j * phi))  # both computers fire
 
 
@@ -285,7 +285,7 @@ def test_lockstep_hadamard_gives_product_state():
     ((_, branch),) = out.branches
     U, _ = extract_logical_unitary(HadamardLike(1), n=2)
     down, up = (1, 0, 0), (0, 1, 0)
-    base = [list(s) for s in st.sole_config().sites]
+    base = [list(s) for s in sole_config(st).sites]
     for sa in (0, 1):
         for sb in (0, 1):
             sites = [list(x) for x in base]
@@ -302,7 +302,7 @@ def test_measure_counts_down_and_empties_sites():
     st = two_computers()
     down, up, out = measure_qubit(st, MeasureQubit(1, rest=2), n=2)
     assert (down, up) == (2, None)
-    assert out.sole_config() == BasisConfig.from_counts(
+    assert sole_config(out) == BasisConfig.from_counts(
         [
             (1, 0, 0), (0, 0, 0), (1, 0, 1), (0, 0, 0), (0, 0, 0),
             (0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 0, 1), (0, 0, 0),
@@ -317,7 +317,7 @@ def test_measure_counts_up_via_continuation():
     )
     assert (down, up) == (1, 1)
     # both measured qubits end emptied; rest qubits and homes survive
-    assert out.sole_config() == BasisConfig.from_counts(
+    assert sole_config(out) == BasisConfig.from_counts(
         [
             (1, 0, 0), (0, 0, 0), (1, 0, 1), (0, 0, 0), (0, 0, 0),
             (0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 0, 1), (0, 0, 0),
@@ -342,7 +342,7 @@ def test_measure_superposed_qubit_statistics():
         assert down in (0, 1)
         downs += down
         for _, branch in post.branches:
-            for cfg, _ in branch:
+            for cfg, _ in branch.terms.items():
                 assert cfg.sites[2] == (1, 0, 1)  # home intact
                 assert cfg.sites[0] == (1, 0, 0)  # rest intact
     freq = downs / trials
@@ -370,7 +370,7 @@ def test_circuit_phases_add():
     st = two_computers()
     out = run_circuit(st, [PhaseGate(1, 0.4), PhaseGate(1, 0.5)], n=2)
     ((_, branch),) = out.branches
-    amp = amplitude(branch, st.sole_config())
+    amp = amplitude(branch, sole_config(st))
     assert amp == pytest.approx(np.exp(2j * 0.9))
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latticeqc import (
@@ -15,6 +15,7 @@ from latticeqc import (
     classical,
 )
 from latticeqc.lattice import (
+    M_MAX,
     PRUNE_TOL,
     _branch_signature,
     _merge_branches,
@@ -22,7 +23,13 @@ from latticeqc.lattice import (
     read_sites,
 )
 
-from helpers import fidelity, merge_branches_pairwise, pure_state_by_dict, translate
+from helpers import (
+    fidelity,
+    merge_branches_pairwise,
+    pure_state_by_dict,
+    sole_config,
+    translate,
+)
 
 
 def test_config_basics():
@@ -163,7 +170,7 @@ def test_mixed_state_weight_gate_and_merge():
     assert len(m.branches) == 1
     assert m.branches[0][0] == pytest.approx(1.0)
     assert m.is_classical()
-    assert m.sole_config() == BasisConfig.from_counts([(1, 0, 0)])
+    assert sole_config(m) == BasisConfig.from_counts([(1, 0, 0)])
     c1 = BasisConfig.from_counts([(1, 0, 0)])
     c2 = BasisConfig.from_counts([(0, 0, 1)])
     sup = PureState({c1: math.sqrt(0.5), c2: math.sqrt(0.5)})
@@ -183,7 +190,7 @@ def test_sole_config_requires_single_classical_branch():
     c2 = BasisConfig.from_counts([(0, 0, 1)])
     sup = MixedState([(1.0, PureState({c1: math.sqrt(0.5), c2: math.sqrt(0.5)}))])
     with pytest.raises(ValueError):
-        sup.sole_config()
+        sole_config(sup)
 
 
 def test_fidelity_pure_overlap():
@@ -247,21 +254,97 @@ def test_state_json_rejects_malformed_input():
         with pytest.raises(ValueError):
             MixedState.from_json_obj(obj)
     st = MixedState.from_json_obj({"branches": [{"weight": 1, "terms": [good]}]})
-    assert st.sole_config() == BasisConfig.from_counts([(1, 0, 1)])
+    assert sole_config(st) == BasisConfig.from_counts([(1, 0, 1)])
 
 
-def test_config_json_round_trip():
-    c = BasisConfig.from_counts([(2, 1, 0), (0, 0, 3)])
-    assert BasisConfig.from_json_obj(c.to_json_obj()) == c
+def _one_branch(*terms):
+    return {"branches": [{"weight": 1.0, "terms": list(terms)}]}
+
+
+_GOOD_TERM = {"config": [[1, 0, 1]], "re": 1.0, "im": 0.0}
+_PRUNED = {"re": 1e-15, "im": 0.0}  # below PRUNE_TOL
+
+
+def test_state_json_checks_pruned_terms():
+    # a pruned term never reaches the state, but it is checked as every term is
+    for terms in ([_GOOD_TERM, dict(_PRUNED, config=[[1, -1, 0]])],
+                  [dict(_PRUNED, config=[[1, -1, 0]]), _GOOD_TERM]):
+        with pytest.raises(ValueError) as exc:
+            MixedState.from_json_obj(_one_branch(*terms))
+        assert str(exc.value) == "negative occupation in SiteOccupancy(a=1, b=-1, p=0)"
+    for terms in ([_GOOD_TERM, dict(_GOOD_TERM, **_PRUNED)],
+                  [dict(_GOOD_TERM, **_PRUNED), _GOOD_TERM]):
+        with pytest.raises(ValueError) as exc:
+            MixedState.from_json_obj(_one_branch(*terms))
+        assert str(exc.value) == "a branch lists one configuration twice"
+
+
+def test_state_json_accepts_pruned_terms_as_pure_state_does():
+    want = MixedState.from_json_obj(_one_branch(_GOOD_TERM)).branches[0][1]
+    good = BasisConfig.from_counts([(1, 0, 1)])
+    for config in ([[M_MAX + 1, 0, 0]], [[1, 0, 0], [0, 0, 0]]):  # above the cutoff; another L
+        pure = PureState({good: 1.0, BasisConfig.from_counts(config): 1e-15})
+        for terms in ([_GOOD_TERM, dict(_PRUNED, config=config)],
+                      [dict(_PRUNED, config=config), _GOOD_TERM]):
+            got = MixedState.from_json_obj(_one_branch(*terms)).branches[0][1]
+            for state in (got, pure):
+                assert np.array_equal(state.codes, want.codes)
+                assert repr(state.amps.tolist()) == repr(want.amps.tolist())
+
+
+@st.composite
+def mixtures(draw):
+    """Mixed states of up to five branches picked from a pool of up to
+    three pure states with up to four terms each.  A pool state picked
+    twice is merged, and pool states over one set of configurations
+    share a signature but not their amplitudes."""
+    L = draw(st.integers(1, 2))
+    config = st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=L, max_size=L)
+    amp = st.sampled_from([1.0, -1.0, 1j, 0.5 - 0.25j]) | st.complex_numbers(
+        max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        configs = draw(st.lists(config.map(BasisConfig.from_counts), min_size=1, max_size=4,
+                                unique=True))
+        amps = np.array([draw(amp) for _ in configs])
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-6)
+        pool.append(PureState(dict(zip(configs, amps / norm))))
+    picks = draw(st.lists(st.tuples(st.floats(0.01, 1.0), st.sampled_from(pool)),
+                          min_size=1, max_size=5))
+    total = sum(w for w, _ in picks)
+    return MixedState([(w / total, pure) for w, pure in picks])
+
+
+@given(mixtures())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_prop_state_json_round_trip_is_exact(m):
+    back = MixedState.from_json_obj(json.loads(json.dumps(m.to_json_obj())))
+    assert len(back.branches) == len(m.branches)
+    for (w, got), (w0, want) in zip(back.branches, m.branches):
+        assert repr(w) == repr(w0)
+        assert got.codes.dtype == want.codes.dtype and np.array_equal(got.codes, want.codes)
+        assert repr(got.amps.tolist()) == repr(want.amps.tolist())
+
+
+def test_mixed_state_keeps_its_branch_order_when_rebuilt():
+    # p and q share a signature, so weight orders them: p's 0.2 sorts before
+    # q's 0.3, and the merged 0.7 after it, where a rebuilt state puts it
+    c1, c2 = BasisConfig.from_counts([(1, 0, 0)]), BasisConfig.from_counts([(0, 0, 1)])
+    p = PureState({c1: math.sqrt(0.5), c2: math.sqrt(0.5)})
+    q = PureState({c1: math.sqrt(0.5), c2: -math.sqrt(0.5)})
+    m = MixedState([(0.3, q), (0.2, p), (0.5, p)])
+    assert list(m.branches) == [(0.3, q), (0.7, p)]
+    assert list(MixedState(m.branches).branches) == [(0.3, q), (0.7, p)]
 
 
 def test_state_translate_moves_every_level():
     st = classical([(1, 0, 1), (0, 2, 0), (0, 0, 0)])
     out = translate(st, 1)
-    assert out.sole_config() == BasisConfig.from_counts(
+    assert sole_config(out) == BasisConfig.from_counts(
         [(0, 0, 0), (1, 0, 1), (0, 2, 0)]
     )
-    assert translate(st, 0).sole_config() == st.sole_config()
+    assert sole_config(translate(st, 0)) == sole_config(st)
 
 
 _MERGE_CONFIGS = [BasisConfig.from_counts([(a, 0, 0), (b, 0, 1)]) for a in (0, 1) for b in (0, 1)]

@@ -35,7 +35,7 @@ from latticeqc import (
 )
 from latticeqc.protocols import format_counts
 
-from helpers import expected_formatted, repair_occupations_dense
+from helpers import expected_formatted, repair_occupations_dense, sole_config
 
 
 def run_on_counts(a_counts, script):
@@ -529,7 +529,7 @@ def test_create_defects_depopulates_first():
 
 def test_create_defects_skips_non_pair_sites():
     out = execute(classical([(1, 0, 0), (0, 0, 0)]), create_defects_script(0.3))[0]
-    assert out.sole_config() == BasisConfig.from_counts([(1, 0, 0), (0, 0, 0)])
+    assert sole_config(out) == BasisConfig.from_counts([(1, 0, 0), (0, 0, 0)])
 
 
 def test_sample_defect_creation_statistics():
