@@ -250,9 +250,8 @@ class MixedState:
             raise ValueError("mixture has no branches")
         if len(kept) > 1:
             merged = _merge_branches(sorted(kept, key=_branch_order))
-            if len(merged) < len(kept):  # a summed weight can move its branch
-                merged.sort(key=_branch_order)
-            kept = merged
+            # a summed weight can move its branch out of order
+            kept = merged if len(merged) == len(kept) else sorted(merged, key=_branch_order)
         self.branches = tuple(kept)
         if any(st.L != self.L for _, st in kept):
             raise ValueError("branches disagree on lattice size")
@@ -328,11 +327,9 @@ def _real(x, where: str) -> float:
 
 
 def _pure(sites: list, amps: Iterable) -> PureState:
-    """The state with amplitude ``amps[t]`` on configuration ``sites[t]``,
-    L sites (a, b, p) each: terms below PRUNE_TOL are dropped, the rest
-    encoded, sorted as rows and checked for norm."""
-    kept = [(config, amp) for config, amp in zip(sites, map(complex, amps))
-            if abs(amp) >= PRUNE_TOL]
+    """Amplitude ``amps[t]`` on configuration ``sites[t]`` of L sites (a, b, p):
+    terms below PRUNE_TOL are dropped, the rest encoded, sorted and checked for norm."""
+    kept = [(c, a) for c, a in zip(sites, map(complex, amps)) if abs(a) >= PRUNE_TOL]
     if not kept:
         raise ValueError("state has no support")
     sites, amps = zip(*kept)

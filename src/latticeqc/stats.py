@@ -20,7 +20,7 @@ import numpy as np
 from .protocols import (
     RepairReport,
     format_counts,
-    oracle_computers,
+    oracle_homes,
     repair_occupations,
     sample_defect_creation,
     verify_formatted,
@@ -75,7 +75,10 @@ def repaired_yield(L: int, n: int) -> float:
 def count_computers_oracle(a: np.ndarray, n: int) -> int:
     """Computer count predicted combinatorially from raw 1-d a-counts; a
     batch is refused, as :func:`count_computers_protocol` refuses it."""
-    return oracle_computers(a, n).size
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"expected shape (L,), got {a.shape}")
+    return int(oracle_homes(a, n).sum())
 
 
 def count_computers_protocol(a: np.ndarray, n: int) -> int:
