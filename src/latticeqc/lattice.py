@@ -54,7 +54,7 @@ class BasisConfig:
 
     @classmethod
     def from_counts(cls, counts: Iterable[Iterable[int]]) -> "BasisConfig":
-        return cls(tuple(SiteOccupancy(int(a), int(b), int(p)) for a, b, p in counts))
+        return cls(tuple(SiteOccupancy(a, b, p) for a, b, p in _integers(counts).tolist()))
 
     @property
     def L(self) -> int:
@@ -126,13 +126,23 @@ _SITE_TABLE.setflags(write=False)
 _SITE_OBJECTS = tuple(SiteOccupancy(*s) for s in _SITE_TABLE.tolist())
 
 
+def _integers(x) -> np.ndarray:
+    """An integer array as it is; any other as int64 if every value is a finite integer."""
+    x = np.asarray(x)
+    if x.dtype.kind in "iu":
+        return x
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the compare instead
+        ints = x.astype(np.int64)
+    if not (ints == x).all():
+        raise ValueError("expected integer counts")
+    return ints
+
+
 def _encode(occ) -> np.ndarray:
     """Site codes a*R**2 + b*R + p, R = M_MAX + 1, of (..., 3) occupations,
     as uint16; rows of codes sort like the configurations they encode.
-    An integer array is checked in its own dtype, anything else as int64."""
-    occ = np.asarray(occ)
-    if occ.dtype.kind not in "iu":
-        occ = occ.astype(np.int64)
+    Counts are checked in their own integer dtype (see :func:`_integers`)."""
+    occ = _integers(occ)
     if occ.shape[-1:] != (3,):
         raise ValueError(f"expected trailing axis of size 3, got {occ.shape}")
     if occ.size and occ.max() > M_MAX:

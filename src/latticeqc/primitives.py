@@ -469,8 +469,8 @@ def _count_p(state: MixedState, rng: np.random.Generator | None) -> tuple[MixedS
     deterministic.
     """
     totals = [np.take(_DIGITS[2], st.codes).sum(axis=1) for _, st in state.branches]
-    group, first = _groups(np.concatenate(totals))
-    outcomes = np.concatenate(totals)[first].tolist()
+    group, first = _groups(every := np.concatenate(totals))
+    outcomes = every[first].tolist()
     if len(outcomes) == 1:
         return state, float(outcomes[0])
     if rng is None:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lattice import M_MAX, _encode
+from .lattice import M_MAX, _encode, _integers
 from .primitives import (
     DefectSplit,
     EmptyB,
@@ -89,16 +89,24 @@ def prepare_script(cutoff: int, n: int) -> Script:
     return depopulate_script(cutoff, 2) + format_script(n)
 
 
+def _ring(a) -> np.ndarray:
+    """The raw a-counts of one ring, checked: 1-d integer counts, none negative."""
+    a = _integers(a)
+    if a.ndim != 1:
+        raise ValueError(f"expected shape (L,), got {a.shape}")
+    if a.min(initial=0) < 0:
+        raise ValueError("negative occupation")
+    return a
+
+
 def format_counts(a: np.ndarray, n: int) -> np.ndarray:
-    """Run :func:`prepare_script` on bare a-level counts, batched over
-    leading axes, with the smallest cutoff that depopulates them all;
-    returns the final (..., L, 3) occupations."""
-    # int8 sites: the clip keeps a count outside 0..M_MAX outside, for
-    # _encode to refuse, and the script's cutoff at most M_MAX + 1
-    a = np.clip(np.asarray(a, dtype=np.int64), -1, M_MAX + 1)
+    """Run :func:`prepare_script` on the raw a-counts of one ring (a batch is
+    refused); returns the final (L, 3) occupations.  A count above M_MAX runs
+    as M_MAX, which is exact: depopulation ends every count above two at two."""
+    a = _ring(a)
     occ = np.zeros(a.shape + (3,), dtype=np.int8)
-    occ[..., 0] = a
-    return apply_classical(occ, prepare_script(int(a.max(initial=2)), n))
+    np.minimum(a, M_MAX, out=occ[:, 0], casting="unsafe")
+    return apply_classical(occ, prepare_script(int(occ[:, 0].max(initial=2)), n))
 
 
 def _left_window(site: np.ndarray, left: np.ndarray, n: int) -> np.ndarray:
@@ -120,12 +128,9 @@ def oracle_homes(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def oracle_computers(a: np.ndarray, n: int) -> np.ndarray:
-    """Homes of the computers :func:`format_counts` leaves on raw 1-d
-    a-counts; a batch has no one list of homes, so it is refused."""
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise ValueError(f"expected shape (L,), got {a.shape}")
-    return np.flatnonzero(oracle_homes(a, n))
+    """Homes of the computers :func:`format_counts` leaves on the raw
+    a-counts of one ring, which both check alike (a batch is refused)."""
+    return np.flatnonzero(oracle_homes(_ring(a), n))
 
 
 # Site codes of a register qubit (1,0,0) and of a home (1,0,1).
@@ -205,14 +210,10 @@ def repair_occupations(a: np.ndarray) -> tuple[np.ndarray, RepairReport]:
     brackets pair on the ring: no unspent donor or defect lies between a
     pair, or it would have paired at a shorter shift.  Each phase finds
     its pairs with one stable sort and counts its longest shift as rounds.
+    The ring is checked as :func:`format_counts` checks it, and at most 4.
     """
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise ValueError("expected a 1-d array of a-level counts")
-    if a.dtype.kind not in "biu" and not np.isin(a, np.arange(5)).all():
-        raise ValueError("repair expects integer counts depopulated to <= 4")
-    a = a.astype(np.int64)
-    if a.min(initial=0) < 0 or a.max(initial=0) > 4:
+    a = _ring(a).astype(np.int64)  # a copy: the caller's array stays as it is
+    if a.max(initial=0) > 4:
         raise ValueError("repair expects counts depopulated to <= 4")
     L = a.size
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .protocols import (
     RepairReport,
+    _ring,
     format_counts,
     oracle_homes,
     repair_occupations,
@@ -73,20 +74,14 @@ def repaired_yield(L: int, n: int) -> float:
 
 
 def count_computers_oracle(a: np.ndarray, n: int) -> int:
-    """Computer count predicted combinatorially from raw 1-d a-counts; a
-    batch is refused, as :func:`count_computers_protocol` refuses it."""
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise ValueError(f"expected shape (L,), got {a.shape}")
-    return int(oracle_homes(a, n).sum())
+    """Computer count predicted combinatorially from the raw a-counts of
+    one ring, checked as :func:`count_computers_protocol` checks them."""
+    return int(oracle_homes(_ring(a), n).sum())
 
 
 def count_computers_protocol(a: np.ndarray, n: int) -> int:
-    """Computer count from actually running depopulate + format on 1-d
-    a-counts; a batch is refused, as :func:`oracle_computers` refuses it."""
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise ValueError(f"expected shape (L,), got {a.shape}")
+    """Computer count from actually running depopulate + format on the raw
+    a-counts of one ring; a ring the oracle refuses is refused alike."""
     return verify_formatted(format_counts(a, n), n).size
 
 
@@ -128,13 +123,8 @@ def trial_seeds(seed: int, trials: int) -> list[int]:
 
 
 def _yield_trial(args) -> int:
-    trial_seed, L, dist, n, mode = args
-    a = sample_occupations(L, dist, np.random.default_rng(trial_seed))
-    if mode == "oracle":
-        return count_computers_oracle(a, n)
-    if mode == "full_protocol":
-        return count_computers_protocol(a, n)
-    raise ValueError(f"unknown mode {mode!r}")
+    trial_seed, L, dist, n, count = args
+    return count(sample_occupations(L, dist, np.random.default_rng(trial_seed)), n)
 
 
 def monte_carlo_yield(
@@ -161,7 +151,10 @@ def monte_carlo_yield(
         raise ValueError("need at least two trials for a standard error")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    args = [(s, L, dist, n, mode) for s in trial_seeds(seed, trials)]
+    count = {"oracle": count_computers_oracle, "full_protocol": count_computers_protocol}.get(mode)
+    if count is None:
+        raise ValueError(f"unknown mode {mode!r}")
+    args = [(s, L, dist, n, count) for s in trial_seeds(seed, trials)]
     jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:

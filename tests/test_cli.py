@@ -149,25 +149,42 @@ def test_format_report_ignores_lattice_whitespace(tmp_path, capsys):
     assert len(json.loads(reports[0])["computers"]) == 3
 
 
-def test_format_rejects_count_above_cutoff(tmp_path, capsys):
-    lat = tmp_path / "lat.json"
-    lat.write_text(json.dumps([[7, 0, 0], [1, 0, 0], [2, 0, 0]]))
-    out = tmp_path / "fmt.json"
-    assert main(["format", "--n", "1", "--lattice", str(lat), "--out", str(out)]) == 2
-    assert "occupation exceeds cutoff 6" in capsys.readouterr().err
-    assert not out.exists()
+def _format_lattice(tmp_path, name, sites):
+    """Exit code and report path of ``format --n 1 --check-oracle`` on sites."""
+    lat, out = tmp_path / f"{name}.json", tmp_path / f"{name}-fmt.json"
+    lat.write_text(json.dumps(sites))
+    argv = ["format", "--n", "1", "--lattice", str(lat), "--check-oracle", "--out", str(out)]
+    return main(argv), out
+
+
+def test_format_runs_count_above_cutoff(tmp_path):
+    # depopulation ends a 7 at two atoms, so format counts it as the oracle does
+    code, out = _format_lattice(tmp_path, "lat", [[7, 0, 0], [1, 0, 0], [2, 0, 0]])
+    assert code == 0
+    report = read_json(out)
+    assert report["computers"] == [{"home": 1, "n": 1, "qubit_sites": [0]}]
+    assert report["oracle_match"] is True
+    assert report["initial"] == [[7, 0, 0], [1, 0, 0], [2, 0, 0]]
+    assert report["final"] == [[1, 0, 0], [1, 0, 1], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("count", [127, 128, 255, 256, 300, 70000, 2**40, -1, -129])
 def test_format_rejects_count_outside_cutoff(tmp_path, capsys, count):
-    # counts that a narrow integer type would wrap back into 0..6
-    lat = tmp_path / "lat.json"
-    lat.write_text(json.dumps([[count, 0, 0], [1, 0, 0], [2, 0, 0]]))
-    out = tmp_path / "fmt.json"
-    assert main(["format", "--n", "1", "--lattice", str(lat), "--out", str(out)]) == 2
-    want = "occupation exceeds cutoff 6" if count > 0 else "negative occupation"
-    assert capsys.readouterr().err == f"error: {want}\n"
-    assert not out.exists()
+    # a negative count is refused; a count above the cutoff formats as a 6,
+    # which no narrow integer type may wrap back into 0..6 on the way
+    code, out = _format_lattice(tmp_path, "lat", [[count, 0, 0], [1, 0, 0], [2, 0, 0]])
+    if count < 0:
+        assert code == 2
+        assert capsys.readouterr().err == "error: negative occupation\n"
+        assert not out.exists()
+        return
+    assert code == 0
+    _, six = _format_lattice(tmp_path, "six", [[6, 0, 0], [1, 0, 0], [2, 0, 0]])
+    report, want = read_json(out), read_json(six)
+    assert report.pop("initial")[0] == [count, 0, 0]
+    del want["initial"]
+    assert report == want
+    assert report["oracle_match"] is True and len(report["computers"]) == 1
 
 
 # -- gates -------------------------------------------------------------------

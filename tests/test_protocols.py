@@ -145,12 +145,19 @@ def _refused(count):
 
 @pytest.mark.parametrize("count", _BAD_COUNTS)
 def test_bad_count_is_refused_in_any_dtype(count):
-    # the narrow sites format_counts builds must not wrap a count back
-    # into range, and a narrow input is checked in its own dtype;
-    # verify_formatted reads site codes before it looks for strays
-    with _refused(count):
-        format_counts(np.array([1, count, 2, 2]), 1)
-    with _refused(count):
+    # format_counts refuses a negative count and runs one above the cutoff
+    # as M_MAX (depopulation ends both at two), so its narrow sites must
+    # not wrap a count back into range; it refuses a batch by its shape.
+    # A narrow input is checked in its own dtype; verify_formatted reads
+    # site codes before it looks for strays
+    for dtype in (np.min_scalar_type(count), np.int64):
+        a = np.array([1, count, 2, 2], dtype=dtype)
+        if count < 0:
+            with _refused(count):
+                format_counts(a, 1)
+        else:
+            assert_array_equal(format_counts(a, 1), format_counts([1, M_MAX, 2, 2], 1))
+    with pytest.raises(ValueError, match=r"^expected shape \(L,\), got \(2, 3\)$"):
         format_counts(np.array([[2, 1, 2], [2, 2, count]]), 1)
     for dtype in (np.min_scalar_type(count), np.int64):
         occ = np.array([[2, 0, 0], [count, 0, 0], [1, 0, 0]], dtype=dtype)
@@ -201,10 +208,7 @@ def test_prop_oracle_homes_on_raw_counts(a, n):
     for row, row_homes in zip(a, homes):
         assert_array_equal(oracle_homes(row, n), row_homes)
         assert_array_equal(row_homes, oracle_homes(depopulate_classical(row, 2), n))
-        capped = np.minimum(row, M_MAX)
-        assert_array_equal(
-            verify_formatted(format_counts(capped, n), n), oracle_computers(capped, n)
-        )
+        assert_array_equal(verify_formatted(format_counts(row, n), n), oracle_computers(row, n))
 
 
 def test_oracle_window_cannot_wrap_onto_home():
@@ -418,6 +422,36 @@ def test_repair_report_json_keys():
         "residual_empty": 1,
         "residual_single": 2,
     }
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64])
+def test_repair_leaves_its_input_unchanged(dtype):
+    a = np.array([4, 0, 4, 4, 2], dtype=dtype)
+    repaired, report = repair_occupations(a)
+    assert_array_equal(a, [4, 0, 4, 4, 2])
+    assert repaired.dtype == np.int64 and not np.shares_memory(repaired, a)
+    assert_array_equal(repaired, [2, 2, 4, 2, 2])
+    assert report.defects_fixed == 2
+
+
+def test_non_integer_counts_are_refused_on_every_path():
+    # a cast that truncated would count 1.5 atoms as 1; NaN must not warn
+    calls = [
+        lambda: classical([[1.5, 0, 0], [2, 0, 1]]),
+        lambda: BasisConfig.from_counts([[1.5, 0, 0]]),
+        lambda: apply_classical(np.array([[1.9, 0, 0]]), Script()),
+        lambda: repair_occupations(np.array([4.0, np.nan])),
+        lambda: format_counts(np.array([1.0, 2.5]), 1),
+        lambda: oracle_computers(np.array([np.inf, 1.0]), 1),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="^expected integer counts$"):
+                call()
+    # integral floats are counts
+    assert_array_equal(apply_classical(np.array([[1.0, 0, 0]]), Script()), [[1, 0, 0]])
+    assert BasisConfig.from_counts([[2.0, 0, 1]]) == BasisConfig.from_counts([[2, 0, 1]])
 
 
 def test_repair_rejects_bad_counts():

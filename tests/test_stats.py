@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from latticeqc import (
     sample_occupations,
     trial_seeds,
 )
-from latticeqc import stats
+from latticeqc import oracle_computers, stats, verify_formatted
+from latticeqc.protocols import format_counts
 
 
 def test_fill_distribution_validation():
@@ -97,6 +99,40 @@ def test_prop_protocol_count_matches_oracle_above_cutoff_four(a, n):
     assert count_computers_protocol(a, n) == count_computers_oracle(a, n)
 
 
+# One ring's counts as a JSON reader or a float pipeline may hand them over.
+_ring_values = st.one_of(
+    st.integers(-2, 12),
+    st.integers(-2, 12).map(float),
+    st.floats(-2, 12, allow_nan=False),
+    st.just(math.nan),
+    st.booleans(),
+)
+
+
+def _count_or_message(count, a, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast may warn
+        try:
+            return count(a, n)
+        except ValueError as exc:
+            return str(exc)
+
+
+@given(ring=st.lists(_ring_values, min_size=1, max_size=20), n=st.integers(1, 4))
+@example(ring=[1.7, 2.5], n=1)  # truncated, 1.7 would count as a home
+@example(ring=[-1, 1, 2], n=1)
+@example(ring=[7, 1, 2], n=1)
+@example(ring=[True, True, 2, 2.0, 1], n=2)
+@example(ring=[2, math.nan, 1], n=1)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_prop_counting_routes_accept_and_refuse_alike(ring, n):
+    a = np.array(ring)
+    protocol = _count_or_message(count_computers_protocol, a, n)
+    assert protocol == _count_or_message(count_computers_oracle, a, n)
+    if isinstance(protocol, int):
+        assert_array_equal(verify_formatted(format_counts(a, n), n), oracle_computers(a, n))
+
+
 def test_monte_carlo_yield_is_deterministic():
     dist = FillDistribution.from_pair(0.1, 0.1)
     r1 = monte_carlo_yield(2000, dist, 3, trials=10, seed=7)
@@ -138,6 +174,17 @@ def test_monte_carlo_validation():
         monte_carlo_yield(100, dist, 2, trials=0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_yield(100, dist, 2, trials=2, seed=0, mode="guess")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_monte_carlo_refuses_unknown_mode_before_sampling(monkeypatch, jobs):
+    def sample(*args):
+        raise AssertionError("a lattice was sampled")
+
+    monkeypatch.setattr(stats, "sample_occupations", sample)
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        monte_carlo_yield(100, FillDistribution(0.1, 0.1, 0.8), 2, trials=2, seed=0,
+                          mode="bogus", jobs=jobs)
 
 
 @pytest.mark.parametrize("jobs", [0, -4])
