@@ -20,12 +20,7 @@ import numpy as np
 from . import __version__
 from .lattice import _SITE_TABLE, MixedState, classical, read_sites
 from .primitives import Script, execute
-from .protocols import (
-    StrayAtomsError,
-    format_counts,
-    oracle_computers,
-    verify_formatted,
-)
+from .protocols import StrayAtomsError, _format_codes, _homes, oracle_computers
 from .gates import (
     GateLeakageError,
     extract_logical_unitary,
@@ -212,8 +207,8 @@ def cmd_format(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         a = sample_occupations(args.L, _dist_from_args(args), rng)
-    final = format_counts(a, args.n)
-    homes = verify_formatted(final, args.n)
+    codes = _format_codes(a, args.n)
+    homes = _homes(codes, args.n)
     # a register runs home-n .. home-1 (mod L), left to right
     windows = (homes[:, None] - np.arange(args.n, 0, -1)) % a.size
     report = {
@@ -222,7 +217,7 @@ def cmd_format(args) -> int:
         "n": args.n,
         "seed": None if args.lattice else args.seed,
         "initial": np.pad(a[:, None], ((0, 0), (0, 2))),  # [a, 0, 0] per site
-        "final": final,
+        "final": _SITE_TABLE[codes],
         "computers": [
             {"home": k, "n": args.n, "qubit_sites": w}
             for k, w in zip(homes.tolist(), windows.tolist())

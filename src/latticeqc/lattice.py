@@ -86,6 +86,7 @@ def check_sites(sites, a_only: bool = False) -> list:
 def read_sites(path: str, a_only: bool = False) -> np.ndarray:
     """The (L, 3) int64 sites of a lattice file, checked as by
     :func:`check_sites`; with ``a_only`` the a column of sites [a, 0, 0].
+    A count past int64 is refused.
 
     A file of one-digit counts, ``[[d,d,d],...]`` with any JSON
     whitespace, is read as bytes; every other file goes through
@@ -95,7 +96,11 @@ def read_sites(path: str, a_only: bool = False) -> np.ndarray:
     if digits is None or (a_only and digits[:, 1:].any()):
         with open(path) as fh:
             sites = check_sites(json.load(fh), a_only)
-        return np.array([s[0] for s in sites] if a_only else sites, dtype=np.int64)
+        rows = [s[0] for s in sites] if a_only else sites
+        try:
+            return np.array(rows, dtype=np.int64)
+        except OverflowError:
+            raise _past_int64(np.array(rows, dtype=object)) from None
     return (digits[:, 0] if a_only else digits).astype(np.int64)
 
 
@@ -127,15 +132,28 @@ _SITE_OBJECTS = tuple(SiteOccupancy(*s) for s in _SITE_TABLE.tolist())
 
 
 def _integers(x) -> np.ndarray:
-    """An integer array as it is; any other as int64 if every value is a finite integer."""
-    x = np.asarray(x)
-    if x.dtype.kind in "iu":
-        return x
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the compare instead
-        ints = x.astype(np.int64)
-    if not (ints == x).all():
+    """An integer array as it is; other counts as int64 if every value is a
+    finite integer, or as an object array of them if some integer is past
+    int64 (numpy reads a list of such Python ints as float or object)."""
+    arr = np.asarray(x)
+    if arr.dtype.kind in "iu":
+        return arr
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the compare instead
+            ints = arr.astype(np.int64)
+        if (ints == arr).all():
+            return ints
+    except OverflowError:
+        pass
+    big = np.array(x, dtype=object)
+    if not all(isinstance(v, (int, np.integer)) for v in big.flat):
         raise ValueError("expected integer counts")
-    return ints
+    return big
+
+
+def _past_int64(counts: np.ndarray) -> ValueError:
+    """The error for integer counts of which one is past int64."""
+    return ValueError(f"count {max(counts.flat, key=abs)} is too large for int64")
 
 
 def _encode(occ) -> np.ndarray:
@@ -145,6 +163,8 @@ def _encode(occ) -> np.ndarray:
     occ = _integers(occ)
     if occ.shape[-1:] != (3,):
         raise ValueError(f"expected trailing axis of size 3, got {occ.shape}")
+    if occ.dtype == object:
+        raise _past_int64(occ)
     if occ.size and occ.max() > M_MAX:
         raise OccupationOverflowError(f"occupation exceeds cutoff {M_MAX}")
     if occ.size and occ.min() < 0:

@@ -516,10 +516,14 @@ def apply_classical(occ: np.ndarray, script: Script) -> np.ndarray:
     script.  Phases from Collide are physically inert on a classical
     configuration and are dropped here (:func:`execute` tracks them).
     """
-    codes = _encode(occ)
+    return np.take(_SITE_TABLE, _run(_encode(occ), script), axis=0)
+
+
+def _run(codes: np.ndarray, script: Script) -> np.ndarray:
+    """The engine of :func:`apply_classical` on site codes of shape (..., L)."""
     for step in _compile(script):
         codes = _move(codes, step)
-    return np.take(_SITE_TABLE, codes, axis=0)
+    return codes
 
 
 # ---------------------------------------------------------------------------

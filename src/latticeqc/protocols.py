@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lattice import M_MAX, _encode, _integers
+from .lattice import M_MAX, _R, _SITE_TABLE, _encode, _integers, _past_int64
 from .primitives import (
     DefectSplit,
     EmptyB,
@@ -28,7 +28,7 @@ from .primitives import (
     PairTransfer,
     Script,
     Shift,
-    apply_classical,
+    _run,
 )
 
 
@@ -89,24 +89,38 @@ def prepare_script(cutoff: int, n: int) -> Script:
     return depopulate_script(cutoff, 2) + format_script(n)
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _ring(a) -> np.ndarray:
-    """The raw a-counts of one ring, checked: 1-d integer counts, none negative."""
+    """The raw a-counts of one ring, checked: 1-d integer counts, none
+    negative, all within int64."""
     a = _integers(a)
     if a.ndim != 1:
         raise ValueError(f"expected shape (L,), got {a.shape}")
     if a.min(initial=0) < 0:
         raise ValueError("negative occupation")
+    if a.dtype == object or (a.dtype == np.uint64 and a.max(initial=0) > _INT64_MAX):
+        raise _past_int64(a)
     return a
 
 
-def format_counts(a: np.ndarray, n: int) -> np.ndarray:
-    """Run :func:`prepare_script` on the raw a-counts of one ring (a batch is
-    refused); returns the final (L, 3) occupations.  A count above M_MAX runs
-    as M_MAX, which is exact: depopulation ends every count above two at two."""
+def _format_codes(a: np.ndarray, n: int) -> np.ndarray:
+    """The site codes :func:`prepare_script` leaves on the raw a-counts of one
+    ring (a batch is refused).  A count above M_MAX runs as M_MAX, which is
+    exact: depopulation ends every count above two at two."""
     a = _ring(a)
-    occ = np.zeros(a.shape + (3,), dtype=np.int8)
-    np.minimum(a, M_MAX, out=occ[:, 0], casting="unsafe")
-    return apply_classical(occ, prepare_script(int(occ[:, 0].max(initial=2)), n))
+    codes = np.empty(a.shape, dtype=np.uint16)
+    np.minimum(a, M_MAX, out=codes, casting="unsafe")
+    cutoff = max(int(codes.max(initial=0)), 2)
+    codes *= np.uint16(_R * _R)  # the code of site (a, 0, 0)
+    return _run(codes, prepare_script(cutoff, n))
+
+
+def format_counts(a: np.ndarray, n: int) -> np.ndarray:
+    """Run :func:`prepare_script` on the raw a-counts of one ring; returns
+    the final (L, 3) occupations (see :func:`_format_codes`)."""
+    return np.take(_SITE_TABLE, _format_codes(a, n), axis=0)
 
 
 def _left_window(site: np.ndarray, left: np.ndarray, n: int) -> np.ndarray:
@@ -138,17 +152,22 @@ _QUBIT, _HOME = _encode([(1, 0, 0), (1, 0, 1)])
 
 
 def verify_formatted(occ: np.ndarray, n: int) -> np.ndarray:
-    """Homes of the computers of a formatted (L, 3) occupation array.
+    """Homes of the computers of a formatted (L, 3) occupation array
+    (see :func:`_homes`); a count outside 0..M_MAX is ``_encode``'s error."""
+    occ = np.asarray(occ)
+    if occ.ndim != 2 or occ.shape[1] != 3:
+        raise ValueError(f"expected shape (L, 3), got {occ.shape}")
+    return _homes(_encode(occ), n)
+
+
+def _homes(codes: np.ndarray, n: int) -> np.ndarray:
+    """Homes of the computers of the formatted site codes of one ring.
 
     A home is a site (1,0,1) whose n left neighbours (cyclically) all hold
     (1,0,0), so no two computers share a site, and with n >= L there is
     none.  An occupied site outside every computer raises
-    :class:`StrayAtomsError`; a count outside 0..M_MAX, ``_encode``'s error.
+    :class:`StrayAtomsError`.
     """
-    occ = np.asarray(occ)
-    if occ.ndim != 2 or occ.shape[1] != 3:
-        raise ValueError(f"expected shape (L, 3), got {occ.shape}")
-    codes = _encode(occ)
     homes = _left_window(codes == _HOME, codes == _QUBIT, n)
     cover = homes.copy()
     for j in range(1, n + 1):

@@ -19,12 +19,12 @@ import numpy as np
 
 from .protocols import (
     RepairReport,
+    _format_codes,
+    _homes,
     _ring,
-    format_counts,
     oracle_homes,
     repair_occupations,
     sample_defect_creation,
-    verify_formatted,
 )
 
 
@@ -60,7 +60,16 @@ class FillDistribution:
 def sample_occupations(
     L: int, dist: FillDistribution, rng: np.random.Generator
 ) -> np.ndarray:
-    return rng.choice(5, size=L, p=dist.probs)
+    """L iid counts drawn as ``rng.choice(5, size=L, p=dist.probs)`` draws
+    them, from the same uniforms: the count of a site is the number of
+    cumulative probabilities (the last excepted) at or below its uniform."""
+    cdf = dist.probs.cumsum(dtype=float)
+    cdf /= cdf[-1]
+    u = rng.random(L)
+    out = np.zeros(L, dtype=np.int64)
+    for c in cdf[:-1]:
+        out += u >= c
+    return out
 
 
 def expected_yield(L: int, p0: float, p1: float, n: int) -> float:
@@ -82,7 +91,7 @@ def count_computers_oracle(a: np.ndarray, n: int) -> int:
 def count_computers_protocol(a: np.ndarray, n: int) -> int:
     """Computer count from actually running depopulate + format on the raw
     a-counts of one ring; a ring the oracle refuses is refused alike."""
-    return verify_formatted(format_counts(a, n), n).size
+    return _homes(_format_codes(a, n), n).size
 
 
 @dataclass(frozen=True)

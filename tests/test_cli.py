@@ -187,6 +187,14 @@ def test_format_rejects_count_outside_cutoff(tmp_path, capsys, count):
     assert report["oracle_match"] is True and len(report["computers"]) == 1
 
 
+@pytest.mark.parametrize("count", [10**30, 2**64, 2**63])
+def test_format_refuses_count_past_int64_in_its_own_words(tmp_path, capsys, count):
+    code, out = _format_lattice(tmp_path, "lat", [[count, 0, 0], [1, 0, 0], [2, 0, 0]])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: count {count} is too large for int64\n"
+    assert not out.exists()
+
+
 # -- gates -------------------------------------------------------------------
 
 
@@ -544,6 +552,25 @@ def test_run_refuses_unknown_keys_in_state_files(tmp_path, capsys, where, messag
     out = tmp_path / "out.json"
     assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [([[10**30, 0, 0], [1, -1, 0]], "negative occupation in SiteOccupancy(a=1, b=-1, p=0)"),
+     ([[10**30, 0, 0], [1, 0, 0]], f"count {10**30} is too large for int64")],
+    ids=["negative-site", "past-int64"],
+)
+def test_run_names_state_files_with_counts_past_int64(tmp_path, capsys, config, message):
+    # numpy's "Python int too large to convert to C long" named neither
+    lat = tmp_path / "state.json"
+    lat.write_text(json.dumps({"branches": [{"weight": 1.0, "terms": [
+        {"config": config, "re": 1.0, "im": 0.0}]}]}))
+    script = tmp_path / "empty.txt"
+    script.write_text("")
+    out = tmp_path / "out.json"
+    assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

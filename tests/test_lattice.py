@@ -66,6 +66,22 @@ def test_classical_names_the_negative_site():
         classical([1, 0, 0])  # one site is [[1, 0, 0]], not a bare triple
 
 
+@pytest.mark.parametrize("big", [10**30, 2**64, 2**63, -10**30])
+def test_counts_past_int64_are_named_not_overflowed(big):
+    # numpy reads such Python ints as float or object; the negative site is
+    # still named first, and a count past int64 is refused in our own words
+    negative = "negative occupation in SiteOccupancy(a={}, b={}, p=0)"
+    with pytest.raises(ValueError) as exc:
+        classical([[2, 0, 0], [big, 0, 0], [1, -1, 0]])
+    assert str(exc.value) == (negative.format(big, 0) if big < 0 else negative.format(1, -1))
+    with pytest.raises(ValueError) as exc:
+        classical([[big, 0, 0], [1, 0, 0]])
+    assert str(exc.value) == (negative.format(big, 0) if big < 0
+                              else f"count {big} is too large for int64")
+    if big > 0:  # a BasisConfig holds Python ints and knows no cutoff
+        assert BasisConfig.from_counts([[big, 0, 0]]).sites == ((big, 0, 0),)
+
+
 def test_classical_of_sites_equals_classical_of_config():
     sites = [[2, 0, 1], [0, 3, 0], [6, 6, 6]]
     got = classical(sites).branches[0][1]
@@ -420,7 +436,11 @@ def _outcome(read, path, a_only):
 def _read_sites_by_json(path, a_only):
     with open(path) as fh:
         sites = check_sites(json.load(fh), a_only)
-    return np.array([s[0] for s in sites] if a_only else sites, dtype=np.int64)
+    rows = [s[0] for s in sites] if a_only else sites
+    big = [x for x in np.array(rows, dtype=object).flat if not -2**63 <= x < 2**63]
+    if big:
+        raise ValueError(f"count {max(big, key=abs)} is too large for int64")
+    return np.array(rows, dtype=np.int64)
 
 
 @given(lattice_texts(), st.booleans())

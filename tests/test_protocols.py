@@ -19,6 +19,7 @@ from latticeqc import (
     StrayAtomsError,
     apply_classical,
     classical,
+    count_computers_protocol,
     create_defects_script,
     depopulate_classical,
     depopulate_script,
@@ -33,7 +34,8 @@ from latticeqc import (
     sample_occupations,
     verify_formatted,
 )
-from latticeqc.protocols import format_counts
+from latticeqc.lattice import _encode
+from latticeqc.protocols import _format_codes, _homes, format_counts
 
 from helpers import expected_formatted, repair_occupations_dense, sole_config
 
@@ -290,6 +292,13 @@ def test_verify_formatted_refuses_a_batch():
         verify_formatted(np.zeros((4, 2), dtype=np.int64), 1)
 
 
+def _homes_or_strays(find, occ, n):
+    try:
+        return find(occ, n).tolist()
+    except StrayAtomsError as exc:
+        return "strays", exc.sites
+
+
 def verify_formatted_loop(occ, n):
     """Homes and stray sites of a formatted lattice, site by site."""
     L = len(occ)
@@ -321,12 +330,57 @@ def test_prop_verify_formatted_matches_site_rule(occ, n):
     one of its own left neighbours.
     """
     homes, strays = verify_formatted_loop(occ, n)
-    if strays:
-        with pytest.raises(StrayAtomsError) as err:
-            verify_formatted(np.array(occ), n)
-        assert err.value.sites == tuple(strays)
-    else:
-        assert verify_formatted(np.array(occ), n).tolist() == homes
+    want = ("strays", tuple(strays)) if strays else homes
+    for dtype in (np.int8, np.int64):
+        arr = np.array(occ, dtype=dtype)
+        assert _homes_or_strays(verify_formatted, arr, n) == want
+        assert _homes_or_strays(lambda o, n: _homes(_encode(o), n), arr, n) == want
+
+
+def test_homes_on_codes_match_verify_formatted_at_scale():
+    rng = np.random.default_rng(31)
+    for n in (1, 3, 5):
+        a = rng.choice(3, size=20_000, p=[0.1, 0.1, 0.8])
+        final = format_counts(a, n)
+        assert_array_equal(_homes(_encode(final), n), oracle_computers(a, n))
+        assert_array_equal(_homes(_format_codes(a, n), n), oracle_computers(a, n))
+        strays = rng.integers(0, a.size, size=7)
+        final[strays] = (2, 0, 0)
+        want = _homes_or_strays(verify_formatted, final, n)
+        assert want[0] == "strays" and set(strays.tolist()) <= set(want[1])
+        assert _homes_or_strays(lambda o, n: _homes(_encode(o), n), final, n) == want
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [(np.array([[2, 1], [1, 2]]), r"expected shape (L,), got (2, 2)"),
+     (np.array([2, -1, 1]), "negative occupation"),
+     (np.array([2, -1, 1], dtype=np.int8), "negative occupation"),
+     (np.array([2.0, 1.5, 1.0]), "expected integer counts"),
+     (np.array([2.0, np.nan, 1.0]), "expected integer counts")],
+)
+def test_ring_refusals_read_alike_on_both_formatting_routes(a, message):
+    for route in (format_counts, _format_codes, count_computers_protocol):
+        with pytest.raises(ValueError) as exc:
+            route(a, 1)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "occ, error, message",
+    [(np.zeros((3, 2), dtype=np.int64), ValueError, r"expected shape (L, 3), got (3, 2)"),
+     (np.array([[7, 0, 0], [1, 0, 1]]), OccupationOverflowError, "occupation exceeds cutoff 6"),
+     (np.array([[1, 0, 0], [1, -1, 1]], dtype=np.int8), ValueError, "negative occupation"),
+     (np.array([[1, 0, 0.5], [1, 0, 1]]), ValueError, "expected integer counts")],
+)
+def test_verify_formatted_refusals_are_encode_refusals(occ, error, message):
+    with pytest.raises(error) as exc:
+        verify_formatted(occ, 1)
+    assert str(exc.value) == message
+    if occ.shape[1] == 3:
+        with pytest.raises(error) as exc:
+            _encode(occ)
+        assert str(exc.value) == message
 
 
 def test_verify_formatted_agrees_with_oracle():

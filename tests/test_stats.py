@@ -19,7 +19,7 @@ from latticeqc import (
     trial_seeds,
 )
 from latticeqc import oracle_computers, stats, verify_formatted
-from latticeqc.protocols import format_counts
+from latticeqc.protocols import _format_codes, _homes, format_counts
 
 
 def test_fill_distribution_validation():
@@ -67,6 +67,48 @@ def test_sample_occupations_frequencies():
     for value, p in enumerate(dist.probs):
         sigma = math.sqrt(p * (1 - p) / a.size)
         assert abs((a == value).mean() - p) < 4 * sigma
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [(0.1, 0.1, 0.8, 0.0, 0.0),  # classes 3 and 4 empty
+     (0.05, 0.1, 0.45, 0.1, 0.3),  # all five classes
+     (0.0, 0.0, 1.0, 0.0, 0.0),  # all mass in one class
+     (1.0, 0.0, 0.0, 0.0, 0.0),
+     (0.0, 0.0, 0.0, 0.0, 1.0),
+     (0.2, 0.0, 0.3, 0.0, 0.5),  # empty classes between full ones
+     (1 / 3, 1 / 3, 1 / 3, 0.0, 0.0)],
+)
+def test_sample_occupations_draws_as_rng_choice(probs):
+    # the compare rule is numpy's own rule for choice with p, so the counts,
+    # their dtype and the generator's state afterwards are choice's
+    dist = FillDistribution(*probs)
+    for seed in range(60):
+        L = (1, 2, 5, 999)[seed % 4]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_occupations(L, dist, rng)
+        want = ref.choice(5, size=L, p=dist.probs)
+        assert got.dtype == want.dtype
+        assert_array_equal(got, want)
+        assert rng.random() == ref.random()
+
+
+def test_code_route_counts_as_the_decoded_route_and_the_oracle():
+    # seeded rings for n = 1..6: n >= L, counts 0..9 (above M_MAX), narrow,
+    # wide and integral-float dtypes, and fills shaped like the benchmark's
+    rng = np.random.default_rng(29)
+    rings = [rng.integers(0, 10, size=L) for L in (1, 2, 3, 5, 6, 7, 40, 300) for _ in range(3)]
+    rings += [sample_occupations(L, FillDistribution(*p), rng) for L, p in
+              [(100_000, (0.1, 0.1, 0.8)), (100_000, (0.05, 0.1, 0.45, 0.1, 0.3)), (64, (0.1, 0.1, 0.8))]]
+    for a in rings:
+        for n in range(1, 7):
+            want = oracle_computers(a, n)
+            for dtype in (np.int8, np.uint8, np.int64, np.float64):
+                ring = a.astype(dtype)
+                assert_array_equal(_homes(_format_codes(ring, n), n), want)
+                assert count_computers_protocol(ring, n) == want.size
+                assert verify_formatted(format_counts(ring, n), n).size == want.size
+                assert count_computers_oracle(ring, n) == want.size
 
 
 def test_counting_routes_agree():
