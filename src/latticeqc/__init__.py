@@ -37,7 +37,6 @@ from .protocols import (
     RepairReport,
     StrayAtomsError,
     create_defects_script,
-    depopulate_classical,
     depopulate_script,
     format_script,
     oracle_computers,

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .lattice import BasisConfig, MixedState, SiteOccupancy, _encode, classical
+from .lattice import BasisConfig, MixedState, _encode, classical
 from .primitives import (
     ABRotation,
     Collide,
@@ -33,10 +33,10 @@ from .primitives import (
     execute,
 )
 
-DOWN_SITE = SiteOccupancy(1, 0, 0)
-UP_SITE = SiteOccupancy(0, 1, 0)
-HOME_SITE = SiteOccupancy(1, 0, 1)
-EMPTY_SITE = SiteOccupancy(0, 0, 0)
+DOWN_SITE = (1, 0, 0)
+UP_SITE = (0, 1, 0)
+HOME_SITE = (1, 0, 1)
+EMPTY_SITE = (0, 0, 0)
 
 V_THETA = math.pi / 8
 LEAK_TOL = 1e-6  # largest leakage out of the logical subspace a gate may have
@@ -184,7 +184,7 @@ def computer_config(n: int, L: int | None = None, up_offsets=()) -> BasisConfig:
     for j in range(1, n + 1):
         sites[n - j] = UP_SITE if j in up else DOWN_SITE
     sites[n] = HOME_SITE
-    return BasisConfig(tuple(sites))
+    return BasisConfig.from_counts(sites)
 
 
 def involved_qubits(macro: GateMacro, n: int) -> tuple[int, ...]:

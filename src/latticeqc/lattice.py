@@ -134,9 +134,12 @@ _SITE_OBJECTS = tuple(SiteOccupancy(*s) for s in _SITE_TABLE.tolist())
 def _integers(x) -> np.ndarray:
     """An integer array as it is; other counts as int64 if every value is a
     finite integer, or as an object array of them if some integer is past
-    int64 (numpy reads a list of such Python ints as float or object)."""
+    int64 (numpy reads a list of such Python ints as float or object), and
+    so is a uint64 array that holds one."""
     arr = np.asarray(x)
     if arr.dtype.kind in "iu":
+        if arr.dtype == np.uint64 and arr.max(initial=0) > np.iinfo(np.int64).max:
+            return arr.astype(object)
         return arr
     try:
         with np.errstate(invalid="ignore"):  # NaN and inf fail the compare instead
@@ -163,12 +166,12 @@ def _encode(occ) -> np.ndarray:
     occ = _integers(occ)
     if occ.shape[-1:] != (3,):
         raise ValueError(f"expected trailing axis of size 3, got {occ.shape}")
+    if occ.size and occ.min() < 0:
+        raise ValueError("negative occupation")
     if occ.dtype == object:
         raise _past_int64(occ)
     if occ.size and occ.max() > M_MAX:
         raise OccupationOverflowError(f"occupation exceeds cutoff {M_MAX}")
-    if occ.size and occ.min() < 0:
-        raise ValueError("negative occupation")
     a, b, p = (occ[..., k].astype(np.uint16) for k in range(3))
     return a * np.uint16(_R * _R) + b * np.uint16(_R) + p
 

@@ -23,8 +23,9 @@ Each op class declares everything the engines and the DSL read: its
 ``head`` (its dataclass fields are the arguments, in order), its ``kind``
 (swap, rotate, shift, phase, empty or count) and the one-site data of its
 kind: ``pair()`` for a swap, ``images(site)`` for a rotation and
-``level`` for an emptying channel.  A site holds at most M_MAX atoms per
-level, and V also needs a+b <= M_MAX; an op past either limit raises
+``level`` for an emptying channel, a site being an ``(a, b, p)`` tuple
+of ints.  A site holds at most M_MAX atoms per level, and V also needs
+a+b <= M_MAX; an op past either limit raises
 :class:`OccupationOverflowError`.
 """
 from __future__ import annotations
@@ -33,19 +34,17 @@ import cmath
 import math
 from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 import numpy as np
 
 from .lattice import (
     M_MAX,
     PRUNE_TOL,
-    _SITE_OBJECTS,
     _SITE_TABLE,
     MixedState,
     OccupationOverflowError,
     PureState,
-    SiteOccupancy,
     _encode,
     _lexsorted,
 )
@@ -74,13 +73,13 @@ class PairTransfer:
                 f"invalid transfer endpoints for (m={self.m}, n={self.n}, x={self.x})"
             )
 
-    def pair(self) -> tuple[SiteOccupancy, SiteOccupancy]:
+    def pair(self) -> tuple[tuple, tuple]:
         m, n, x = self.m, self.n, self.x
         if max(m, n, m + x, n - x) > M_MAX:
             raise OccupationOverflowError(
                 f"transfer endpoint exceeds cutoff {M_MAX}: (m={m}, n={n}, x={x})"
             )
-        return SiteOccupancy(m, 0, n), SiteOccupancy(m + x, 0, n - x)
+        return (m, 0, n), (m + x, 0, n - x)
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,8 @@ class WSwap:
     head = "W"
     kind = "swap"
 
-    def pair(self) -> tuple[SiteOccupancy, SiteOccupancy]:
-        return SiteOccupancy(1, 0, 1), SiteOccupancy(0, 1, 1)
+    def pair(self) -> tuple[tuple, tuple]:
+        return (1, 0, 1), (0, 1, 1)
 
 
 @lru_cache(maxsize=None)
@@ -125,15 +124,16 @@ class ABRotation:
         if not math.isfinite(self.theta):
             raise ValueError(f"rotation angle must be finite, got {float(self.theta)!r}")
 
-    def images(self, site: SiteOccupancy) -> tuple:
-        T = site.a + site.b
+    def images(self, site: tuple) -> tuple:
+        a, b, p = site
+        T = a + b
         if T == 0:
             return ((site, 1.0),)
         if T > M_MAX:
             raise OccupationOverflowError(f"a+b = {T} on a site exceeds sector cutoff {M_MAX}")
-        col = _sector_unitary(T, self.theta)[:, site.a]
+        col = _sector_unitary(T, self.theta)[:, a]
         return tuple(
-            (SiteOccupancy(i, T - i, site.p), col[i])
+            ((i, T - i, p), col[i])
             for i in range(T + 1)
             if abs(col[i]) >= 1e-16
         )
@@ -181,8 +181,8 @@ class EmptyP:
     level = 2
 
 
-_SPLIT_X = SiteOccupancy(2, 0, 0)
-_SPLIT_Y = SiteOccupancy(1, 1, 0)
+_SPLIT_X = (2, 0, 0)
+_SPLIT_Y = (1, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class DefectSplit:
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
 
-    def images(self, site: SiteOccupancy) -> tuple:
+    def images(self, site: tuple) -> tuple:
         c, s = math.sqrt(1.0 - self.eps), math.sqrt(self.eps)
         if site == _SPLIT_X:
             return ((_SPLIT_X, c), (_SPLIT_Y, s))
@@ -222,34 +222,18 @@ _OPS = (
 PrimitiveOp = Union[_OPS]
 
 
-class Script:
-    """Ordered sequence of primitive operations; the unit of execution."""
+class Script(tuple):
+    """Ordered sequence of primitive operations, the unit of execution: a
+    tuple of ops, which it equals and hashes like."""
 
-    __slots__ = ("ops",)
-
-    def __init__(self, ops: Iterable[PrimitiveOp] = ()):
-        self.ops = tuple(ops)
-
-    def __iter__(self) -> Iterator[PrimitiveOp]:
-        return iter(self.ops)
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __add__(self, other: "Script") -> "Script":
-        return Script(self.ops + tuple(other))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Script) and self.ops == other.ops
-
-    def __hash__(self):
-        return hash(self.ops)
+    def __add__(self, other) -> "Script":
+        return Script((*self, *other))
 
     def __repr__(self):
-        return f"Script({len(self.ops)} ops)"
+        return f"Script({len(self)} ops)"
 
     def to_text(self) -> str:
-        return "".join(_op_to_text(op) + "\n" for op in self.ops)
+        return "".join(_op_to_text(op) + "\n" for op in self)
 
     @classmethod
     def parse(cls, text: str) -> "Script":
@@ -293,9 +277,10 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 # one lookup of a packed table, the code without its pointer digit and
 # the pointer digit in one uint16, and one roll of the pointer digit.
 # Input occupations of any integer dtype encode without a copy to int64
-# (lattice._encode).  The engine runs a swap or a shift as its
-# compiled one-op script on every row.  The other kernels group equal
-# keys through _groups, one np.unique: a Collide computes one phase
+# (lattice._encode).  _run is the one runner of compiled steps, and the
+# engine runs a swap, a shift or the zeroing of an emptying channel as
+# its one-op script on every row.  The other kernels group equal keys
+# through _groups, one np.unique: a Collide computes one phase
 # factor per distinct weight sum(a*p), an emptying channel branches on
 # the emptied level's digit rows in sorted order, COUNTP sums Born
 # weights per pointer total, and a rotation expands rows through a
@@ -358,6 +343,13 @@ def _move(codes: np.ndarray, step: tuple) -> np.ndarray:
     return v
 
 
+def _run(codes: np.ndarray, script: Script) -> np.ndarray:
+    """The one runner of compiled steps, on site codes of shape (..., L)."""
+    for step in _compile(script):
+        codes = _move(codes, step)
+    return codes
+
+
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
@@ -385,10 +377,9 @@ def _unitary(st: PureState, op) -> PureState:
         f = np.array([cmath.exp(1j * op.phi * w) for w in weights[first].tolist()])[group]
         amps = _complex(*_cmul(st.amps.real, st.amps.imag, f.real, f.imag))
         return PureState._from_codes(st.codes, amps)
-    (step,) = _compile(Script([op]))
     if op.kind == "swap" and op.pair()[0] == op.pair()[1]:
         return PureState._from_codes(st.codes, st.amps)  # moves no term
-    return PureState._from_codes(*_lexsorted(_move(st.codes, step), st.amps + 0.0))
+    return PureState._from_codes(*_lexsorted(_run(st.codes, Script([op])), st.amps + 0.0))
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -423,11 +414,12 @@ def _rotate(st: PureState, op) -> PureState:
     codes, re, im = st.codes, st.amps.real, st.amps.imag
     count, table, fixed = _image_table(op)
     for c in set(codes[count[codes] == 0].tolist()):
-        img = op.images(_SITE_OBJECTS[c])
+        site = tuple(_SITE_TABLE[c].tolist())
+        img = op.images(site)
         u = np.array([z for _, z in img], dtype=complex)
         table[:, c, :len(img)] = _encode([s for s, _ in img]), u.real, u.imag
         count[c] = len(img)
-        fixed[c] = len(img) == 1 and img[0][0] == _SITE_OBJECTS[c] and u[0] == 1.0
+        fixed[c] = len(img) == 1 and img[0][0] == site and u[0] == 1.0
     for k in np.flatnonzero(~fixed[codes].all(axis=0)).tolist():
         col = codes[:, k]
         row, j = np.nonzero(np.arange(table.shape[2]) < count[col][:, None])
@@ -449,7 +441,7 @@ def _empty(state: MixedState, op) -> MixedState:
     digit rows, then zero it and renormalize each branch."""
     new_branches: list[tuple[float, PureState]] = []
     for w, st in state.branches:
-        zeroed = _move(st.codes, _compile(Script([op]))[0])
+        zeroed = _run(st.codes, Script([op]))
         group, _ = _groups(np.take(_DIGITS[op.level], st.codes))  # uint8: bytes sort like digits
         amps = st.amps + 0.0
         weights = np.bincount(group, [abs(a) ** 2 for a in amps.tolist()])
@@ -517,13 +509,6 @@ def apply_classical(occ: np.ndarray, script: Script) -> np.ndarray:
     configuration and are dropped here (:func:`execute` tracks them).
     """
     return np.take(_SITE_TABLE, _run(_encode(occ), script), axis=0)
-
-
-def _run(codes: np.ndarray, script: Script) -> np.ndarray:
-    """The engine of :func:`apply_classical` on site codes of shape (..., L)."""
-    for step in _compile(script):
-        codes = _move(codes, step)
-    return codes
 
 
 # ---------------------------------------------------------------------------

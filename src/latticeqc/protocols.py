@@ -57,11 +57,6 @@ def depopulate_script(cutoff: int, target: int = 2) -> Script:
     return Script(ops)
 
 
-def depopulate_classical(a: np.ndarray, target: int) -> np.ndarray:
-    """Closed form of :func:`depopulate_script` on bare a-level counts."""
-    return np.minimum(np.asarray(a, dtype=np.int64), target)
-
-
 def format_script(n: int) -> Script:
     """Self-organize a depopulated lattice into computers with n qubits.
 
@@ -84,12 +79,11 @@ def format_script(n: int) -> Script:
     return Script(ops)
 
 
-def prepare_script(cutoff: int, n: int) -> Script:
-    """Depopulate to two atoms per site, then format."""
-    return depopulate_script(cutoff, 2) + format_script(n)
-
-
-_INT64_MAX = np.iinfo(np.int64).max
+def prepare_script(n: int) -> Script:
+    """Depopulate every count from M_MAX down to two atoms, then format.
+    The depopulation ops fuse into the table before format's first shift,
+    so they cost nothing at run time."""
+    return depopulate_script(M_MAX, 2) + format_script(n)
 
 
 def _ring(a) -> np.ndarray:
@@ -100,7 +94,7 @@ def _ring(a) -> np.ndarray:
         raise ValueError(f"expected shape (L,), got {a.shape}")
     if a.min(initial=0) < 0:
         raise ValueError("negative occupation")
-    if a.dtype == object or (a.dtype == np.uint64 and a.max(initial=0) > _INT64_MAX):
+    if a.dtype == object:
         raise _past_int64(a)
     return a
 
@@ -112,9 +106,8 @@ def _format_codes(a: np.ndarray, n: int) -> np.ndarray:
     a = _ring(a)
     codes = np.empty(a.shape, dtype=np.uint16)
     np.minimum(a, M_MAX, out=codes, casting="unsafe")
-    cutoff = max(int(codes.max(initial=0)), 2)
     codes *= np.uint16(_R * _R)  # the code of site (a, 0, 0)
-    return _run(codes, prepare_script(cutoff, n))
+    return _run(codes, prepare_script(n))
 
 
 def format_counts(a: np.ndarray, n: int) -> np.ndarray:
@@ -154,7 +147,7 @@ _QUBIT, _HOME = _encode([(1, 0, 0), (1, 0, 1)])
 def verify_formatted(occ: np.ndarray, n: int) -> np.ndarray:
     """Homes of the computers of a formatted (L, 3) occupation array
     (see :func:`_homes`); a count outside 0..M_MAX is ``_encode``'s error."""
-    occ = np.asarray(occ)
+    occ = _integers(occ)
     if occ.ndim != 2 or occ.shape[1] != 3:
         raise ValueError(f"expected shape (L, 3), got {occ.shape}")
     return _homes(_encode(occ), n)
@@ -289,7 +282,7 @@ def sample_defect_creation(
     a: np.ndarray, eps: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw one classical branch of the defect-creation channel."""
-    a2 = depopulate_classical(a, 2)
+    a2 = np.minimum(np.asarray(a, dtype=np.int64), 2)  # depopulated to two
     mask = (a2 == 2) & (rng.random(a2.shape) < eps)
     a2[mask] = 1
     return a2

@@ -73,8 +73,9 @@ def sample_occupations(
 
 
 def expected_yield(L: int, p0: float, p1: float, n: int) -> float:
-    """Expected computer count on an iid lattice (exact by linearity)."""
-    return L * p1 * (1.0 - p0 - p1) ** n
+    """Expected computer count on an iid lattice (exact by linearity); 0
+    for n >= L, where a home's window wraps onto the home itself."""
+    return L * p1 * (1.0 - p0 - p1) ** n if n < L else 0.0
 
 
 def repaired_yield(L: int, n: int) -> float:

@@ -236,7 +236,7 @@ def left_sum(xs):
 
 def swap_terms(terms, op):
     """Exchange the two one-site states of op.pair on every site."""
-    s1, s2 = op.pair()
+    s1, s2 = map(SiteOccupancy._make, op.pair())
     if s1 == s2:
         return dict(terms)
     swap = {s1: s2, s2: s1}
@@ -256,7 +256,7 @@ def rotate_terms(terms, op):
         for sites, amp in rows.items():
             site = sites[k]
             if site not in images:
-                images[site] = op.images(site)
+                images[site] = [(SiteOccupancy._make(s), u) for s, u in op.images(site)]
             for new, u in images[site]:
                 key = sites if new == site else sites[:k] + (new,) + sites[k + 1:]
                 out[key] = out.get(key, 0.0) + amp * u

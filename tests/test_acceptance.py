@@ -72,7 +72,7 @@ def test_acceptance_1_format_oracle_equivalence():
         occ = np.zeros(grids.shape + (3,), dtype=np.int64)
         occ[..., 0] = grids
         for n in (1, 2, 3):
-            final = apply_classical(occ, prepare_script(3, n))
+            final = apply_classical(occ, prepare_script(n))
             expected = expected_formatted(grids, n)
             mismatches += int((~np.all(final == expected, axis=(-2, -1))).sum())
             runs += grids.shape[0]
@@ -82,7 +82,7 @@ def test_acceptance_1_format_oracle_equivalence():
     occ = np.zeros(a.shape + (3,), dtype=np.int64)
     occ[..., 0] = a
     for n in (1, 2, 3, 4):
-        final = apply_classical(occ, prepare_script(4, n))
+        final = apply_classical(occ, prepare_script(n))
         expected = expected_formatted(a, n)
         mismatches += int((~np.all(final == expected, axis=(-2, -1))).sum())
         runs += a.shape[0]

@@ -300,6 +300,17 @@ def test_stats_z_gate_fails_loudly(tmp_path, capsys):
     assert "Infinity" not in out.read_text()
 
 
+def test_stats_passes_when_the_window_wraps_onto_the_home(tmp_path, capsys):
+    # with n >= L no ring holds a computer: every trial counts 0, as predicted
+    out = tmp_path / "s.json"
+    rc = main(["stats", "--L", "5", "--n", "5", "--trials", "3", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 0
+    report = read_json(out)
+    assert report["counts"] == [0, 0, 0]
+    assert (report["prediction"], report["z"]) == (0.0, 0.0)
+
+
 def test_stats_rejects_a_single_trial(tmp_path, capsys):
     # one trial has no standard error, so its z-score could only fail
     out = tmp_path / "s.json"

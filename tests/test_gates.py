@@ -67,13 +67,13 @@ def two_computers(up_a=(), up_b=()):
 
 def test_compile_phase_gate():
     script, end = compile_macro(PhaseGate(2, 0.5), n=3)
-    assert script.ops == (Shift(-2), Collide(0.5), Shift(2))
+    assert script == (Shift(-2), Collide(0.5), Shift(2))
     assert end == 0
 
 
 def test_compile_hadamard():
     script, _ = compile_macro(HadamardLike(1), n=3)
-    assert script.ops == (
+    assert script == (
         Shift(-1),
         ABRotation(math.pi / 8),
         Collide(math.pi),
@@ -85,7 +85,7 @@ def test_compile_hadamard():
 
 def test_compile_control_phase():
     script, _ = compile_macro(ControlPhasePi(1, 3), n=3)
-    assert script.ops == (
+    assert script == (
         Shift(-1),
         PairTransfer(1, 1, 1),
         Shift(-2),
@@ -98,7 +98,7 @@ def test_compile_control_phase():
 
 def test_compile_measure():
     script, _ = compile_macro(MeasureQubit(1, rest=3), n=3)
-    assert script.ops == (
+    assert script == (
         Shift(-1),
         PairTransfer(1, 1, -1),
         Shift(-2),

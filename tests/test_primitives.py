@@ -431,14 +431,14 @@ def test_script_text_round_trip():
     assert Script.parse(text) == script
     # float fields survive bit-exactly via repr
     reparsed = Script.parse(text)
-    assert reparsed.ops[2].theta == math.pi / 8
-    assert reparsed.ops[3].phi == math.pi
+    assert reparsed[2].theta == math.pi / 8
+    assert reparsed[3].phi == math.pi
 
 
 def test_script_parse_comments_and_blanks():
     text = "\n# setup\nU 2 1 1   # move a pair\n\nS -1\n"
     script = Script.parse(text)
-    assert script.ops == (PairTransfer(2, 1, 1), Shift(-1))
+    assert script == (PairTransfer(2, 1, 1), Shift(-1))
 
 
 def test_script_parse_errors_carry_line_numbers():
@@ -467,7 +467,36 @@ def test_script_parse_rejects_non_finite_angles(line):
 def test_script_concatenation():
     a = Script([Shift(1)])
     b = Script([EmptyP()])
-    assert (a + b).ops == (Shift(1), EmptyP())
+    assert a + b == (Shift(1), EmptyP())
+    assert type(a + b) is Script and type(a + [CountP()]) is Script
+
+
+def test_script_is_the_tuple_of_its_ops():
+    ops = (PairTransfer(2, 1, 1), Shift(-1), ABRotation(0.25), EmptyP())
+    script = Script(ops)
+    assert isinstance(script, tuple) and script == ops and hash(script) == hash(ops)
+    assert {ops: "compiled"}[Script(list(ops))] == "compiled"  # a cache key by its ops
+    assert Script() == () and list(script) == list(ops)
+    assert repr(script) == "Script(4 ops)" and repr(Script()) == "Script(0 ops)"
+
+
+def test_identity_swap_keeps_signed_zero_parts():
+    # PairTransfer(m, n, 0) swaps a site with itself: it moves no term, so
+    # a -0.0 part stays -0.0, as in the dict loop; a swap that moves terms
+    # adds them to 0.0 and so turns -0.0 into 0.0
+    signed = {BasisConfig.from_counts(c): z for c, z in [
+        ([(1, 0, 1), (2, 0, 0)], complex(-0.0, math.sqrt(0.5))),
+        ([(2, 0, 0), (1, 0, 1)], complex(math.sqrt(0.5), -0.0)),
+    ]}
+    state = MixedState([(1.0, PureState(signed))])
+    for op, kept in ((PairTransfer(1, 1, 0), True), (PairTransfer(2, 0, 0), True),
+                     (WSwap(), False)):
+        (_, got), = run_op(state, op).branches
+        (_, want), = step_terms(state, op)[0].branches
+        assert got.amps.tobytes() == want.amps.tobytes()
+        assert (got.amps.tobytes() == state.branches[0][1].amps.tobytes()) is kept
+    with pytest.raises(OccupationOverflowError, match="transfer endpoint exceeds cutoff"):
+        run_op(state, PairTransfer(M_MAX + 1, 0, 0))
 
 
 # -- interpreter: fast path vs generic path ----------------------------------

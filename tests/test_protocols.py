@@ -21,7 +21,6 @@ from latticeqc import (
     classical,
     count_computers_protocol,
     create_defects_script,
-    depopulate_classical,
     depopulate_script,
     execute,
     format_script,
@@ -35,6 +34,7 @@ from latticeqc import (
     verify_formatted,
 )
 from latticeqc.lattice import _encode
+from latticeqc.primitives import _run
 from latticeqc.protocols import _format_codes, _homes, format_counts
 
 from helpers import expected_formatted, repair_occupations_dense, sole_config
@@ -57,7 +57,7 @@ def test_depopulate_script_example():
 
 def test_depopulate_script_structure():
     script = depopulate_script(4, target=2)
-    assert script.ops == (
+    assert script == (
         PairTransfer(3, 0, -1),
         EmptyP(),
         PairTransfer(4, 0, -2),
@@ -74,7 +74,7 @@ def test_depopulate_matches_closed_form():
     rng = np.random.default_rng(2)
     a = rng.integers(0, 7, size=64)
     out = run_on_counts(a, depopulate_script(6))
-    assert_array_equal(out[:, 0], depopulate_classical(a, 2))
+    assert_array_equal(out[:, 0], np.minimum(a, 2))
 
 
 def test_depopulate_validation():
@@ -164,13 +164,60 @@ def test_bad_count_is_refused_in_any_dtype(count):
     for dtype in (np.min_scalar_type(count), np.int64):
         occ = np.array([[2, 0, 0], [count, 0, 0], [1, 0, 0]], dtype=dtype)
         with _refused(count):
-            apply_classical(occ, prepare_script(2, 1))
+            apply_classical(occ, prepare_script(1))
         with _refused(count):
             verify_formatted(occ, 1)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+def test_format_codes_equal_the_cutoff_dependent_script(dtype):
+    # prepare_script(n) depopulates from M_MAX on every ring; the script it
+    # replaced stopped at the ring's largest count (at least two), and the
+    # pairs past that count find no site to move
+    rng = np.random.default_rng(24)
+    for L in range(1, 9):
+        rings = [*rng.integers(0, 10, size=(40, L), dtype=dtype),
+                 *(np.full(L, c, dtype=dtype) for c in range(10))]
+        for a in rings:
+            occ = np.zeros((L, 3), dtype=np.int64)
+            occ[:, 0] = np.minimum(a, M_MAX)
+            cutoff = max(int(occ[:, 0].max()), 2)
+            for n in range(1, 7):
+                old = depopulate_script(cutoff, 2) + format_script(n)
+                assert_array_equal(_format_codes(a, n), _run(_encode(occ), old))
+
+
+_PAST_INT64 = 2**63
+
+
+def test_count_past_int64_reads_alike_in_any_container():
+    past = f"^count {_PAST_INT64} is too large for int64$"
+    wide = np.array([[_PAST_INT64, 0, 0], [1, 0, 0]], dtype=np.uint64)
+    for occ in (wide, wide.tolist(), wide[:1].tolist()):
+        with pytest.raises(ValueError, match=past):
+            classical(occ)
+        with pytest.raises(ValueError, match=past):
+            apply_classical(occ, Script())
+        with pytest.raises(ValueError, match=past):
+            verify_formatted(occ, 1)
+    for a in (wide[:, 0], wide[:, 0].tolist()):
+        with pytest.raises(ValueError, match=past):
+            format_counts(a, 1)
+    # uint64 counts within int64 run as before
+    assert_array_equal(apply_classical(wide[1:], Script()), [[1, 0, 0]])
+    assert_array_equal(format_counts(np.array([1, 2], dtype=np.uint64), 1), [[1, 0, 1], [1, 0, 0]])
+    # a negative site is named first, whatever comes before it
+    for big in (_PAST_INT64, M_MAX + 1):
+        with pytest.raises(ValueError, match="^negative occupation$"):
+            apply_classical([[big, 0, 0], [0, -1, 0]], Script())
+        with pytest.raises(ValueError, match="^negative occupation$"):
+            verify_formatted([[big, 0, 0], [0, -1, 0]], 1)
+        with pytest.raises(ValueError, match="^negative occupation$"):
+            format_counts([big, -1], 1)
+
+
 def test_prepare_handles_overfilled_sites():
-    out = run_on_counts([6, 2, 2, 1, 5], prepare_script(6, 2))
+    out = run_on_counts([6, 2, 2, 1, 5], prepare_script(2))
     # 6 and 5 depopulate to 2, giving window sites for the home at 3
     assert_array_equal(out[:, 0], [0, 1, 1, 1, 0])
     assert out[3, 2] == 1
@@ -206,10 +253,10 @@ def test_prop_oracle_homes_on_raw_counts(a, n):
     # above included, act as pairs
     a = np.array(a, dtype=np.int64)
     homes = oracle_homes(a, n)
-    assert_array_equal(homes, oracle_homes(depopulate_classical(a, 2), n))
+    assert_array_equal(homes, oracle_homes(np.minimum(a, 2), n))
     for row, row_homes in zip(a, homes):
         assert_array_equal(oracle_homes(row, n), row_homes)
-        assert_array_equal(row_homes, oracle_homes(depopulate_classical(row, 2), n))
+        assert_array_equal(row_homes, oracle_homes(np.minimum(row, 2), n))
         assert_array_equal(verify_formatted(format_counts(row, n), n), oracle_computers(row, n))
 
 
@@ -402,10 +449,10 @@ def test_verify_empty_lattice_has_no_computers():
 
 def test_repair_round_script_shape():
     script = repair_round_script(3, "fill_empty")
-    assert script.ops[0] == PairTransfer(4, 0, -2)
-    assert script.ops[2] == PairTransfer(0, 2, 1)
+    assert script[0] == PairTransfer(4, 0, -2)
+    assert script[2] == PairTransfer(0, 2, 1)
     script = repair_round_script(3, "fill_single")
-    assert script.ops[2] == PairTransfer(1, 2, 1)
+    assert script[2] == PairTransfer(1, 2, 1)
     with pytest.raises(ValueError):
         repair_round_script(1, "fill_pair")
 

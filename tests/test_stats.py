@@ -324,3 +324,20 @@ def test_repair_experiment_deterministic():
     a = repair_experiment(5000, dist, n=4, seed=12)
     b = repair_experiment(5000, dist, n=4, seed=12)
     assert a == b
+
+
+@pytest.mark.parametrize("L, n", [(5, 5), (1, 1), (3, 7), (2, 3)])
+def test_no_computer_is_predicted_when_the_window_wraps_onto_the_home(L, n):
+    # with n >= L a home's n left neighbours include the home itself, so
+    # no ring holds a computer, and both counters and the oracle say so
+    assert expected_yield(L, 0.1, 0.1, n) == 0.0
+    assert expected_yield(L, 0.1, 0.1, L - 1) == L * 0.1 * 0.8 ** (L - 1)
+    dist = FillDistribution(0.1, 0.1, 0.4, 0.1, 0.3)
+    for mode in ("oracle", "full_protocol"):
+        report = monte_carlo_yield(L, dist, n, trials=3, seed=1, mode=mode)
+        assert report.counts == [0, 0, 0]
+        assert (report.prediction, report.z) == (0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # too few donors on a tiny ring
+        report = repair_experiment(L, dist, n, seed=1)
+    assert (report.yield_after, report.prediction_after) == (0, 0.0)
