@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 when a verified property fails (oracle
 mismatch, gate leakage, out-of-band z-score, leftover defects), 2 on
 usage or input-parsing errors.  Given the same inputs and seed, every
-command writes byte-identical output files.
+command writes byte-identical output files.  Each ``cmd_*`` returns its
+report, exit status and one-line summary; :func:`main` alone stamps the
+version, writes the report and prints the summary.
 """
 from __future__ import annotations
 
@@ -199,7 +201,7 @@ def _add_dist_flags(p: argparse.ArgumentParser, p0=0.1, p1=0.1):
     p.add_argument("--p4", type=float, default=0.0)
 
 
-def cmd_format(args) -> int:
+def cmd_format(args) -> tuple:
     if args.lattice:
         a = read_sites(args.lattice, a_only=True)
     elif args.L < 1:
@@ -212,7 +214,6 @@ def cmd_format(args) -> int:
     # a register runs home-n .. home-1 (mod L), left to right
     windows = (homes[:, None] - np.arange(args.n, 0, -1)) % a.size
     report = {
-        "version": __version__,
         "L": int(a.size),
         "n": args.n,
         "seed": None if args.lattice else args.seed,
@@ -227,14 +228,11 @@ def cmd_format(args) -> int:
     if args.check_oracle:
         agree = np.array_equal(oracle_computers(a, args.n), homes)
         report["oracle_match"] = agree
-        if not agree:
-            status = 1
-    _write_json(args.out, report)
-    print(f"formatted {a.size} sites into {homes.size} computers", file=sys.stderr)
-    return status
+        status = int(not agree)
+    return report, status, f"formatted {a.size} sites into {homes.size} computers"
 
 
-def cmd_gates(args) -> int:
+def cmd_gates(args) -> tuple:
     flags = {k: getattr(args, k) for k in ("q", "q1", "q2", "phi")}
     macro = macro_from_fields(args.gate, {k: v for k, v in flags.items() if v is not None})
     U, leakage = extract_logical_unitary(macro, args.n, L=args.L)
@@ -258,7 +256,6 @@ def cmd_gates(args) -> int:
             abs(diag[0] * diag[3] - diag[1] * diag[2]) > 0.5
         )
     report = {
-        "version": __version__,
         "n": args.n,
         "L": args.L,
         "gate": args.gate,
@@ -266,52 +263,39 @@ def cmd_gates(args) -> int:
         "leakage": leakage,
         "checks": checks,
     }
-    _write_json(args.out, report)
     ok = all(checks.values())
-    print(f"gate {args.gate}: leakage {leakage:.2e}, checks "
-          f"{'pass' if ok else 'FAIL'}", file=sys.stderr)
-    return 0 if ok else 1
+    return report, 0 if ok else 1, (f"gate {args.gate}: leakage {leakage:.2e}, "
+                                    f"checks {'pass' if ok else 'FAIL'}")
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> tuple:
     report = monte_carlo_yield(
         args.L, _dist_from_args(args), args.n, args.trials, args.seed,
         mode=args.mode, jobs=args.jobs,
     )
     obj = report.to_json_obj()
-    obj["version"] = __version__
     if not math.isfinite(report.z):
         obj["z"] = None  # strict JSON has no infinity; the exit code says 1
-    _write_json(args.out, obj)
-    if args.csv:
+    if args.csv:  # before the report: a refused --csv leaves no --out file
         with open(args.csv, "w") as fh:
             fh.write(report.to_csv())
-    print(
+    return obj, 0 if abs(report.z) <= 3.0 else 1, (
         f"mean {report.mean:.2f} +- {report.stderr:.2f} vs predicted "
-        f"{report.prediction:.2f} (z = {report.z:+.2f})",
-        file=sys.stderr,
-    )
-    return 0 if abs(report.z) <= 3.0 else 1
+        f"{report.prediction:.2f} (z = {report.z:+.2f})")
 
 
-def cmd_repair(args) -> int:
+def cmd_repair(args) -> tuple:
     report = repair_experiment(
         args.L, _dist_from_args(args), args.n, eps=args.eps, seed=args.seed
     )
-    obj = report.to_json_obj()
-    obj["version"] = __version__
-    _write_json(args.out, obj)
     residual = report.repair.residual_empty + report.repair.residual_single
-    print(
+    return report.to_json_obj(), 0 if residual == 0 else 1, (
         f"repair fixed {report.repair.defects_fixed} defects "
         f"({report.repair.atoms_lost} atoms lost, {report.repair.rounds} rounds); "
-        f"yield {report.yield_before} -> {report.yield_after}",
-        file=sys.stderr,
-    )
-    return 0 if residual == 0 else 1
+        f"yield {report.yield_before} -> {report.yield_after}")
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> tuple:
     with open(args.script) as fh:
         script = Script.parse(fh.read())
     with open(args.lattice, "rb") as fh:
@@ -323,16 +307,13 @@ def cmd_run(args) -> int:
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     final, counts = execute(state, script, rng)
     report = {
-        "version": __version__,
         "seed": args.seed,
         "counts": counts,
         "state": final.to_json_obj(),
     }
     if final.is_classical() and len(final.branches) == 1:
         report["config"] = _SITE_TABLE[final.branches[0][1].codes[0]]
-    _write_json(args.out, report)
-    print(f"ran {len(script)} ops; {len(counts)} counts recorded", file=sys.stderr)
-    return 0
+    return report, 0, f"ran {len(script)} ops; {len(counts)} counts recorded"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", help="JSON file with [[a,b,p], ...] sites")
     _add_dist_flags(p)
     p.add_argument("--check-oracle", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_format)
 
     p = sub.add_parser("gates", help="extract and check a logical gate matrix")
@@ -361,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q1", type=int)
     p.add_argument("--q2", type=int)
     p.add_argument("--phi", type=float)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_gates)
 
     p = sub.add_parser("stats", help="Monte Carlo yield vs the closed formula")
@@ -373,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for trials (results independent of jobs)")
     _add_dist_flags(p)
-    p.add_argument("--out")
     p.add_argument("--csv", help="write per-trial counts as CSV")
     p.set_defaults(func=cmd_stats)
 
@@ -385,24 +363,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_dist_flags(p, p0=0.05, p1=0.1)
     p.set_defaults(p3=0.1, p4=0.3)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser("run", help="run a script file on a lattice file")
     p.add_argument("script")
     p.add_argument("lattice")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, status, summary = args.func(args)
+        report["version"] = __version__
+        _write_json(args.out, report)
+        print(summary, file=sys.stderr)
+        return status
     except (StrayAtomsError, GateLeakageError) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1

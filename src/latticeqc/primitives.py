@@ -93,7 +93,7 @@ class WSwap:
         return (1, 0, 1), (0, 1, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=(M_MAX + 1) * 64)  # the sectors of as many ops as _image_table holds
 def _sector_unitary(T: int, theta: float) -> np.ndarray:
     """exp(-i*theta*H) on the (T+1)-dim sector with fixed a+b = T.
 
@@ -393,6 +393,11 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, first
 
 
+# The most site cells (rows times sites) one rotation step may expand a
+# branch into; a V that would need more raises instead of exhausting memory.
+ROTATION_CELLS = 2 ** 26
+
+
 @lru_cache(maxsize=64)
 def _image_table(op) -> tuple:
     """(count, table, fixed) for a rotation: code c has count[c] images,
@@ -423,6 +428,10 @@ def _rotate(st: PureState, op) -> PureState:
     for k in np.flatnonzero(~fixed[codes].all(axis=0)).tolist():
         col = codes[:, k]
         row, j = np.nonzero(np.arange(table.shape[2]) < count[col][:, None])
+        if row.size * codes.shape[1] > ROTATION_CELLS:
+            raise ValueError(
+                f"{_op_to_text(op)} would expand the state to {row.size} rows of "
+                f"{codes.shape[1]} sites, past {ROTATION_CELLS} site cells")
         image = table[:, col[row], j]
         new = codes[row]
         new[:, k] = image[0]

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from latticeqc import BasisConfig, MixedState, PureState, cli
+from latticeqc import BasisConfig, MixedState, PureState, cli, primitives
 from latticeqc.cli import main
 
 
@@ -275,6 +275,16 @@ def test_stats_report_and_csv(tmp_path, capsys):
     assert abs(report["z"]) <= 3.0
     lines = csv.read_text().strip().splitlines()
     assert len(lines) == 12  # header, 10 trials, summary
+
+
+def test_stats_unwritable_csv_leaves_no_report(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    rc = main(["stats", "--L", "200", "--n", "2", "--trials", "3",
+               "--out", str(out), "--csv", str(tmp_path / "missing" / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_stats_jobs_do_not_change_output(tmp_path, capsys):
@@ -582,6 +592,21 @@ def test_run_names_state_files_with_counts_past_int64(tmp_path, capsys, config, 
     out = tmp_path / "out.json"
     assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_refuses_a_runaway_rotation(tmp_path, capsys, monkeypatch):
+    # V doubles the rows at each occupied site; past the cell bound it is an
+    # input error with one line, and no report is written
+    monkeypatch.setattr(primitives, "ROTATION_CELLS", 1000)
+    script = tmp_path / "v.txt"
+    script.write_text("V 0.3\n")
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps([[1, 0, 0]] * 20))
+    out = tmp_path / "out.json"
+    assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: V 0.3 would expand the state to 64 rows of 20 sites, past 1000 site cells\n")
     assert not out.exists()
 
 

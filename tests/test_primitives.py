@@ -41,6 +41,7 @@ from latticeqc import (
     classical,
     execute,
 )
+from latticeqc import primitives
 from latticeqc.primitives import _groups, _step
 
 SQ = math.sqrt
@@ -161,6 +162,25 @@ def test_ab_rotation_overflow_above_sector_cutoff():
     st = classical([(4, 3, 0)])
     with pytest.raises(OccupationOverflowError):
         run_op(st, ABRotation(0.1))
+
+
+def test_ab_rotation_refuses_a_runaway_expansion(monkeypatch):
+    # each occupied site doubles the rows; past the cell bound V raises
+    # before it allocates the expanded rows
+    monkeypatch.setattr(primitives, "ROTATION_CELLS", 1000)
+    few = classical([(1, 0, 0)] * 4 + [(0, 0, 0)] * 16)
+    ((_, branch),) = run_op(few, ABRotation(0.3)).branches
+    assert len(branch.codes) == 16  # 16 rows of 20 sites fit in 1000 cells
+    with pytest.raises(ValueError, match=r"^V 0\.3 would expand the state to 64 rows of 20 sites"):
+        execute(classical([(1, 0, 0)] * 20), Script([ABRotation(0.3)]))
+
+
+def test_sector_unitary_cache_is_bounded():
+    # one entry per (sector, angle): distinct user angles must not pile up
+    bound = (M_MAX + 1) * 64
+    for k in range(bound + 50):
+        ABRotation(0.001 * k + 0.5).images((1, 0, 0))
+    assert primitives._sector_unitary.cache_info().currsize <= bound
 
 
 # -- collide -----------------------------------------------------------------

@@ -51,6 +51,12 @@ def test_repaired_yield_reference_point():
     assert repaired_yield(1000, 4) == 79.1015625
 
 
+@pytest.mark.parametrize("L, n", [(5, 5), (3, 5), (1, 1), (4, 8)])
+def test_repaired_yield_is_zero_when_the_window_wraps(L, n):
+    # with n >= L a home's window wraps onto the home: no ring holds a computer
+    assert repaired_yield(L, n) == 0.0
+
+
 def test_repaired_yield_approaches_asymptote():
     L = 10**5
     asymptote = lambda L, n: L / (n * math.e)
