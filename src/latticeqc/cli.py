@@ -4,14 +4,15 @@ Exit codes: 0 on success, 1 when a verified property fails (oracle
 mismatch, gate leakage, out-of-band z-score, leftover defects), 2 on
 usage or input-parsing errors.  Given the same inputs and seed, every
 command writes byte-identical output files.  Each ``cmd_*`` returns its
-report, exit status and one-line summary; :func:`main` alone stamps the
-version, writes the report and prints the summary.
+report, exit status and one-line summary, and ``stats`` its CSV file;
+:func:`main` alone stamps the version, writes them, and prints the summary.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -178,17 +179,25 @@ def _key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _write_json(path: str | None, obj):
-    # The pieces of _dumps, written one by one: their join, a second copy
-    # of a multi-MB report, would set the peak memory.  A value json
-    # cannot write raises before the file opens.
+def _write_json(path: str | None, obj, *files):
+    # Writes obj to path (stdout if None) after each (path, pieces) of files
+    # whose path is set, and removes the files it opened if one fails.  The
+    # pieces are written one by one: their join, a second copy of a multi-MB
+    # report, would set the peak memory.  A value json cannot write raises first.
     out: list[str] = []
     _put(obj, "\n", out)
     out.append("\n")
-    if path:
-        with open(path, "w") as fh:
-            fh.writelines(out)
-    else:
+    opened = []
+    try:
+        for p, pieces in filter(itemgetter(0), [*files, (path, out)]):
+            with open(p, "w") as fh:
+                opened.append(p)
+                fh.writelines(pieces)
+    except BaseException:  # a write can fail on any error, not only an OSError
+        for p in filter(os.path.isfile, opened):  # never a device such as /dev/full
+            os.remove(p)
+        raise
+    if not path:
         sys.stdout.writelines(out)
 
 
@@ -270,18 +279,10 @@ def cmd_gates(args) -> tuple:
 
 def cmd_stats(args) -> tuple:
     report = monte_carlo_yield(
-        args.L, _dist_from_args(args), args.n, args.trials, args.seed,
-        mode=args.mode, jobs=args.jobs,
-    )
-    obj = report.to_json_obj()
-    if not math.isfinite(report.z):
-        obj["z"] = None  # strict JSON has no infinity; the exit code says 1
-    if args.csv:  # before the report: a refused --csv leaves no --out file
-        with open(args.csv, "w") as fh:
-            fh.write(report.to_csv())
-    return obj, 0 if abs(report.z) <= 3.0 else 1, (
+        args.L, _dist_from_args(args), args.n, args.trials, args.seed, jobs=args.jobs)
+    return report.to_json_obj(), 0 if abs(report.z) <= 3.0 else 1, (
         f"mean {report.mean:.2f} +- {report.stderr:.2f} vs predicted "
-        f"{report.prediction:.2f} (z = {report.z:+.2f})")
+        f"{report.prediction:.2f} (z = {report.z:+.2f})"), (args.csv, [report.to_csv()])
 
 
 def cmd_repair(args) -> tuple:
@@ -343,12 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float)
     p.set_defaults(func=cmd_gates)
 
-    p = sub.add_parser("stats", help="Monte Carlo yield vs the closed formula")
+    p = sub.add_parser("stats", help="Monte Carlo protocol yield vs the closed formula")
     p.add_argument("--L", type=int, default=100000)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("oracle", "full_protocol"), default="oracle")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for trials (results independent of jobs)")
     _add_dist_flags(p)
@@ -379,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, status, summary = args.func(args)
+        report, status, summary, *files = args.func(args)
         report["version"] = __version__
-        _write_json(args.out, report)
+        _write_json(args.out, report, *files)
         print(summary, file=sys.stderr)
         return status
     except (StrayAtomsError, GateLeakageError) as exc:

@@ -395,7 +395,7 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # The most site cells (rows times sites) one rotation step may expand a
 # branch into; a V that would need more raises instead of exhausting memory.
-ROTATION_CELLS = 2 ** 26
+ROTATION_CELLS = 2 ** 24
 
 
 @lru_cache(maxsize=64)

@@ -102,14 +102,17 @@ class YieldReport:
     n: int
     trials: int
     seed: int
-    mode: str
     counts: list[int]
     mean: float
     stderr: float
     prediction: float
     z: float
 
-    to_json_obj = asdict
+    def to_json_obj(self) -> dict:
+        """The fields and the one counting route, as strict JSON: an
+        infinite z (zero variance off the prediction) is None."""
+        return {**asdict(self), "mode": "full_protocol",
+                "z": self.z if math.isfinite(self.z) else None}
 
     def to_csv(self) -> str:
         """One row per trial, then a summary row."""
@@ -134,8 +137,9 @@ def trial_seeds(seed: int, trials: int) -> list[int]:
 
 
 def _yield_trial(args) -> int:
-    trial_seed, L, dist, n, count = args
-    return count(sample_occupations(L, dist, np.random.default_rng(trial_seed)), n)
+    trial_seed, L, dist, n = args
+    return count_computers_protocol(
+        sample_occupations(L, dist, np.random.default_rng(trial_seed)), n)
 
 
 def monte_carlo_yield(
@@ -144,10 +148,9 @@ def monte_carlo_yield(
     n: int,
     trials: int,
     seed: int,
-    mode: str = "oracle",
     jobs: int = 1,
 ) -> YieldReport:
-    """Sample iid lattices and compare the computer count to the formula.
+    """Count the protocol's computers on sampled iid lattices against the formula.
 
     The prediction folds everything at two or more atoms into the
     two-atom class, so only p0 and p1 enter.  z is the distance of the
@@ -162,10 +165,7 @@ def monte_carlo_yield(
         raise ValueError("need at least two trials for a standard error")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    count = {"oracle": count_computers_oracle, "full_protocol": count_computers_protocol}.get(mode)
-    if count is None:
-        raise ValueError(f"unknown mode {mode!r}")
-    args = [(s, L, dist, n, count) for s in trial_seeds(seed, trials)]
+    args = [(s, L, dist, n) for s in trial_seeds(seed, trials)]
     jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
@@ -185,7 +185,6 @@ def monte_carlo_yield(
         n=n,
         trials=trials,
         seed=seed,
-        mode=mode,
         counts=[int(c) for c in counts],
         mean=mean,
         stderr=stderr,

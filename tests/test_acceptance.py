@@ -99,9 +99,7 @@ def test_acceptance_1_format_oracle_equivalence():
 def test_acceptance_2_yield_formula():
     t0 = time.perf_counter()
     dist = FillDistribution.from_pair(0.1, 0.1)
-    result = monte_carlo_yield(
-        10**5, dist, 5, trials=100, seed=2024, mode="full_protocol"
-    )
+    result = monte_carlo_yield(10**5, dist, 5, trials=100, seed=2024)
     elapsed = time.perf_counter() - t0
     target = 3276.8
     ok = (

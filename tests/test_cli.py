@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from latticeqc import BasisConfig, MixedState, PureState, cli, primitives
+from latticeqc import BasisConfig, MixedState, PureState, cli, primitives, stats
 from latticeqc.cli import main
 
 
@@ -285,6 +285,36 @@ def test_stats_unwritable_csv_leaves_no_report(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_stats_unwritable_out_leaves_no_csv(tmp_path, capsys):
+    csv = tmp_path / "s.csv"
+    rc = main(["stats", "--L", "200", "--n", "2", "--trials", "3",
+               "--csv", str(csv), "--out", str(tmp_path / "missing" / "s.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not csv.exists()
+
+
+def test_stats_csv_that_fails_mid_write_leaves_neither_file(tmp_path, capsys, monkeypatch):
+    # a lone surrogate has no UTF-8 bytes, so the CSV opens and then fails
+    # to write, as on a full disk
+    monkeypatch.setattr(stats.YieldReport, "to_csv", lambda self: "trial_seed,count\n\ud800")
+    out, csv = tmp_path / "s.json", tmp_path / "s.csv"
+    rc = main(["stats", "--L", "200", "--n", "2", "--trials", "3",
+               "--csv", str(csv), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not csv.exists() and not out.exists()
+
+
+def test_stats_has_no_mode_option(capsys):
+    # stats always counts by running the protocol
+    with pytest.raises(SystemExit) as err:
+        main(["stats", "--n", "5", "--mode", "oracle"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --mode oracle" in capsys.readouterr().err
 
 
 def test_stats_jobs_do_not_change_output(tmp_path, capsys):

@@ -23,10 +23,9 @@ COMMANDS = {
     "gates_h.json": ["gates", "--gate", "h", "--q", "1", "--n", "3"],
     "gates_h_L7.json": ["gates", "--gate", "h", "--q", "2", "--n", "2", "--L", "7"],
     "gates_cz.json": ["gates", "--gate", "cz", "--q1", "1", "--q2", "3", "--n", "3"],
-    "stats.json": ["stats", "--L", "20000", "--n", "5", "--mode", "full_protocol",
-                   "--trials", "4", "--seed", "1"],
-    "stats_oracle.json": ["stats", "--L", "100000", "--n", "5", "--p0", "0.1", "--p1", "0.1",
-                          "--trials", "100", "--seed", "1"],
+    "stats.json": ["stats", "--L", "20000", "--n", "5", "--trials", "4", "--seed", "1"],
+    "stats_default.json": ["stats", "--L", "100000", "--n", "5", "--p0", "0.1", "--p1", "0.1",
+                           "--trials", "100", "--seed", "1"],
     "repair.json": ["repair", "--L", "3000", "--n", "4", "--seed", "2"],
     "run_quantum.json": ["run", "{data}/q.txt", "{data}/lat.json", "--seed", "3"],
     "run_classical.json": ["run", "{data}/c.txt", "{data}/lat.json"],

@@ -198,15 +198,18 @@ def test_monte_carlo_yield_jobs_do_not_change_results():
     assert serial.mean == parallel.mean
 
 
-def test_monte_carlo_modes_count_identically():
-    # same trial seeds produce the same lattices, and the two counting
-    # routes must agree configuration by configuration
-    dist = FillDistribution(0.1, 0.15, 0.5, 0.15, 0.1)
-    oracle = monte_carlo_yield(128, dist, 2, trials=15, seed=11, mode="oracle")
-    protocol = monte_carlo_yield(
-        128, dist, 2, trials=15, seed=11, mode="full_protocol"
-    )
-    assert oracle.counts == protocol.counts
+def test_monte_carlo_counts_equal_the_raw_rule():
+    # each trial seed gives one fill, and the protocol's count on it must
+    # be the number of homes the raw rule finds on the same counts; the
+    # five-class fill draws counts 3 and 4, which depopulation folds to 2
+    L = 10**5
+    for dist, n in [(FillDistribution(0.05, 0.1, 0.45, 0.1, 0.3), 4),
+                    (FillDistribution.from_pair(0.1, 0.1), 5)]:
+        report = monte_carlo_yield(L, dist, n, trials=5, seed=2)
+        raw = [oracle_computers(sample_occupations(L, dist, np.random.default_rng(s)), n).size
+               for s in trial_seeds(2, 5)]
+        assert report.counts == raw
+        assert min(raw) > 0
 
 
 def test_monte_carlo_agrees_with_formula():
@@ -220,19 +223,6 @@ def test_monte_carlo_validation():
     dist = FillDistribution.from_pair(0.1, 0.1)
     with pytest.raises(ValueError):
         monte_carlo_yield(100, dist, 2, trials=0, seed=0)
-    with pytest.raises(ValueError):
-        monte_carlo_yield(100, dist, 2, trials=2, seed=0, mode="guess")
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_monte_carlo_refuses_unknown_mode_before_sampling(monkeypatch, jobs):
-    def sample(*args):
-        raise AssertionError("a lattice was sampled")
-
-    monkeypatch.setattr(stats, "sample_occupations", sample)
-    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
-        monte_carlo_yield(100, FillDistribution(0.1, 0.1, 0.8), 2, trials=2, seed=0,
-                          mode="bogus", jobs=jobs)
 
 
 @pytest.mark.parametrize("jobs", [0, -4])
@@ -335,14 +325,14 @@ def test_repair_experiment_deterministic():
 @pytest.mark.parametrize("L, n", [(5, 5), (1, 1), (3, 7), (2, 3)])
 def test_no_computer_is_predicted_when_the_window_wraps_onto_the_home(L, n):
     # with n >= L a home's n left neighbours include the home itself, so
-    # no ring holds a computer, and both counters and the oracle say so
+    # no ring holds a computer, and the protocol, the formula and the
+    # repair experiment say so
     assert expected_yield(L, 0.1, 0.1, n) == 0.0
     assert expected_yield(L, 0.1, 0.1, L - 1) == L * 0.1 * 0.8 ** (L - 1)
     dist = FillDistribution(0.1, 0.1, 0.4, 0.1, 0.3)
-    for mode in ("oracle", "full_protocol"):
-        report = monte_carlo_yield(L, dist, n, trials=3, seed=1, mode=mode)
-        assert report.counts == [0, 0, 0]
-        assert (report.prediction, report.z) == (0.0, 0.0)
+    report = monte_carlo_yield(L, dist, n, trials=3, seed=1)
+    assert report.counts == [0, 0, 0]
+    assert (report.prediction, report.z) == (0.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # too few donors on a tiny ring
         report = repair_experiment(L, dist, n, seed=1)
