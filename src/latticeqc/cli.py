@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -54,10 +53,10 @@ def _dumps(obj) -> str:
     for its ``tolist()``; any other array is a TypeError, as in the stdlib.
     With an indent the stdlib encodes item by item in Python.  Here a list
     of ints is one join, and the rows of a 2-D int array, or of a list of
-    equal-width int rows, are coded as one int64 each so that each
-    distinct row is rendered once.  A list of dicts with one set of str
-    keys is rendered from one template, column by column.  Scalars other
-    than str and int go to ``json.dumps``."""
+    1-D int arrays of one dtype and one shape, are coded as one int64 each
+    so that each distinct row is rendered once.  A list of dicts with one
+    set of str keys is rendered from one template, column by column.
+    Scalars other than str and int go to ``json.dumps``."""
     out: list[str] = []
     _put(obj, "\n", out)
     return "".join(out)
@@ -106,16 +105,11 @@ def _texts(items, nl: str) -> list:
     types = set(map(type, items))
     if types == {int}:
         return list(map(int.__repr__, items))
-    if types <= {list, tuple} and len(set(map(len, items))) == 1:
-        flat = list(chain.from_iterable(items))
-        if set(map(type, flat)) == {int}:
-            # rows of one width, at least 1, that hold only ints (no bool)
-            try:
-                rows = np.array(flat, dtype=np.int64)
-            except OverflowError:
-                pass  # beyond int64: rendered item by item below
-            else:
-                return _rows(rows.reshape(len(items), -1), nl)
+    if types == {np.ndarray}:
+        forms = {(item.dtype, item.shape) for item in items}
+        if len(forms) == 1 and items[0].ndim == 1 and items[0].dtype.kind in "iu":
+            # np.stack would expand each item in a Python loop
+            return _rows(np.concatenate(items).reshape(len(items), items[0].size), nl)
     if types == {dict}:
         keys = list(items[0])
         if (keys and all(isinstance(key, str) for key in keys)
@@ -230,7 +224,7 @@ def cmd_format(args) -> tuple:
         "final": _SITE_TABLE[codes],
         "computers": [
             {"home": k, "n": args.n, "qubit_sites": w}
-            for k, w in zip(homes.tolist(), windows.tolist())
+            for k, w in zip(homes.tolist(), windows)
         ],
     }
     status = 0
@@ -387,7 +381,8 @@ def main(argv=None) -> int:
     except (StrayAtomsError, GateLeakageError) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError, OSError, RecursionError) as exc:  # deeply nested JSON
+    # RecursionError: deeply nested JSON; MemoryError: an array too large, such as --L 10**11
+    except (ValueError, OverflowError, OSError, RecursionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -301,13 +301,15 @@ class MixedState:
         return all(st.is_classical() for _, st in self.branches)
 
     def to_json_obj(self) -> dict:
+        """The report form of the state: a term's ``config`` is its (L, 3)
+        int array of sites, which the CLI's report writer renders as a list."""
         return {
             "branches": [
                 {
                     "weight": w,
                     "terms": [
                         {"config": c, "re": a.real, "im": a.imag}
-                        for c, a in zip(_SITE_TABLE[st.codes].tolist(), st.amps.tolist())
+                        for c, a in zip(_SITE_TABLE[st.codes], st.amps.tolist())
                     ],
                 }
                 for w, st in self.branches
@@ -316,8 +318,9 @@ class MixedState:
 
     @classmethod
     def from_json_obj(cls, obj) -> "MixedState":
-        """The inverse of :meth:`to_json_obj`; malformed input, an unknown
-        key included, is a ValueError.  Every term is checked, pruned or not."""
+        """The state that the parsed JSON text of :meth:`to_json_obj`
+        describes; malformed input, an unknown key included, is a
+        ValueError.  Every term is checked, pruned or not."""
         branches = []
         try:
             for i, b in enumerate(_fields(obj, "state", "branches")[0]):

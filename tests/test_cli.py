@@ -482,7 +482,7 @@ def test_run_accepts_state_json(tmp_path, capsys):
     c2 = BasisConfig.from_counts([(1, 0, 0)])
     state = MixedState([(1.0, PureState({c1: math.sqrt(0.5), c2: math.sqrt(0.5)}))])
     lat = tmp_path / "state.json"
-    lat.write_text(json.dumps(state.to_json_obj()))
+    lat.write_text(cli._dumps(state.to_json_obj()))
     script = tmp_path / "s.txt"
     script.write_text("COUNTP\n")
     # sampling a superposed count without a seed is refused
@@ -499,7 +499,7 @@ def test_run_deterministic_with_seed(tmp_path, capsys):
     c2 = BasisConfig.from_counts([(1, 0, 0)])
     state = MixedState([(1.0, PureState({c1: math.sqrt(0.5), c2: math.sqrt(0.5)}))])
     lat = tmp_path / "state.json"
-    lat.write_text(json.dumps(state.to_json_obj()))
+    lat.write_text(cli._dumps(state.to_json_obj()))
     script = tmp_path / "s.txt"
     script.write_text("COUNTP\n")
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -659,6 +659,19 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, command, text):
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_allocation_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # numpy refuses an array larger than memory (format --L 10**11 asks for
+    # 745 GiB) with a MemoryError: input error with one line, no report
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "sample_occupations", refuse)
+    out = tmp_path / "out.json"
+    assert main(["format", "--L", "100000000000", "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 745. GiB for an array\n"
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ from latticeqc import (
     PureState,
     SiteOccupancy,
     classical,
+    cli,
 )
 from latticeqc.lattice import (
     M_MAX,
@@ -245,7 +246,7 @@ def test_json_round_trip_is_exact():
     amp = math.sqrt(1 / 3) + 1j * math.sqrt(2 / 3)
     s = PureState({c1: amp.real, c2: 1j * amp.imag})
     m = MixedState([(1.0, s)])
-    blob = json.dumps(m.to_json_obj())
+    blob = cli._dumps(m.to_json_obj())
     back = MixedState.from_json_obj(json.loads(blob))
     assert back.branches[0][0] == m.branches[0][0]
     assert back.branches[0][1].terms == m.branches[0][1].terms  # bit-exact
@@ -335,7 +336,7 @@ def mixtures(draw):
 @given(mixtures())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_prop_state_json_round_trip_is_exact(m):
-    back = MixedState.from_json_obj(json.loads(json.dumps(m.to_json_obj())))
+    back = MixedState.from_json_obj(json.loads(cli._dumps(m.to_json_obj())))
     assert len(back.branches) == len(m.branches)
     for (w, got), (w0, want) in zip(back.branches, m.branches):
         assert repr(w) == repr(w0)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from latticeqc import cli
+from latticeqc import MixedState, Script, classical, cli, execute
 
 
 def stdlib(obj) -> str:
@@ -95,27 +95,56 @@ def _near_code_overflow(dtype) -> list:
     return [x for x in edges if info.min <= x <= info.max]
 
 
+int_dtypes = st.sampled_from([np.int8, np.uint16, np.int64])
+
+
+def _int_array(draw, dtype, shape) -> np.ndarray:
+    # values from small to the edges of the dtype, where row codes overflow int64
+    info = np.iinfo(dtype)
+    elements = st.one_of(st.integers(max(info.min, -3), 3), st.integers(info.min, info.max),
+                         st.sampled_from(_near_code_overflow(dtype)))
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
 @st.composite
 def int_arrays(draw):
     """numpy int arrays of 0 to 3 dimensions, empty along any axis, with
     values from small to the edges of their dtype, where the row codes
     of a 2-D array overflow int64."""
-    dtype = draw(st.sampled_from([np.int8, np.uint16, np.int64]))
-    info = np.iinfo(dtype)
     shape = draw(st.one_of(
         hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
         hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
     ))
-    elements = st.one_of(st.integers(max(info.min, -3), 3), st.integers(info.min, info.max),
-                         st.sampled_from(_near_code_overflow(dtype)))
-    return draw(hnp.arrays(dtype, shape, elements=elements))
+    return _int_array(draw, draw(int_dtypes), shape)
+
+
+@st.composite
+def int_array_rows(draw):
+    """Lists of 1-D arrays: int arrays of one dtype and one length (0 too),
+    which the writer stacks into one 2-D array, or lists it renders array
+    by array: of mixed dtypes, of mixed lengths, or with a bool or float
+    array among the int ones."""
+    mix = draw(st.sampled_from(["none", "dtype", "length", "kind"]))
+    dtype, length = draw(int_dtypes), draw(st.integers(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if mix == "dtype":
+            dtype = draw(int_dtypes)
+        elif mix == "length":
+            length = draw(st.integers(0, 4))
+        rows.append(_int_array(draw, dtype, (length,)))
+    if mix == "kind":
+        other = draw(st.sampled_from([np.zeros(length, dtype=bool), np.ones(length)]))
+        rows.insert(draw(st.integers(0, len(rows))), other)
+    return rows
 
 
 @given(int_arrays())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_writer_renders_int_arrays_as_their_lists(arr):
     assert cli._dumps(arr) == stdlib(arr.tolist())
-    holder = {"x": arr, "y": [arr, (arr, 1)], "z": [{"{a}": arr, "b": 0}, {"{a}": arr, "b": 1}]}
+    holder = {"x": arr, "y": [arr, (arr, 1)], "z": [{"{a}": arr, "b": 0}, {"{a}": arr, "b": 1}],
+              "w": [arr, arr]}
     assert cli._dumps(holder) == stdlib(plain(holder))
 
 
@@ -138,7 +167,7 @@ def test_writer_refuses_arrays_that_are_not_int(arr):
 
 
 array_values = st.recursive(
-    st.one_of(scalars, int_rows(), int_arrays(),
+    st.one_of(scalars, int_rows(), int_arrays(), int_array_rows(),
               st.sampled_from([np.zeros(2), np.ones((1, 2), dtype=bool)])),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
@@ -206,7 +235,18 @@ def test_writer_refuses_non_finite_floats(obj, bad):
             cli._dumps(holder)
 
 
-def test_format_report_bytes_equal_stdlib_encoding(tmp_path, capsys, monkeypatch):
+# W swaps |1,0,1> and |0,1,1>, S shifts the pointer level and U 2 1 1 swaps
+# |2,0,1> and |3,0,0>: one classical term on 10^4 sites [a < 3, b < 2, p < 2]
+CLASSICAL_RUN = ("W\nS 3\nU 2 1 1\nS -3\nW\n",
+                 np.random.default_rng(7).integers(0, [3, 2, 2], size=(10**4, 3)).tolist())
+# V rotates every occupied site and EP traces out the pointer level: 54 terms
+MULTI_TERM_RUN = ("V 0.3\nC 1.1\nS 1\nSPLIT 0.3\nEP\n",
+                  [[2, 0, 1], [1, 0, 0], [1, 1, 0], [0, 0, 1], [2, 0, 0]])
+
+
+@pytest.mark.parametrize("case", [3, 5, CLASSICAL_RUN, MULTI_TERM_RUN],
+                         ids=["format-n3", "format-n5", "run-classical", "run-multi-term"])
+def test_format_report_bytes_equal_stdlib_encoding(tmp_path, capsys, monkeypatch, case):
     seen = []
     write = cli._write_json
 
@@ -215,10 +255,28 @@ def test_format_report_bytes_equal_stdlib_encoding(tmp_path, capsys, monkeypatch
         write(path, obj)
 
     monkeypatch.setattr(cli, "_write_json", record)
-    out = tmp_path / "fmt.json"
-    argv = ["format", "--L", "20000", "--n", "3", "--seed", "7", "--check-oracle",
-            "--out", str(out)]
-    assert cli.main(argv) == 0
+    out = tmp_path / "report.json"
+    if isinstance(case, int):
+        # at n = 5 a qubit_sites row has no int64 code (20000 ** 5 >= 2 ** 63),
+        # so the writer renders those rows one by one
+        argv = ["format", "--L", "20000", "--n", str(case), "--seed", "7", "--check-oracle"]
+    else:
+        script, lat = tmp_path / "script.txt", tmp_path / "lat.json"
+        script.write_text(case[0])
+        lat.write_text(json.dumps(case[1]))
+        argv = ["run", str(script), str(lat)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
     (report,) = seen
-    assert isinstance(report["initial"], np.ndarray)  # the writer's array branch is exercised
-    assert out.read_bytes() == (stdlib(plain(report)) + "\n").encode()
+    data = out.read_bytes()
+    assert data == (stdlib(plain(report)) + "\n").encode()
+    assert data.decode() == stdlib(json.loads(data)) + "\n"
+    if argv[0] == "format":
+        assert isinstance(report["initial"], np.ndarray)  # the writer's array branch is exercised
+        return
+    assert isinstance(report["state"]["branches"][0]["terms"][0]["config"], np.ndarray)
+    final, _ = execute(classical(case[1]), Script.parse(case[0]))
+    back = MixedState.from_json_obj(json.loads(data)["state"])
+    assert [repr(w) for w, _ in back.branches] == [repr(w) for w, _ in final.branches]
+    for (_, got), (_, want) in zip(back.branches, final.branches):
+        assert np.array_equal(got.codes, want.codes)
+        assert repr(got.amps.tolist()) == repr(want.amps.tolist())
