@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -311,6 +312,7 @@ def cmd_run(args) -> tuple:
     return report, 0, f"ran {len(script)} ops; {len(counts)} counts recorded"
 
 
+@cache  # one parser per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticeqc",

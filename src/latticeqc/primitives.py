@@ -2,9 +2,9 @@
 
 Every operation acts identically on all sites (there is no addressing);
 computation is steered entirely through occupation patterns and global
-cyclic shifts of the pointer level.  Unitaries act on :class:`MixedState`
-branch by branch; the emptying channels and the pointer counter act on
-the ensemble itself.
+cyclic shifts of the pointer level.  Every op but the pointer counter
+COUNTP acts on a :class:`MixedState` one branch at a time; COUNTP is the
+one op that reads all branches at once.
 
 Scripts (ordered op sequences) serialize to a line-oriented text form:
 
@@ -279,17 +279,20 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 # Input occupations of any integer dtype encode without a copy to int64
 # (lattice._encode).  _run is the one runner of compiled steps, and the
 # engine runs a swap, a shift or the zeroing of an emptying channel as
-# its one-op script on every row.  The other kernels group equal keys
-# through _groups, one np.unique: a Collide computes one phase
+# its one-op script on every row.  _step sends COUNTP, the one op that
+# couples branches, to _count_p and maps every other op over the
+# branches one at a time through _parts.  The other kernels group equal
+# keys through _groups, one np.unique: a Collide computes one phase
 # factor per distinct weight sum(a*p), an emptying channel branches on
 # the emptied level's digit rows in sorted order, COUNTP sums Born
-# weights per pointer total, and a rotation expands rows through a
-# per-code image table and sums equal rows, kept in order of first
-# occurrence.  Amplitudes round as a loop over a {config: amplitude}
-# dict does (tests/helpers.py keeps that loop): a moved term is
-# 0.0 + amp, complex products are written as real products, sums run in
-# the dict's order, and each |a|^2 is Python's abs(a) ** 2, one call per
-# row, as np.abs and numpy's squaring differ from it in the last bit.
+# weights per pointer total, both renormalize through _collapse, and a
+# rotation expands rows through a per-code image table and sums equal
+# rows, kept in order of first occurrence.  Amplitudes round as a loop
+# over a {config: amplitude} dict does (tests/helpers.py keeps that
+# loop): a moved term is 0.0 + amp, complex products are written as real
+# products, sums run in the dict's order, and each |a|^2 is Python's
+# abs(a) ** 2, one call per row, as np.abs and numpy's squaring differ
+# from it in the last bit.
 
 
 # Per-code constants: the weight a*p of a Collide and each level's digit.
@@ -362,26 +365,6 @@ def _cmul(ar, ai, br, bi) -> tuple:
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _scale(amps: np.ndarray, x: float) -> np.ndarray:
-    """amps * x, with x promoted to complex as Python promotes it."""
-    return _complex(*_cmul(amps.real, amps.imag, x, 0.0))
-
-
-def _unitary(st: PureState, op) -> PureState:
-    """One unitary op on one pure branch."""
-    if op.kind == "rotate":
-        return _rotate(st, op)
-    if op.kind == "phase":
-        weights = np.take(_A_P, st.codes).sum(axis=1)
-        group, first = _groups(weights)
-        f = np.array([cmath.exp(1j * op.phi * w) for w in weights[first].tolist()])[group]
-        amps = _complex(*_cmul(st.amps.real, st.amps.imag, f.real, f.imag))
-        return PureState._from_codes(st.codes, amps)
-    if op.kind == "swap" and op.pair()[0] == op.pair()[1]:
-        return PureState._from_codes(st.codes, st.amps)  # moves no term
-    return PureState._from_codes(*_lexsorted(_run(st.codes, Script([op])), st.amps + 0.0))
-
-
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the equal items of a 1-d array, or the equal rows of a 2-d
     one: each item's group number and each group's first index.  Groups
@@ -408,8 +391,9 @@ def _image_table(op) -> tuple:
     return np.zeros(n, dtype=np.int64), np.zeros((3, n, M_MAX + 1)), np.zeros(n, dtype=bool)
 
 
-def _rotate(st: PureState, op) -> PureState:
-    """Apply op.images on each site in turn, pruning after every site.
+def _rotate(st: PureState, op) -> tuple:
+    """Apply op.images on each site in turn, pruning after every site;
+    returns the code rows in lexicographic order and their amplitudes.
 
     Site k expands every row into its images in (row, image) order; equal
     rows are summed in that order and kept in order of first occurrence.
@@ -442,32 +426,49 @@ def _rotate(st: PureState, op) -> PureState:
         im = np.bincount(group, pim)[order]
         keep = np.hypot(re, im) >= PRUNE_TOL
         codes, re, im = new[first[order[keep]]], re[keep], im[keep]
-    return PureState._from_codes(*_lexsorted(codes, _complex(re + 0.0, im + 0.0)))
+    return _lexsorted(codes, _complex(re + 0.0, im + 0.0))
 
 
-def _empty(state: MixedState, op) -> MixedState:
-    """Trace out op.level: branch on its digits, in sorted order of the
-    digit rows, then zero it and renormalize each branch."""
-    new_branches: list[tuple[float, PureState]] = []
-    for w, st in state.branches:
+def _collapse(codes: np.ndarray, amps: np.ndarray, rows: np.ndarray) -> tuple:
+    """The Born weight of a branch's ``rows``, summed left to right (sum()
+    compensates from Python 3.12 on), and those rows renormalized by a
+    real 1/sqrt(weight), promoted to complex as Python promotes it."""
+    amps = amps[rows]
+    weight = float(np.cumsum([abs(a) ** 2 for a in amps.tolist()])[-1])
+    x = 1.0 / math.sqrt(weight)
+    amps = _complex(*_cmul(amps.real, amps.imag, x, 0.0))
+    return weight, PureState._from_codes(codes[rows], amps)
+
+
+def _parts(st: PureState, op) -> list:
+    """The (weight, branch) parts of one pure branch under an op other
+    than COUNTP: one per digit row of an emptying channel's level, in
+    sorted order, or one of weight 1.0 for a unitary."""
+    if op.kind == "empty":
         zeroed = _run(st.codes, Script([op]))
-        group, _ = _groups(np.take(_DIGITS[op.level], st.codes))  # uint8: bytes sort like digits
+        group, first = _groups(np.take(_DIGITS[op.level], st.codes))  # uint8 sorts like digits
         amps = st.amps + 0.0
-        weights = np.bincount(group, [abs(a) ** 2 for a in amps.tolist()])
-        for g, weight in enumerate(weights.tolist()):
-            if weight <= 1e-30:
-                continue
-            rows = group == g
-            amp = _scale(amps[rows], 1.0 / math.sqrt(weight))
-            new_branches.append((w * weight, PureState._from_codes(zeroed[rows], amp)))
-    return MixedState(new_branches)
+        return [_collapse(zeroed, amps, group == g) for g in range(len(first))]
+    if op.kind == "rotate":
+        codes, amps = _rotate(st, op)
+    elif op.kind == "phase":
+        weights = np.take(_A_P, st.codes).sum(axis=1)
+        group, first = _groups(weights)
+        f = np.array([cmath.exp(1j * op.phi * w) for w in weights[first].tolist()])[group]
+        codes, amps = st.codes, _complex(*_cmul(st.amps.real, st.amps.imag, f.real, f.imag))
+    elif op.kind == "swap" and op.pair()[0] == op.pair()[1]:
+        codes, amps = st.codes, st.amps  # moves no term
+    else:
+        codes, amps = _lexsorted(_run(st.codes, Script([op])), st.amps + 0.0)
+    return [(1.0, PureState._from_codes(codes, amps))]
 
 
-def _count_p(state: MixedState, rng: np.random.Generator | None) -> tuple[MixedState, float]:
+def _count_p(state: MixedState, rng: np.random.Generator | None) -> tuple:
     """Measure the total pointer count: draw one outcome (Born rule) and
-    collapse.  When a single outcome has all the probability no
-    randomness is consumed, so runs on classical ensembles stay
-    deterministic.
+    return the branches' (weight, branch) parts collapsed onto it, and the
+    outcome.  When a single outcome has all the probability the state
+    itself comes back and no randomness is consumed, so runs on classical
+    ensembles stay deterministic.
     """
     totals = [np.take(_DIGITS[2], st.codes).sum(axis=1) for _, st in state.branches]
     group, first = _groups(every := np.concatenate(totals))
@@ -481,17 +482,13 @@ def _count_p(state: MixedState, rng: np.random.Generator | None) -> tuple[MixedS
     # the first outcome whose running total exceeds the draw, else the last
     g = min(int(np.searchsorted(np.cumsum(dist), rng.random(), side="right")), len(dist) - 1)
     outcome, prob = outcomes[g], float(dist[g])
-    new_branches = []
+    parts = []
     for (w, st), total in zip(state.branches, totals):
         rows = total == outcome
-        if not rows.any():
-            continue
-        amps = st.amps[rows]
-        # left to right on every Python; sum() compensates from 3.12 on
-        bw = float(np.cumsum([abs(a) ** 2 for a in amps.tolist()])[-1])
-        amp = _scale(amps, 1.0 / math.sqrt(bw))
-        new_branches.append((w * bw / prob, PureState._from_codes(st.codes[rows], amp)))
-    return MixedState(new_branches), float(outcome)
+        if rows.any():
+            weight, branch = _collapse(st.codes, st.amps, rows)
+            parts.append((w * weight / prob, branch))
+    return parts, float(outcome)
 
 
 def _step(
@@ -502,11 +499,10 @@ def _step(
     if type(op) not in _OPS:
         raise TypeError(f"unknown op {op!r}")
     if op.kind == "count":
-        return _count_p(state, rng)
-    if op.kind == "empty":
-        return _empty(state, op), None
-    branches = [(w, _unitary(st, op)) for w, st in state.branches]
-    return MixedState(branches), None
+        parts, outcome = _count_p(state, rng)
+        return (parts if parts is state else MixedState(parts)), outcome
+    parts = [(w * v, part) for w, st in state.branches for v, part in _parts(st, op)]
+    return MixedState(parts), None
 
 
 def apply_classical(occ: np.ndarray, script: Script) -> np.ndarray:

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from latticeqc import BasisConfig, MixedState, PureState, cli, primitives, stats
+from latticeqc import BasisConfig, MixedState, PureState, cli, primitives, protocols, stats
 from latticeqc.cli import main
 
 
@@ -121,8 +121,9 @@ def test_format_rejects_sites_outside_level_a(tmp_path, capsys, sites):
 @pytest.mark.parametrize(
     "text, message",
     [("[[1 2, 0, 0]]", "Expecting ',' delimiter: line 1 column 5 (char 4)"),
-     ("[[01, 0, 0]]", "Expecting ',' delimiter: line 1 column 4 (char 3)")],
-    ids=["split-count", "leading-zero"],
+     ("[[01, 0, 0]]", "Expecting ',' delimiter: line 1 column 4 (char 3)"),
+     ('{"a": 1}', "a lattice is a list of sites, got dict")],
+    ids=["split-count", "leading-zero", "object"],
 )
 def test_format_rejects_malformed_json(tmp_path, capsys, text, message):
     # dropping the whitespace of "1 2" leaves "12", but json refuses both
@@ -536,9 +537,17 @@ def test_run_error_paths(tmp_path, capsys):
      ([[10**30, 0, 0]], "too large"),
      ([[2, 0, 0], [1, -1, 0]], "error: negative occupation in SiteOccupancy(a=1, b=-1, p=0)\n"),
      ("[[1 2, 0, 0]]", "error: Expecting ',' delimiter: line 1 column 5 (char 4)\n"),
-     ("[[01, 0, 0]]", "error: Expecting ',' delimiter: line 1 column 4 (char 3)\n")],
+     ("[[01, 0, 0]]", "error: Expecting ',' delimiter: line 1 column 4 (char 3)\n"),
+     ({"branches": []}, "error: mixture has no branches\n"),
+     ({"branches": [{"weight": 0.5, "terms": [{"config": [[1, 0, 0]], "re": 1.0, "im": 0.0}]},
+                    {"weight": 0.5, "terms": [{"config": [[1, 0, 0], [1, 0, 0]], "re": 1.0,
+                                               "im": 0.0}]}]},
+      "error: branches disagree on lattice size\n"),
+     ({"branches": [{"weight": 1.0, "terms": [{"config": 5, "re": 1.0, "im": 0.0}]}]},
+      "error: a lattice is a list of sites, got int\n")],
     ids=["bare-list", "branch-without-terms", "float-count", "bool-count", "huge-count",
-         "negative-count", "split-count", "leading-zero"],
+         "negative-count", "split-count", "leading-zero", "no-branches", "mixed-sizes",
+         "config-not-a-list"],
 )
 def test_run_rejects_malformed_lattices(tmp_path, capsys, lattice, message):
     script = tmp_path / "w.txt"
@@ -547,7 +556,20 @@ def test_run_rejects_malformed_lattices(tmp_path, capsys, lattice, message):
     lat.write_text(lattice if isinstance(lattice, str) else json.dumps(lattice))
     out = tmp_path / "out.json"
     assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_refuses_negative_occupations_in_scripts(tmp_path, capsys):
+    script = tmp_path / "u.txt"
+    script.write_text("U -1 0 1\n")
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps([[1, 0, 0]]))
+    out = tmp_path / "out.json"
+    assert main(["run", str(script), str(lat), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 1: 'U -1 0 1': occupations must be non-negative\n"
     assert not out.exists()
 
 
@@ -672,6 +694,18 @@ def test_allocation_failure_exits_two(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out.json"
     assert main(["format", "--L", "100000000000", "--n", "3", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: Unable to allocate 745. GiB for an array\n"
+    assert not out.exists()
+
+
+def test_property_failure_exits_one(tmp_path, capsys, monkeypatch):
+    # a stray atom after formatting is a failed property, not input error
+    def stray(codes, n):
+        raise protocols.StrayAtomsError([3])
+
+    monkeypatch.setattr(cli, "_homes", stray)
+    out = tmp_path / "out.json"
+    assert main(["format", "--L", "20", "--n", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "property failure: stray atoms at sites (3,)\n"
     assert not out.exists()
 
 

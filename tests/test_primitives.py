@@ -383,11 +383,13 @@ def test_count_p_mixture_distribution():
     assert seen == {2.0, 5.0}
 
 
-def test_count_p_sums_weights_left_to_right():
-    # The three squared amplitudes of the outcome-1 terms add up to
-    # 0.49999999999999994 left to right, 0.5 when correctly rounded.  The
-    # collapse probability and the branch weight are the same left-to-right
-    # sum, so the lone branch keeps weight exactly 1 on every Python.
+@pytest.mark.parametrize("op", [CountP(), EmptyP()], ids=["COUNTP", "EP"])
+def test_count_p_sums_weights_left_to_right(op):
+    # The three squared amplitudes of the pointer-count-1 terms add up to
+    # 0.49999999999999994 left to right, 0.5 when correctly rounded.  Under
+    # COUNTP the collapse probability and the branch weight are the same
+    # left-to-right sum, so the lone branch keeps weight exactly 1 on every
+    # Python; under EP that sum is the weight of their pointer pattern.
     top = BasisConfig.from_counts([(0, 0, 0), (0, 0, 0)])
     ones = [BasisConfig.from_counts([(k, 0, 1), (0, 0, 0)]) for k in range(3)]
     squares = [2 / 30, 6 / 30, 7 / 30]
@@ -400,10 +402,15 @@ def test_count_p_sums_weights_left_to_right():
             return 0.75
 
     for fn in (_step, step_terms):
-        after, value = fn(st, CountP(), Upper())
-        assert value == 1.0
-        ((w, _),) = after.branches
-        assert w == 1.0
+        after, value = fn(st, op, Upper())
+        if op == CountP():
+            assert value == 1.0
+            ((w, _),) = after.branches
+            assert w == 1.0
+        else:
+            assert value is None
+            (w,) = [w for w, branch in after.branches if len(branch.terms) == 3]
+            assert w == kept[0] + kept[1] + kept[2] == 0.49999999999999994
 
 
 @pytest.mark.parametrize("r, outcome", [
@@ -772,7 +779,7 @@ def test_prop_groups_match_dict_grouping(keys):
     else:
         items = [r.tobytes() for r in keys]
     group, first = _groups(keys)
-    # numbered in sorted order, the order of _empty's branches
+    # numbered in sorted order, the order of an emptying channel's parts
     ranked = sorted(set(items))
     assert group.tolist() == [ranked.index(x) for x in items]
     assert first.tolist() == [items.index(x) for x in ranked]

@@ -67,14 +67,14 @@ def int_rows(draw):
     return _as(rows, draw(st.sampled_from([list, tuple])))
 
 
-keys = st.one_of(text, st.integers(-5, 5), floats, st.booleans())
+keys = st.one_of(text, st.integers(-5, 5), floats, st.booleans(), st.tuples(st.integers()))
 values = st.recursive(
     st.one_of(scalars, int_rows(), st.lists(ints, max_size=5)),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(text, inner, max_size=4),
-        st.dictionaries(keys, inner, max_size=3),  # mixed str/number keys raise
+        st.dictionaries(keys, inner, max_size=3),  # mixed or tuple keys raise
         st.dictionaries(st.none(), inner, max_size=1),
     ),
     max_leaves=24,
