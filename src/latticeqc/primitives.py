@@ -286,13 +286,14 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 # factor per distinct weight sum(a*p), an emptying channel branches on
 # the emptied level's digit rows in sorted order, COUNTP sums Born
 # weights per pointer total, both renormalize through _collapse, and a
-# rotation expands rows through a per-code image table and sums equal
-# rows, kept in order of first occurrence.  Amplitudes round as a loop
-# over a {config: amplitude} dict does (tests/helpers.py keeps that
-# loop): a moved term is 0.0 + amp, complex products are written as real
-# products, sums run in the dict's order, and each |a|^2 is Python's
-# abs(a) ** 2, one call per row, as np.abs and numpy's squaring differ
-# from it in the last bit.
+# rotation carries each row as one packed key of per-site ids, expands
+# it site by site through per-id image tables, sums equal keys, kept in
+# order of first occurrence, and sorts and decodes the keys once at the
+# end (see _rotate).  Amplitudes round as a loop over a {config:
+# amplitude} dict does (tests/helpers.py keeps that loop): a moved term
+# is 0.0 + amp, complex products are written as real products, sums run
+# in the dict's order, and each |a|^2 is Python's abs(a) ** 2, one call
+# per row, as np.abs and numpy's squaring differ from it in the last bit.
 
 
 # Per-code constants: the weight a*p of a Collide and each level's digit.
@@ -399,6 +400,19 @@ def _rotate(st: PureState, op) -> tuple:
     rows are summed in that order and kept in order of first occurrence.
     A site whose codes are all fixed only turns -0.0 parts into 0.0, which
     the final + 0.0 does for all of them.
+
+    The rows travel through the sites as packed keys, not code rows.
+    Each code the branch holds, and each image of one, gets an id, in
+    code order.  A row is its columns' ids in fields of ``bits`` bits,
+    column 0 in the top field of word 0, in ``words`` uint64 words; no
+    field straddles a word, so keys compare word by word as their rows
+    compare.  A column that is constant over the rows and fixed under
+    the op cannot tell two rows apart: it gets no field and is copied
+    back from row 0.  A site reads its field with a shift and a mask and
+    rewrites it by adding each image's id step, which uint64 wraparound
+    keeps exact.  The keys are sorted once, after the last site.  They are
+    built and decoded one field position at a time, across all words,
+    so neither holds more than one id per row and word at once.
     """
     codes, re, im = st.codes, st.amps.real, st.amps.imag
     count, table, fixed = _image_table(op)
@@ -409,24 +423,67 @@ def _rotate(st: PureState, op) -> tuple:
         table[:, c, :len(img)] = _encode([s for s, _ in img]), u.real, u.imag
         count[c] = len(img)
         fixed[c] = len(img) == 1 and img[0][0] == site and u[0] == 1.0
-    for k in np.flatnonzero(~fixed[codes].all(axis=0)).tolist():
-        col = codes[:, k]
-        row, j = np.nonzero(np.arange(table.shape[2]) < count[col][:, None])
-        if row.size * codes.shape[1] > ROTATION_CELLS:
+    slots = table.shape[2]
+    alphabet = np.bincount(codes.ravel(), minlength=len(count)) > 0
+    held = np.flatnonzero(alphabet)
+    alphabet[table[0, held][np.arange(slots) < count[held][:, None]].astype(np.intp)] = True
+    code = np.flatnonzero(alphabet).astype(np.uint16)  # id -> code
+    ident = (np.cumsum(alphabet) - 1).astype(np.uint64)  # code -> id, on the alphabet
+    # Per id: its image count, and per image slot (id * slots + j) the
+    # image's id step and amplitude.  Only the ids of held codes are
+    # read, as a site is rotated once.
+    n_img = count[code]
+    step = ident.take(table[0, code].astype(np.intp)) - ident.take(code)[:, None]
+    step, ure, uim = step.ravel(), table[1, code].ravel(), table[2, code].ravel()
+
+    bits = max(1, (len(code) - 1).bit_length())
+    per = 64 // bits  # fields per word
+    mask = np.uint64((1 << bits) - 1)
+    shift = (64 - bits * np.arange(1, per + 1)).astype(np.uint64)
+    rows, L = codes.shape
+    kept = np.flatnonzero(~((codes == codes[0]).all(axis=0) & fixed[codes[0]]))
+    words = max(1, -(-len(kept) // per))
+    key = np.zeros((rows, words), dtype=np.uint64)
+    for i in range(min(per, len(kept))):  # field i of every word
+        cols = kept[i::per]
+        key[:, :len(cols)] |= ident[codes[:, cols]] << shift[i]
+
+    rotated = np.flatnonzero(~fixed[codes].all(axis=0))
+    for f in np.searchsorted(kept, rotated).tolist():
+        w, s = f // per, int(shift[f % per])
+        old = ((key[:, w] >> s) & mask).view(np.int64)
+        cnt = n_img.take(old)
+        total = int(cnt.sum())
+        if total * L > ROTATION_CELLS:
             raise ValueError(
-                f"{_op_to_text(op)} would expand the state to {row.size} rows of "
-                f"{codes.shape[1]} sites, past {ROTATION_CELLS} site cells")
-        image = table[:, col[row], j]
-        new = codes[row]
-        new[:, k] = image[0]
-        pre, pim = _cmul(re[row], im[row], image[1], image[2])
-        group, first = _groups(new)
-        order = np.argsort(first)  # the groups in order of first occurrence
+                f"{_op_to_text(op)} would expand the state to {total} rows of "
+                f"{L} sites, past {ROTATION_CELLS} site cells")
+        # row i's images take the slots old[i] * slots + 0, 1, ...
+        slot = np.arange(total) + np.repeat(old * slots - (np.cumsum(cnt) - cnt), cnt)
+        new = np.repeat(key, cnt, axis=0)
+        new[:, w] += step.take(slot) << s
+        pre, pim = _cmul(np.repeat(re, cnt), np.repeat(im, cnt), ure.take(slot), uim.take(slot))
+        # big-endian words sort by their bytes as the keys do, and the rows
+        # come nearly in key order, which the stable sort is quick on
+        group, first = _groups(new[:, 0] if words == 1 else new.byteswap())
+        firsts = np.zeros(len(new), dtype=bool)
+        firsts[first] = True
+        first = np.flatnonzero(firsts)  # the groups' first rows, in order
+        order = group[first]  # the groups in order of first occurrence
         re = np.bincount(group, pre)[order]
         im = np.bincount(group, pim)[order]
         keep = np.hypot(re, im) >= PRUNE_TOL
-        codes, re, im = new[first[order[keep]]], re[keep], im[keep]
-    return _lexsorted(codes, _complex(re + 0.0, im + 0.0))
+        key, re, im = new[first[keep]], re[keep], im[keep]
+
+    order = np.argsort(key[:, 0]) if words == 1 else np.lexsort(key.T[::-1])
+    key = key[order]
+    out = np.repeat(codes[:1], len(key), axis=0)
+    for i in range(min(per, len(kept))):  # field i of every word
+        cols = kept[i::per]
+        ids = key[:, :len(cols)] >> shift[i]
+        ids &= mask
+        out[:, cols] = code.take(ids.view(np.int64))
+    return out, _complex(re[order] + 0.0, im[order] + 0.0)
 
 
 def _collapse(codes: np.ndarray, amps: np.ndarray, rows: np.ndarray) -> tuple:

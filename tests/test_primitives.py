@@ -173,6 +173,12 @@ def test_ab_rotation_refuses_a_runaway_expansion(monkeypatch):
     assert len(branch.codes) == 16  # 16 rows of 20 sites fit in 1000 cells
     with pytest.raises(ValueError, match=r"^V 0\.3 would expand the state to 64 rows of 20 sites"):
         execute(classical([(1, 0, 0)] * 20), Script([ABRotation(0.3)]))
+    # 14 site codes, (1, 0, p) and (0, 1, p) for p <= 6, on 40 sites: the
+    # packed rows take three words, and the refusal reads the same
+    wide = classical([(1, 0, k % 7) for k in range(40)])
+    with pytest.raises(ValueError, match=r"^V 0\.3 would expand the state to 32 rows of 40 sites, "
+                                         r"past 1000 site cells$"):
+        execute(wide, Script([ABRotation(0.3)]))
 
 
 def test_sector_unitary_cache_is_bounded():
@@ -203,6 +209,18 @@ def test_collide_additivity():
         a = run_op(run_op(state, Collide(p1)), Collide(p2))
         b = run_op(state, Collide(p1 + p2))
         assert fidelity(a, b, mode="paired") >= 1 - 1e-12
+
+
+def test_collide_prunes_an_amplitude_its_factor_moves_below_prune_tol():
+    # a term of amplitude PRUNE_TOL is kept; exp(0.024i) has modulus 1,
+    # yet the product rounds to modulus 9.999999999999998e-15 and the term
+    # is dropped, as the dict engine drops it
+    big, tiny = BasisConfig.from_counts([(0, 0, 0)]), BasisConfig.from_counts([(1, 0, 1)])
+    state = MixedState([(1.0, PureState({big: 1.0, tiny: 1e-14}))])
+    assert list(state.branches[0][1].terms) == [big, tiny]
+    out = run_op(state, Collide(0.024))
+    assert list(out.branches[0][1].terms) == [big]
+    assert _reprs(out) == _reprs(step_terms(state, Collide(0.024))[0])
 
 
 # -- shift -------------------------------------------------------------------
@@ -751,20 +769,90 @@ def test_prop_engine_matches_dict_engine(state, ops, seed):
     assert rng.random() == rng_ref.random()  # the same draws were taken
 
 
+def _pointer_rows(L, live):
+    """Two configurations of L sites: the first ``live`` sites (1, 0, p),
+    p = 0, 1, ..., and the rest (0, 0, p), whose pointer digit differs
+    between the two."""
+    rows = []
+    for turn in (0, 1):
+        rows.append([(1, 0, k) if k < live else (0, 0, (k + turn) % 7) for k in range(L)])
+    return rows
+
+
+def _terms(rows):
+    amps = np.array([0.6, -0.64j, 0.48])[:len(rows)]
+    terms = dict(zip(map(BasisConfig.from_counts, rows), amps / np.linalg.norm(amps)))
+    return MixedState([(1.0, PureState(terms))])
+
+
+@st.composite
+def wide_states(draw):
+    """One branch of 1-3 terms on 12 to 24 sites, so that a rotation packs
+    its rows into one word or several: at most five live sites, whose
+    site is any with a + b <= 2, pointer-only sites (0, 0, p), which V
+    and SPLIT fix but whose p may differ between terms, and sites that
+    are empty in every term."""
+    L = draw(st.sampled_from([12, 13, 17, 20, 24]))
+    live = draw(st.sets(st.integers(0, L - 1), max_size=5))
+    empty = draw(st.sets(st.integers(0, L - 1))) - live
+    ab = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+    site = {True: st.tuples(ab, st.integers(0, M_MAX)).map(lambda t: (*t[0], t[1])),
+            False: st.integers(0, M_MAX).map(lambda p: (0, 0, p))}
+    sites = [st.just((0, 0, 0)) if k in empty else site[k in live] for k in range(L)]
+    # the other terms redraw some sites of the first, so that rows can
+    # differ in one word alone
+    configs = [draw(st.tuples(*sites))]
+    for _ in range(draw(st.integers(0, 2))):
+        redrawn = draw(st.sets(st.integers(0, L - 1), min_size=1))
+        configs.append(tuple(draw(sites[k]) if k in redrawn else configs[0][k] for k in range(L)))
+    configs = list(dict.fromkeys(configs))
+    amps = np.array(draw(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-math.pi, math.pi)),
+                                  min_size=len(configs), max_size=len(configs))))
+    amps = amps[:, 0] * np.exp(1j * amps[:, 1])
+    amps /= np.linalg.norm(amps)
+    return MixedState([(1.0, PureState(dict(zip(map(BasisConfig.from_counts, configs), amps))))])
+
+
+_WIDE, _SHIFTED = _pointer_rows(20, 3)
+
+
+# V on five live sites (1, 0, p) leaves 17 codes, 5 bits a site: 12 sites
+# fill one word and 13 take two.  On 20 sites 13 codes take 4 bits a site
+# and two words, and the first two terms of the last V example differ in
+# word 1 alone.
+@given(wide_states(), st.one_of(st.floats(-math.pi, math.pi).map(ABRotation),
+                                st.floats(0.0, 1.0).map(DefectSplit)))
+@example(_terms(_pointer_rows(12, 5)), ABRotation(0.3))
+@example(_terms(_pointer_rows(13, 5)), ABRotation(0.3))
+@example(_terms(_pointer_rows(20, 3)), ABRotation(-1.1))
+@example(_terms([_WIDE, _WIDE[:-1] + [(0, 0, 0)], _SHIFTED]), ABRotation(0.3))
+@example(_terms([[(2, 0, 0), (0, 0, 0), (1, 1, 0)] * 6, [(1, 1, 0), (0, 0, 0), (2, 0, 0)] * 6]),
+         DefectSplit(0.3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_prop_rotation_on_wide_states_matches_dict_engine(state, op):
+    ref, _ = step_terms(state, op)
+    out, _ = _step(state, op)
+    assert _reprs(out) == _reprs(ref)
+
+
 @st.composite
 def group_keys(draw):
-    """1-d uint64 keys, as a Collide weight or a pointer total, or 2-d
-    uint8 or uint16 rows, as digit or code rows, over a few values so that
-    most of them repeat.  uint16's 1 and 256 sort one way as numbers and
-    the other way as bytes."""
+    """1-d uint64 keys, as a Collide weight, a pointer total or a packed
+    rotation key, or 2-d uint8, uint16 or uint64 rows, as digit rows, code
+    rows or the words of packed keys, over a few values so that most of
+    them repeat.  Packed keys fill the top bits.  1 and 256 sort one way
+    as numbers and the other way as bytes."""
     n = draw(st.integers(1, 30))
-    dtype = draw(st.sampled_from([np.uint64, np.uint8, np.uint16]))
+    top = [2**63, 2**63 + 1, 2**64 - 1]
+    dtype = draw(st.sampled_from([np.uint64, np.uint8, np.uint16, "words"]))
     if dtype is np.uint64:
-        return np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), dtype=dtype)
+        value = st.one_of(st.integers(0, 6), st.sampled_from(top))
+        return np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=dtype)
     cols = draw(st.integers(1, 4))
-    value = st.sampled_from([0, 1, 255] if dtype is np.uint8 else [0, 1, 256, 65535])
+    value = st.sampled_from({np.uint8: [0, 1, 255], np.uint16: [0, 1, 256, 65535],
+                             "words": [0, 1, 256, *top]}[dtype])
     cells = draw(st.lists(value, min_size=n * cols, max_size=n * cols))
-    return np.array(cells, dtype=dtype).reshape(n, cols)
+    return np.array(cells, dtype=np.uint64 if dtype == "words" else dtype).reshape(n, cols)
 
 
 @given(group_keys())
