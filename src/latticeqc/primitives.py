@@ -93,7 +93,7 @@ class WSwap:
         return (1, 0, 1), (0, 1, 1)
 
 
-@lru_cache(maxsize=(M_MAX + 1) * 64)  # the sectors of as many ops as _image_table holds
+@lru_cache(maxsize=(M_MAX + 1) * 64)  # every sector of 64 rotation angles
 def _sector_unitary(T: int, theta: float) -> np.ndarray:
     """exp(-i*theta*H) on the (T+1)-dim sector with fixed a+b = T.
 
@@ -286,14 +286,14 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 # factor per distinct weight sum(a*p), an emptying channel branches on
 # the emptied level's digit rows in sorted order, COUNTP sums Born
 # weights per pointer total, both renormalize through _collapse, and a
-# rotation carries each row as one packed key of per-site ids, expands
-# it site by site through per-id image tables, sums equal keys, kept in
-# order of first occurrence, and sorts and decodes the keys once at the
-# end (see _rotate).  Amplitudes round as a loop over a {config:
-# amplitude} dict does (tests/helpers.py keeps that loop): a moved term
-# is 0.0 + amp, complex products are written as real products, sums run
-# in the dict's order, and each |a|^2 is Python's abs(a) ** 2, one call
-# per row, as np.abs and numpy's squaring differ from it in the last bit.
+# rotation carries each row as one packed key of per-site ids, expands it
+# site by site through per-id image tables built per call, sums equal
+# keys, kept in order of first occurrence, and sorts and decodes the keys
+# once (see _rotate).  Amplitudes round as a loop over a {config:
+# amplitude} dict does (tests/helpers.py keeps that loop): a moved term is
+# 0.0 + amp, complex products are written as real products, sums run in
+# the dict's order, and each |a|^2 is Python's abs(a) ** 2, one call per
+# row, as np.abs and numpy's squaring differ from it in the last bit.
 
 
 # Per-code constants: the weight a*p of a Collide and each level's digit.
@@ -382,16 +382,6 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 ROTATION_CELLS = 2 ** 24
 
 
-@lru_cache(maxsize=64)
-def _image_table(op) -> tuple:
-    """(count, table, fixed) for a rotation: code c has count[c] images,
-    table[:, c, j] is (code, re, im) of image j, and fixed[c] says that c
-    is its own only image, times 1.  Filled in as codes turn up, so only
-    the sites a state holds reach op.images."""
-    n = len(_SITE_TABLE)
-    return np.zeros(n, dtype=np.int64), np.zeros((3, n, M_MAX + 1)), np.zeros(n, dtype=bool)
-
-
 def _rotate(st: PureState, op) -> tuple:
     """Apply op.images on each site in turn, pruning after every site;
     returns the code rows in lexicographic order and their amplitudes.
@@ -400,6 +390,10 @@ def _rotate(st: PureState, op) -> tuple:
     rows are summed in that order and kept in order of first occurrence.
     A site whose codes are all fixed only turns -0.0 parts into 0.0, which
     the final + 0.0 does for all of them.
+
+    The image tables are built on each call: op.images is asked of each
+    code the branch holds, in code order, so a refusal names the lowest
+    held code past the op's cutoff, whatever ran before.
 
     The rows travel through the sites as packed keys, not code rows.
     Each code the branch holds, and each image of one, gets an id, in
@@ -415,26 +409,22 @@ def _rotate(st: PureState, op) -> tuple:
     so neither holds more than one id per row and word at once.
     """
     codes, re, im = st.codes, st.amps.real, st.amps.imag
-    count, table, fixed = _image_table(op)
-    for c in set(codes[count[codes] == 0].tolist()):
-        site = tuple(_SITE_TABLE[c].tolist())
-        img = op.images(site)
-        u = np.array([z for _, z in img], dtype=complex)
-        table[:, c, :len(img)] = _encode([s for s, _ in img]), u.real, u.imag
-        count[c] = len(img)
-        fixed[c] = len(img) == 1 and img[0][0] == site and u[0] == 1.0
-    slots = table.shape[2]
-    alphabet = np.bincount(codes.ravel(), minlength=len(count)) > 0
+    alphabet = np.bincount(codes.ravel(), minlength=len(_SITE_TABLE)) > 0
     held = np.flatnonzero(alphabet)
-    alphabet[table[0, held][np.arange(slots) < count[held][:, None]].astype(np.intp)] = True
+    images = {site: op.images(site) for site in map(tuple, _SITE_TABLE[held].tolist())}
+    fixed = np.zeros(len(alphabet), dtype=bool)
+    fixed[held] = [img == ((site, 1.0),) for site, img in images.items()]
+    targets = _encode([s for img in images.values() for s, _ in img])
+    ure, uim = np.array([(z.real, z.imag) for img in images.values() for _, z in img]).T
+    alphabet[targets] = True
     code = np.flatnonzero(alphabet).astype(np.uint16)  # id -> code
     ident = (np.cumsum(alphabet) - 1).astype(np.uint64)  # code -> id, on the alphabet
-    # Per id: its image count, and per image slot (id * slots + j) the
-    # image's id step and amplitude.  Only the ids of held codes are
-    # read, as a site is rotated once.
-    n_img = count[code]
-    step = ident.take(table[0, code].astype(np.intp)) - ident.take(code)[:, None]
-    step, ure, uim = step.ravel(), table[1, code].ravel(), table[2, code].ravel()
+    # Per id, its image count (0 for a code no site holds, as a site is
+    # rotated once) and first image slot; per slot, the id step and amplitude.
+    count = np.zeros(len(code), dtype=np.int64)
+    count[ident.take(held)] = [len(img) for img in images.values()]
+    first_slot = np.cumsum(count) - count
+    step = ident.take(targets) - np.repeat(np.arange(len(code), dtype=np.uint64), count)
 
     bits = max(1, (len(code) - 1).bit_length())
     per = 64 // bits  # fields per word
@@ -452,14 +442,14 @@ def _rotate(st: PureState, op) -> tuple:
     for f in np.searchsorted(kept, rotated).tolist():
         w, s = f // per, int(shift[f % per])
         old = ((key[:, w] >> s) & mask).view(np.int64)
-        cnt = n_img.take(old)
+        cnt = count.take(old)
         total = int(cnt.sum())
         if total * L > ROTATION_CELLS:
             raise ValueError(
                 f"{_op_to_text(op)} would expand the state to {total} rows of "
                 f"{L} sites, past {ROTATION_CELLS} site cells")
-        # row i's images take the slots old[i] * slots + 0, 1, ...
-        slot = np.arange(total) + np.repeat(old * slots - (np.cumsum(cnt) - cnt), cnt)
+        # row i's images take the slots first_slot[old[i]] + 0, 1, ...
+        slot = np.arange(total) + np.repeat(first_slot.take(old) - (np.cumsum(cnt) - cnt), cnt)
         new = np.repeat(key, cnt, axis=0)
         new[:, w] += step.take(slot) << s
         pre, pim = _cmul(np.repeat(re, cnt), np.repeat(im, cnt), ure.take(slot), uim.take(slot))

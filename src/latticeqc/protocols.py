@@ -86,17 +86,22 @@ def prepare_script(n: int) -> Script:
     return depopulate_script(M_MAX, 2) + format_script(n)
 
 
-def _ring(a) -> np.ndarray:
-    """The raw a-counts of one ring, checked: 1-d integer counts, none
-    negative, all within int64."""
+def _counts(a) -> np.ndarray:
+    """Raw a-counts of any shape, checked: integers, none negative, all within int64."""
     a = _integers(a)
-    if a.ndim != 1:
-        raise ValueError(f"expected shape (L,), got {a.shape}")
     if a.min(initial=0) < 0:
         raise ValueError("negative occupation")
     if a.dtype == object:
         raise _past_int64(a)
     return a
+
+
+def _ring(a) -> np.ndarray:
+    """The raw a-counts of one ring: 1-d, and checked as :func:`_counts`."""
+    a = _integers(a)
+    if a.ndim != 1:
+        raise ValueError(f"expected shape (L,), got {a.shape}")
+    return _counts(a)
 
 
 def _format_codes(a: np.ndarray, n: int) -> np.ndarray:
@@ -281,8 +286,10 @@ def create_defects_script(eps: float) -> Script:
 def sample_defect_creation(
     a: np.ndarray, eps: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one classical branch of the defect-creation channel."""
-    a2 = np.minimum(np.asarray(a, dtype=np.int64), 2)  # depopulated to two
+    """Draw one classical branch of the defect-creation channel on raw a-counts."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"defect rate eps must lie in [0, 1], got {float(eps)!r}")
+    a2 = np.minimum(_counts(a), 2, dtype=np.int64)  # depopulated to two
     mask = (a2 == 2) & (rng.random(a2.shape) < eps)
     a2[mask] = 1
     return a2

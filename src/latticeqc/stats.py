@@ -81,6 +81,8 @@ def expected_yield(L: int, p0: float, p1: float, n: int) -> float:
 def repaired_yield(L: int, n: int) -> float:
     """Expected count after repair and controlled defect creation at 1/n:
     every site holds two atoms but for a defect (one atom) at rate 1/n."""
+    if n < 1:
+        raise ValueError("computers need at least one qubit site")
     return expected_yield(L, 0.0, 1.0 / n, n)
 
 

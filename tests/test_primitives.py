@@ -164,6 +164,23 @@ def test_ab_rotation_overflow_above_sector_cutoff():
         run_op(st, ABRotation(0.1))
 
 
+def test_ab_rotation_refusal_is_a_function_of_the_input():
+    # of several held sites past the cutoff the lowest code is named, on
+    # every call and whatever state the same op ran on before
+    two = classical([(5, 4, 1), (1, 0, 0), (1, 1, 0), (6, 1, 3)])
+    nine = r"^a\+b = 9 on a site exceeds sector cutoff 6$"
+    op = ABRotation(0.3)
+    for _ in range(2):
+        with pytest.raises(OccupationOverflowError, match=nine):
+            execute(two, Script([op]))
+    op = ABRotation(0.4)
+    execute(classical([(1, 0, 0), (1, 1, 0)]), Script([op]))
+    with pytest.raises(OccupationOverflowError, match=nine):
+        execute(two, Script([op]))
+    with pytest.raises(OccupationOverflowError, match=r"^a\+b = 7 on a site exceeds"):
+        execute(classical([(4, 3, 0), (6, 6, 0)]), Script([ABRotation(0.5)]))
+
+
 def test_ab_rotation_refuses_a_runaway_expansion(monkeypatch):
     # each occupied site doubles the rows; past the cell bound V raises
     # before it allocates the expanded rows

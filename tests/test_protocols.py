@@ -683,6 +683,23 @@ def test_sample_defect_creation_depopulates():
     assert_array_equal(out, [2, 1, 0])
 
 
+@pytest.mark.parametrize(
+    "a, message",
+    [([2, 2.7, 0], "^expected integer counts$"),
+     ([2, -3, 0], "^negative occupation$"),
+     (np.array([[2, 2], [1, -3]], dtype=np.int8), "^negative occupation$"),
+     (np.array([2, 2**63 + 5], dtype=np.uint64), f"^count {2**63 + 5} is too large for int64$")])
+def test_sample_defect_creation_refuses_counts_as_a_ring_does(a, message):
+    with pytest.raises(ValueError, match=message):
+        sample_defect_creation(a, 0.5, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("eps", [2.0, -0.1, float("nan")])
+def test_sample_defect_creation_refuses_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ValueError, match=r"^defect rate eps must lie in \[0, 1\]"):
+        sample_defect_creation(np.full(4, 2), eps, np.random.default_rng(4))
+
+
 def test_defect_creation_script_matches_sampler():
     # the script's exact branch weights against the closed form's frequencies
     rng = np.random.default_rng(77)

@@ -57,6 +57,12 @@ def test_repaired_yield_is_zero_when_the_window_wraps(L, n):
     assert repaired_yield(L, n) == 0.0
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_repaired_yield_refuses_a_computer_without_qubit_sites(n):
+    with pytest.raises(ValueError, match="^computers need at least one qubit site$"):
+        repaired_yield(10, n)
+
+
 def test_repaired_yield_approaches_asymptote():
     L = 10**5
     asymptote = lambda L, n: L / (n * math.e)
