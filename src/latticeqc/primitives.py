@@ -282,18 +282,18 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 # its one-op script on every row.  _step sends COUNTP, the one op that
 # couples branches, to _count_p and maps every other op over the
 # branches one at a time through _parts.  The other kernels group equal
-# keys through _groups, one np.unique: a Collide computes one phase
+# keys through _groups, one stable sort: a Collide computes one phase
 # factor per distinct weight sum(a*p), an emptying channel branches on
 # the emptied level's digit rows in sorted order, COUNTP sums Born
 # weights per pointer total, both renormalize through _collapse, and a
 # rotation carries each row as one packed key of per-site ids, expands it
-# site by site through per-id image tables built per call, sums equal
-# keys, kept in order of first occurrence, and sorts and decodes the keys
-# once (see _rotate).  Amplitudes round as a loop over a {config:
-# amplitude} dict does (tests/helpers.py keeps that loop): a moved term is
-# 0.0 + amp, complex products are written as real products, sums run in
-# the dict's order, and each |a|^2 is Python's abs(a) ** 2, one call per
-# row, as np.abs and numpy's squaring differ from it in the last bit.
+# site by site through per-id tables memoized by (op, held codes), sums
+# equal keys where two rows can meet, kept in order of first occurrence,
+# and sorts and decodes the keys once (see _rotate).  Amplitudes round as
+# a {config: amplitude} dict loop does (tests/helpers.py keeps it): a moved
+# term is 0.0 + amp, complex products are written as real products, sums
+# run in the dict's order, and each |a|^2 is Python's abs(a) ** 2, one
+# call per row, as np.abs and numpy's squaring differ in the last bit.
 
 
 # Per-code constants: the weight a*p of a Collide and each level's digit.
@@ -369,17 +369,49 @@ def _cmul(ar, ai, br, bi) -> tuple:
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the equal items of a 1-d array, or the equal rows of a 2-d
     one: each item's group number and each group's first index.  Groups
-    are numbered in sorted order; a row sorts by its bytes."""
+    are numbered in sorted order, by one stable sort; a row sorts by its bytes."""
     if keys.ndim == 2:
         keys = np.ascontiguousarray(keys)
         keys = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    return group, first
+    order = np.argsort(keys, kind="stable")
+    sort = keys[order]
+    starts = np.ones(len(keys), dtype=bool)  # where a group starts in sorted order
+    starts[1:] = sort[1:] != sort[:-1]
+    group = np.empty_like(order)
+    group[order] = np.cumsum(starts) - 1
+    return group, order[starts]
 
 
 # The most site cells (rows times sites) one rotation step may expand a
 # branch into; a V that would need more raises instead of exhausting memory.
 ROTATION_CELLS = 2 ** 24
+
+
+@lru_cache(maxsize=256)
+def _rotation_tables(op, held: bytes) -> tuple:
+    """_rotate's tables for op on the held codes (their sorted intp bytes).
+    Ids number held codes and images in code order.  Per code: fixed, id;
+    per id: code, image count (0 unless held: a site turns once), first
+    slot, and meets (shares an image with another held id); per slot: id
+    step, amplitude.  No exception is cached: a refusal names the lowest
+    held code past the op's cutoff on every call."""
+    held = np.frombuffer(held, dtype=np.intp)
+    images = {site: op.images(site) for site in map(tuple, _SITE_TABLE[held].tolist())}
+    fixed = np.zeros(len(_SITE_TABLE), dtype=bool)
+    fixed[held] = [img == ((site, 1.0),) for site, img in images.items()]
+    targets = _encode([s for img in images.values() for s, _ in img])
+    ure, uim = np.array([(z.real, z.imag) for img in images.values() for _, z in img]).T
+    alphabet = np.bincount(np.concatenate((held, targets)), minlength=len(_SITE_TABLE)) > 0
+    code = np.flatnonzero(alphabet).astype(np.uint16)  # id -> code
+    ident = np.cumsum(alphabet) - 1  # code -> id, on the alphabet
+    source = np.repeat(ident.take(held), [len(img) for img in images.values()])  # per slot
+    count = np.bincount(source, minlength=len(code))
+    meets = np.bincount(source, np.bincount(targets).take(targets) > 1, minlength=len(code)) > 0
+    tables = (fixed, ident.astype(np.uint64), code, count, np.cumsum(count) - count, meets,
+              (ident.take(targets) - source).astype(np.uint64), ure, uim)
+    for arr in tables:
+        arr.setflags(write=False)  # the cache hands these to every caller
+    return tables
 
 
 def _rotate(st: PureState, op) -> tuple:
@@ -388,58 +420,41 @@ def _rotate(st: PureState, op) -> tuple:
 
     Site k expands every row into its images in (row, image) order; equal
     rows are summed in that order and kept in order of first occurrence.
+    Rows enter distinct, so two meet only where the column holds two ids
+    that share an image: a constant column, or one where no id meets,
+    keeps the rows as they come, each amplitude + 0.0 as a sum of one.
     A site whose codes are all fixed only turns -0.0 parts into 0.0, which
-    the final + 0.0 does for all of them.
+    the final + 0.0 does for all of them (tables: see _rotation_tables).
 
-    The image tables are built on each call: op.images is asked of each
-    code the branch holds, in code order, so a refusal names the lowest
-    held code past the op's cutoff, whatever ran before.
-
-    The rows travel through the sites as packed keys, not code rows.
-    Each code the branch holds, and each image of one, gets an id, in
-    code order.  A row is its columns' ids in fields of ``bits`` bits,
-    column 0 in the top field of word 0, in ``words`` uint64 words; no
-    field straddles a word, so keys compare word by word as their rows
-    compare.  A column that is constant over the rows and fixed under
-    the op cannot tell two rows apart: it gets no field and is copied
-    back from row 0.  A site reads its field with a shift and a mask and
-    rewrites it by adding each image's id step, which uint64 wraparound
-    keeps exact.  The keys are sorted once, after the last site.  They are
-    built and decoded one field position at a time, across all words,
-    so neither holds more than one id per row and word at once.
+    The rows travel through the sites as packed keys, not code rows.  A
+    row is its columns' ids in fields of ``bits`` bits, column 0 in the
+    top field of word 0, in ``words`` uint64 words; no field straddles a
+    word, so keys compare word by word as their rows compare.  A column
+    that is constant over the rows and fixed under the op cannot tell two
+    rows apart: it gets no field and is copied back from row 0.  A site
+    reads its field with a shift and a mask and rewrites it by adding
+    each image's id step, which uint64 wraparound keeps exact.  The keys
+    are sorted once, after the last site.  They are built and decoded one
+    field position at a time, across all words, so neither holds more
+    than one id per row and word at once.
     """
     codes, re, im = st.codes, st.amps.real, st.amps.imag
-    alphabet = np.bincount(codes.ravel(), minlength=len(_SITE_TABLE)) > 0
-    held = np.flatnonzero(alphabet)
-    images = {site: op.images(site) for site in map(tuple, _SITE_TABLE[held].tolist())}
-    fixed = np.zeros(len(alphabet), dtype=bool)
-    fixed[held] = [img == ((site, 1.0),) for site, img in images.items()]
-    targets = _encode([s for img in images.values() for s, _ in img])
-    ure, uim = np.array([(z.real, z.imag) for img in images.values() for _, z in img]).T
-    alphabet[targets] = True
-    code = np.flatnonzero(alphabet).astype(np.uint16)  # id -> code
-    ident = (np.cumsum(alphabet) - 1).astype(np.uint64)  # code -> id, on the alphabet
-    # Per id, its image count (0 for a code no site holds, as a site is
-    # rotated once) and first image slot; per slot, the id step and amplitude.
-    count = np.zeros(len(code), dtype=np.int64)
-    count[ident.take(held)] = [len(img) for img in images.values()]
-    first_slot = np.cumsum(count) - count
-    step = ident.take(targets) - np.repeat(np.arange(len(code), dtype=np.uint64), count)
-
+    held = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(_SITE_TABLE))).tobytes()
+    fixed, ident, code, count, first_slot, meets, step, ure, uim = _rotation_tables(op, held)
     bits = max(1, (len(code) - 1).bit_length())
-    per = 64 // bits  # fields per word
-    mask = np.uint64((1 << bits) - 1)
+    per, mask = 64 // bits, np.uint64((1 << bits) - 1)  # fields per word, field mask
     shift = (64 - bits * np.arange(1, per + 1)).astype(np.uint64)
     rows, L = codes.shape
-    kept = np.flatnonzero(~((codes == codes[0]).all(axis=0) & fixed[codes[0]]))
+    still, same = fixed.take(codes), (codes == codes[0]).all(axis=0)
+    kept = np.flatnonzero(~(same & still[0]))
     words = max(1, -(-len(kept) // per))
     key = np.zeros((rows, words), dtype=np.uint64)
     for i in range(min(per, len(kept))):  # field i of every word
         cols = kept[i::per]
-        key[:, :len(cols)] |= ident[codes[:, cols]] << shift[i]
+        key[:, :len(cols)] |= ident.take(codes[:, cols]) << shift[i]
 
-    rotated = np.flatnonzero(~fixed[codes].all(axis=0))
-    for f in np.searchsorted(kept, rotated).tolist():
+    rotated = np.flatnonzero(~still.all(axis=0))
+    for c, f in zip(rotated.tolist(), np.searchsorted(kept, rotated).tolist()):
         w, s = f // per, int(shift[f % per])
         old = ((key[:, w] >> s) & mask).view(np.int64)
         cnt = count.take(old)
@@ -453,17 +468,17 @@ def _rotate(st: PureState, op) -> tuple:
         new = np.repeat(key, cnt, axis=0)
         new[:, w] += step.take(slot) << s
         pre, pim = _cmul(np.repeat(re, cnt), np.repeat(im, cnt), ure.take(slot), uim.take(slot))
-        # big-endian words sort by their bytes as the keys do, and the rows
-        # come nearly in key order, which the stable sort is quick on
-        group, first = _groups(new[:, 0] if words == 1 else new.byteswap())
-        firsts = np.zeros(len(new), dtype=bool)
-        firsts[first] = True
-        first = np.flatnonzero(firsts)  # the groups' first rows, in order
-        order = group[first]  # the groups in order of first occurrence
-        re = np.bincount(group, pre)[order]
-        im = np.bincount(group, pim)[order]
+        if same[c] or not meets.take(old).any():  # no two rows meet here
+            re, im = pre + 0.0, pim + 0.0
+        else:
+            # big-endian words sort by their bytes as the keys do; past the first
+            # sites the rows come nearly sorted, which the stable sort is quick on
+            group, first = _groups(new[:, 0] if words == 1 else new.byteswap())
+            first = np.sort(first)  # the groups' first rows, in order
+            new, order = new[first], group[first]  # groups by first occurrence
+            re, im = np.bincount(group, pre)[order], np.bincount(group, pim)[order]
         keep = np.hypot(re, im) >= PRUNE_TOL
-        key, re, im = new[first[keep]], re[keep], im[keep]
+        key, re, im = (new, re, im) if keep.all() else (new[keep], re[keep], im[keep])
 
     order = np.argsort(key[:, 0]) if words == 1 else np.lexsort(key.T[::-1])
     key = key[order]

@@ -75,6 +75,8 @@ def sample_occupations(
 def expected_yield(L: int, p0: float, p1: float, n: int) -> float:
     """Expected computer count on an iid lattice (exact by linearity); 0
     for n >= L, where a home's window wraps onto the home itself."""
+    if n < 1:
+        raise ValueError("computers need at least one qubit site")
     return L * p1 * (1.0 - p0 - p1) ** n if n < L else 0.0
 
 
@@ -89,7 +91,10 @@ def repaired_yield(L: int, n: int) -> float:
 def count_computers_oracle(a: np.ndarray, n: int) -> int:
     """Computer count predicted combinatorially from the raw a-counts of
     one ring, checked as :func:`count_computers_protocol` checks them."""
-    return int(oracle_homes(_ring(a), n).sum())
+    a = _ring(a)  # a bad ring is named before n, as the protocol names it
+    if n < 1:
+        raise ValueError("computers need at least one qubit site")
+    return int(oracle_homes(a, n).sum())
 
 
 def count_computers_protocol(a: np.ndarray, n: int) -> int:

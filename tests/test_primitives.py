@@ -42,6 +42,7 @@ from latticeqc import (
     execute,
 )
 from latticeqc import primitives
+from latticeqc.lattice import _encode
 from latticeqc.primitives import _groups, _step
 
 SQ = math.sqrt
@@ -832,6 +833,32 @@ def wide_states(draw):
 
 _WIDE, _SHIFTED = _pointer_rows(20, 3)
 
+# Cases for where a rotation regroups its rows, with the number of sites
+# that do.  Rows enter distinct, so two meet only where a column holds two
+# ids that share an image.  One classical row of down, up, a home, its
+# image and a pointer-only site: every code but the last meets another,
+# but a constant column holds one id, so no site regroups.
+_CLASSICAL = _terms([[(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 3), (1, 0, 0)]])
+# Two formatted computers (qubit, qubit, home, gap) after V(0.3) and a
+# Collide through the dict engine: a product state whose six occupied
+# columns each hold two ids that share their images, so V(-0.3) regroups
+# at every one of them.
+_PRODUCT = _terms([[(1, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 0)] * 2])
+for _op in (ABRotation(0.3), Collide(math.pi)):
+    _PRODUCT, _ = step_terms(_PRODUCT, _op)
+# Column 0 holds down and up and regroups; column 1 is constant down,
+# which meets up, and skips.  The 17 pointer-only columns differ between
+# the terms, so they take fields too: 11 codes, 4 bits a site, two words.
+_X = [(1, 0, 0), (1, 0, 0), (1, 0, 1)] + [(0, 0, k % 7) for k in range(17)]
+_Y = _X[:3] + [(0, 0, (k + 1) % 7) for k in range(17)]
+_MIXED = _terms([_X, [(0, 1, 0)] + _X[1:], _Y])
+# SPLIT: column 0 holds both sites it mixes, the other (2, 0, 0) columns
+# are constant.
+_MIXED_SPLIT = _terms([[(2, 0, 0), (2, 0, 0), (0, 0, 1)] * 2,
+                       [(1, 1, 0), (2, 0, 0), (0, 0, 1)] + [(2, 0, 0), (2, 0, 0), (0, 0, 1)]])
+_REGROUPS = [(_CLASSICAL, ABRotation(0.3), 0), (_PRODUCT, ABRotation(-0.3), 6),
+             (_MIXED, ABRotation(0.3), 1), (_MIXED_SPLIT, DefectSplit(0.3), 1)]
+
 
 # V on five live sites (1, 0, p) leaves 17 codes, 5 bits a site: 12 sites
 # fill one word and 13 take two.  On 20 sites 13 codes take 4 bits a site
@@ -845,11 +872,59 @@ _WIDE, _SHIFTED = _pointer_rows(20, 3)
 @example(_terms([_WIDE, _WIDE[:-1] + [(0, 0, 0)], _SHIFTED]), ABRotation(0.3))
 @example(_terms([[(2, 0, 0), (0, 0, 0), (1, 1, 0)] * 6, [(1, 1, 0), (0, 0, 0), (2, 0, 0)] * 6]),
          DefectSplit(0.3))
+@example(*_REGROUPS[0][:2])
+@example(*_REGROUPS[1][:2])
+@example(*_REGROUPS[2][:2])
+@example(*_REGROUPS[3][:2])
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_prop_rotation_on_wide_states_matches_dict_engine(state, op):
     ref, _ = step_terms(state, op)
     out, _ = _step(state, op)
     assert _reprs(out) == _reprs(ref)
+
+
+@pytest.mark.parametrize("state, op, regroups", _REGROUPS)
+def test_rotation_regroups_only_where_rows_can_meet(monkeypatch, state, op, regroups):
+    # rows enter distinct, so two expanded rows are equal only where the
+    # column holds two ids that share an image; elsewhere no grouping runs
+    sizes = []
+    monkeypatch.setattr(primitives, "_groups",
+                        lambda keys: sizes.append(len(keys)) or _groups(keys))
+    ((_, branch),) = state.branches
+    primitives._rotate(branch, op)
+    assert len(sizes) == regroups
+
+
+def _rotation_bits(branch, op):
+    codes, amps = primitives._rotate(branch, op)
+    return codes.tobytes(), amps.tobytes()
+
+
+def test_rotation_memo_gives_the_bits_of_a_cold_one():
+    ((_, branch),) = _PRODUCT.branches
+    warm = [_rotation_bits(branch, ABRotation(-0.3)) for _ in range(2)]
+    primitives._rotation_tables.cache_clear()
+    assert warm == [_rotation_bits(branch, ABRotation(-0.3))] * 2
+
+
+def test_rotation_tables_are_read_only():
+    # the memo hands the same arrays to every caller
+    held = np.unique(_encode([(1, 0, 0), (0, 1, 0), (1, 0, 1)])).astype(np.intp).tobytes()
+    tables = primitives._rotation_tables(ABRotation(0.3), held)
+    assert len(tables) == 9
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[:1] = table[:1]
+
+
+def test_rotation_memo_is_bounded():
+    # one entry per (op, held codes): distinct user angles must not pile up
+    bound = primitives._rotation_tables.cache_info().maxsize
+    assert bound is not None
+    one = classical([(1, 0, 0), (0, 0, 1)])
+    for k in range(bound + 20):
+        execute(one, Script([ABRotation(0.001 * k + 0.5)]))
+    assert primitives._rotation_tables.cache_info().currsize <= bound
 
 
 @st.composite
@@ -874,6 +949,7 @@ def group_keys(draw):
 
 @given(group_keys())
 @example(np.array([[1, 0, 255]], dtype=np.uint8))  # one row
+@example(np.array([], dtype=np.uint64))  # no item
 @example(np.array([[256], [1], [256], [0]], dtype=np.uint16))  # one column
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_prop_groups_match_dict_grouping(keys):

@@ -63,6 +63,22 @@ def test_repaired_yield_refuses_a_computer_without_qubit_sites(n):
         repaired_yield(10, n)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_expected_yield_refuses_a_computer_without_qubit_sites(n):
+    # it predicted 1.0 computers for n = 0 and 1.25 for n = -1
+    with pytest.raises(ValueError, match="^computers need at least one qubit site$"):
+        expected_yield(10, 0.1, 0.1, n)
+
+
+@pytest.mark.parametrize("count", [count_computers_protocol, count_computers_oracle])
+def test_counts_refuse_a_computer_without_qubit_sites(count):
+    # the oracle counted 3 computers here; a bad ring is named first
+    with pytest.raises(ValueError, match="^computers need at least one qubit site$"):
+        count(np.array([1, 2, 2, 1, 0, 1]), 0)
+    with pytest.raises(ValueError, match=r"^expected shape \(L,\), got \(1, 6\)$"):
+        count(np.array([[1, 2, 2, 1, 0, 1]]), 0)
+
+
 def test_repaired_yield_approaches_asymptote():
     L = 10**5
     asymptote = lambda L, n: L / (n * math.e)
@@ -334,7 +350,11 @@ def test_no_computer_is_predicted_when_the_window_wraps_onto_the_home(L, n):
     # no ring holds a computer, and the protocol, the formula and the
     # repair experiment say so
     assert expected_yield(L, 0.1, 0.1, n) == 0.0
-    assert expected_yield(L, 0.1, 0.1, L - 1) == L * 0.1 * 0.8 ** (L - 1)
+    if L > 1:
+        assert expected_yield(L, 0.1, 0.1, L - 1) == L * 0.1 * 0.8 ** (L - 1)
+    else:  # below n = L = 1 there is no computer, only a refusal
+        with pytest.raises(ValueError, match="^computers need at least one qubit site$"):
+            expected_yield(L, 0.1, 0.1, L - 1)
     dist = FillDistribution(0.1, 0.1, 0.4, 0.1, 0.3)
     report = monte_carlo_yield(L, dist, n, trials=3, seed=1)
     assert report.counts == [0, 0, 0]
