@@ -53,14 +53,21 @@ def _dumps(obj) -> str:
     allow_nan=False``, byte for byte, where a numpy integer array stands
     for its ``tolist()``; any other array is a TypeError, as in the stdlib.
     With an indent the stdlib encodes item by item in Python.  Here a list
-    of ints is one join, and the rows of a 2-D int array, or of a list of
-    1-D int arrays of one dtype and one shape, are coded as one int64 each
-    so that each distinct row is rendered once.  A list of dicts with one
-    set of str keys is rendered from one template, column by column.
+    of ints is rendered by one ``map``, and the rows of a 2-D int array, or
+    of a list of 1-D int arrays of one dtype and one shape, are coded as
+    one int64 each so that each distinct row is rendered once: from a
+    table indexed by the code when the codes are few, else after a sort.
+    A list of dicts with one set of str keys is rendered one
+    ``str.format`` per dict, with int and int-row columns filling the
+    template's slots directly.
     Scalars other than str and int go to ``json.dumps``."""
     out: list[str] = []
     _put(obj, "\n", out)
     return "".join(out)
+
+
+_BLOCK = 4096  # list items joined into one piece of out
+_TABLE = 4096  # _rows looks rows up by code up to max(row count, _TABLE) codes
 
 
 def _put(value, nl: str, out: list):
@@ -79,8 +86,12 @@ def _put(value, nl: str, out: list):
             out.append("[]")
             return
         inner = nl + "  "
+        texts, comma = _texts(value, inner), "," + inner
         out.append("[" + inner)
-        out.append(("," + inner).join(_texts(value, inner)))
+        for k in range(0, len(texts), _BLOCK):  # no piece of out megabytes long
+            if k:
+                out.append(comma)
+            out.append(comma.join(texts[k:k + _BLOCK]))
         out.append(nl + "]")
     elif isinstance(value, dict):
         if not value:
@@ -106,11 +117,9 @@ def _texts(items, nl: str) -> list:
     types = set(map(type, items))
     if types == {int}:
         return list(map(int.__repr__, items))
-    if types == {np.ndarray}:
-        forms = {(item.dtype, item.shape) for item in items}
-        if len(forms) == 1 and items[0].ndim == 1 and items[0].dtype.kind in "iu":
-            # np.stack would expand each item in a Python loop
-            return _rows(np.concatenate(items).reshape(len(items), items[0].size), nl)
+    rows = _stack(items, types)
+    if rows is not None:
+        return _rows(rows, nl)
     if types == {dict}:
         keys = list(items[0])
         if (keys and all(isinstance(key, str) for key in keys)
@@ -129,14 +138,33 @@ def _texts(items, nl: str) -> list:
     return texts
 
 
+def _stack(items, types: set):
+    """The 2-D int array whose rows are items, when items are 1-D int
+    arrays of one dtype and one length; else None."""
+    if types == {np.ndarray}:
+        forms = {(item.dtype, item.shape) for item in items}
+        if len(forms) == 1 and items[0].ndim == 1 and items[0].dtype.kind in "iu":
+            # np.stack would expand each item in a Python loop
+            return np.concatenate(items).reshape(len(items), items[0].size)
+    return None
+
+
+def _row_template(width: int, nl: str) -> str:
+    # the text of a row of width ints on a line that starts with nl, one
+    # slot per int; it holds no brace, so it splices into other templates
+    if not width:
+        return "[]"
+    row_nl = nl + "  "
+    return "[" + row_nl + ("," + row_nl).join(["{}"] * width) + nl + "]"
+
+
 def _rows(rows: np.ndarray, nl: str) -> list:
     """The texts of the rows of a 2-D int array; a distinct row is
     rendered once."""
     count, width = rows.shape
+    template = _row_template(width, nl)
     if not width:
-        return ["[]"] * count
-    row_nl = nl + "  "
-    template = "[" + row_nl + ("," + row_nl).join(["{}"] * width) + nl + "]"
+        return [template] * count
     least = rows.min()
     radix = int(rows.max()) - int(least) + 1
     if radix ** width >= 2 ** 63:  # no int64 code per row
@@ -145,23 +173,45 @@ def _rows(rows: np.ndarray, nl: str) -> list:
     # int64 arithmetic wraps (uint64 entries), but each digit lies in
     # [0, radix) and so comes out exact.
     digits = rows.astype(np.int64, copy=False) - least.astype(np.int64)
-    codes = digits @ np.int64(radix) ** np.arange(width - 1, -1, -1)
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    first = np.empty(distinct.size, dtype=np.intp)
-    first[inverse] = np.arange(count)  # a row of each code; which one does not matter
-    texts = np.array([template.format(*row) for row in rows[first].tolist()], dtype=object)
-    return texts[inverse].tolist()
+    powers = np.int64(radix) ** np.arange(width - 1, -1, -1)
+    codes = digits @ powers
+    if radix ** width > max(count, _TABLE):  # too many codes for a table: sort them
+        distinct, codes = np.unique(codes, return_inverse=True)
+        slots = np.arange(distinct.size)
+    else:  # a table indexed by the code
+        distinct = slots = np.flatnonzero(np.bincount(codes))
+    # Each distinct code is decoded to its row and rendered once.  The
+    # digits go back to the dtype of rows, where adding the least entry
+    # wraps back into range as the subtraction above did.
+    found = (distinct[:, None] // powers % radix).astype(rows.dtype) + least
+    table = np.empty(slots[-1] + 1, dtype=object)
+    table[slots] = [template.format(*row) for row in found.tolist()]
+    return table.take(codes).tolist()
 
 
 def _records(items: list, keys: list, nl: str) -> list:
     """The texts of dicts that share the str keys ``keys`` (sorted, at
-    least one), rendered from one template with one column of texts per
-    key."""
+    least one), one ``str.format`` per dict.  A column of ints, or of 1-D
+    int arrays of one dtype and one length, fills its slots directly, its
+    row template spliced into the record's; any other column is rendered
+    to one text per dict first."""
     inner = nl + "  "
+    slots, columns = [], []
+    for key in keys:
+        column = list(map(itemgetter(key), items))
+        types = set(map(type, column))
+        rows = _stack(column, types)
+        if rows is not None:
+            slots.append(_row_template(rows.shape[1], inner))
+            columns.extend(rows.T.tolist())
+        else:
+            slots.append("{}")
+            columns.append(column if types == {int} else _texts(column, inner))
     template = "{{" + inner + ("," + inner).join(
-        encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}"
-        for key in keys) + nl + "}}"
-    columns = [_texts(list(map(itemgetter(key), items)), inner) for key in keys]
+        encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": " + slot
+        for key, slot in zip(keys, slots)) + nl + "}}"
+    if not columns:  # every column holds empty rows
+        return [template.format()] * len(items)
     return list(map(template.format, *columns))
 
 
@@ -177,8 +227,10 @@ def _key(key) -> str:
 def _write_json(path: str | None, obj, *files):
     # Writes obj to path (stdout if None) after each (path, pieces) of files
     # whose path is set, and removes the files it opened if one fails.  The
-    # pieces are written one by one: their join, a second copy of a multi-MB
-    # report, would set the peak memory.  A value json cannot write raises first.
+    # whole report renders before any file opens, so a value json cannot
+    # write raises first.  Its pieces are written one by one, and _put joins
+    # a long list in blocks of _BLOCK items: one join of the pieces, or of a
+    # 10^5-row list, would be a multi-MB copy that sets the peak memory.
     out: list[str] = []
     _put(obj, "\n", out)
     out.append("\n")
@@ -217,12 +269,14 @@ def cmd_format(args) -> tuple:
     homes = _homes(codes, args.n)
     # a register runs home-n .. home-1 (mod L), left to right
     windows = (homes[:, None] - np.arange(args.n, 0, -1)) % a.size
+    initial = np.zeros((a.size, 3), dtype=a.dtype)  # [a, 0, 0] per site
+    initial[:, 0] = a
     report = {
         "L": int(a.size),
         "n": args.n,
         "seed": None if args.lattice else args.seed,
-        "initial": np.pad(a[:, None], ((0, 0), (0, 2))),  # [a, 0, 0] per site
-        "final": _SITE_TABLE[codes],
+        "initial": initial,
+        "final": _SITE_TABLE.take(codes, axis=0),
         "computers": [
             {"home": k, "n": args.n, "qubit_sites": w}
             for k, w in zip(homes.tolist(), windows)
@@ -308,7 +362,7 @@ def cmd_run(args) -> tuple:
         "state": final.to_json_obj(),
     }
     if final.is_classical() and len(final.branches) == 1:
-        report["config"] = _SITE_TABLE[final.branches[0][1].codes[0]]
+        report["config"] = _SITE_TABLE.take(final.branches[0][1].codes[0], axis=0)
     return report, 0, f"ran {len(script)} ops; {len(counts)} counts recorded"
 
 

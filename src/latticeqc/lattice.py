@@ -309,7 +309,7 @@ class MixedState:
                     "weight": w,
                     "terms": [
                         {"config": c, "re": a.real, "im": a.imag}
-                        for c, a in zip(_SITE_TABLE[st.codes], st.amps.tolist())
+                        for c, a in zip(_SITE_TABLE.take(st.codes, axis=0), st.amps.tolist())
                     ],
                 }
                 for w, st in self.branches

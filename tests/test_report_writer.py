@@ -280,3 +280,93 @@ def test_format_report_bytes_equal_stdlib_encoding(tmp_path, capsys, monkeypatch
     for (_, got), (_, want) in zip(back.branches, final.branches):
         assert np.array_equal(got.codes, want.codes)
         assert repr(got.amps.tolist()) == repr(want.amps.tolist())
+
+
+def _count_unique(monkeypatch) -> list:
+    """The sizes of the arrays that np.unique sorts from now on."""
+    calls, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda ar, *a, **k: calls.append(len(ar)) or unique(ar, *a, **k))
+    return calls
+
+
+def _format_report(*argv):
+    report, status, _ = cli.cmd_format(cli.build_parser().parse_args(["format", *argv]))
+    assert status == 0
+    return report
+
+
+def test_format_site_rows_come_from_a_table_not_a_sort(monkeypatch):
+    # initial and final hold 27 and 343 possible rows; qubit_sites fill
+    # their records' slots without being coded at all
+    report = _format_report("--L", "20000", "--n", "3", "--seed", "7", "--check-oracle")
+    sorts = _count_unique(monkeypatch)
+    assert cli._dumps(report) == stdlib(plain(report))
+    assert sorts == []
+
+
+def test_initial_count_of_a_million_matches_stdlib_through_the_sort(tmp_path, monkeypatch):
+    # (10^6 + 1) ** 3 row codes fit int64 but not a table: initial is sorted
+    a = np.random.default_rng(3).choice(3, size=2000, p=[0.1, 0.1, 0.8])
+    a[17] = 10**6
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps([[int(x), 0, 0] for x in a]))
+    report = _format_report("--lattice", str(lattice), "--n", "2", "--check-oracle")
+    sorts = _count_unique(monkeypatch)
+    assert cli._dumps(report) == stdlib(plain(report))
+    assert sorts == [a.size]
+
+
+def _spanning(least: int, radix: int, shape, dtype=np.int64) -> np.ndarray:
+    # rows whose entries run over [least, least + radix), both ends present
+    rng = np.random.default_rng(radix)
+    rows = least + rng.integers(0, radix, size=shape, dtype=np.int64).astype(object)
+    rows.flat[0], rows.flat[-1] = least, least + radix - 1
+    return np.array(rows.tolist(), dtype=dtype)
+
+
+@pytest.mark.parametrize("rows, sorts", [
+    (_spanning(0, 64, (50, 2)), 0),  # 64 ** 2 codes: the table bound
+    (_spanning(0, 65, (50, 2)), 1),  # 65 ** 2, one row past it
+    (_spanning(7, cli._TABLE, (50, 1)), 0),
+    (_spanning(7, cli._TABLE + 1, (50, 1)), 1),
+    (_spanning(0, 5000, (5000, 1)), 0),  # more rows than the least bound
+    (_spanning(0, 5001, (5000, 1)), 1),
+    (_spanning(-5, 9, (300, 3)), 0),  # a negative least entry
+    (_spanning(-2**40, 2**20, (300, 3), np.int64), 1),
+    (_spanning(2**64 - 7, 7, (300, 3), np.uint64), 0),  # near 2**64, where int64 wraps
+    (_spanning(2**64 - 2**20, 2**20, (300, 3), np.uint64), 1),
+    (_spanning(-128, 256, (300, 1), np.int8), 0),  # digits past the dtype's range
+    (_spanning(0, 3, (300, 1), np.uint8), 0),
+    (np.zeros((300, 0), dtype=np.int64), 0),
+], ids=lambda x: str(x.dtype) + str(x.shape) if isinstance(x, np.ndarray) else None)
+def test_rows_at_the_table_edges_match_stdlib(monkeypatch, rows, sorts):
+    calls = _count_unique(monkeypatch)
+    for obj in (rows, list(rows), {"x": rows, "y": [{"z": row, "w": 1} for row in rows]}):
+        assert cli._dumps(obj) == stdlib(plain(obj))
+    # once for the array, the list and x each; records fill their slots
+    assert len(calls) == 3 * sorts
+
+
+def test_lists_longer_than_a_join_block_match_stdlib():
+    count = 2 * cli._BLOCK + 1
+    rows = _spanning(0, 3, (count, 3))
+    for obj in (list(range(count)), rows, list(rows), list(map(tuple, rows.tolist())),
+                [{"b": k} for k in range(count)]):
+        out: list[str] = []
+        cli._put(obj, "\n", out)
+        assert "".join(out) == stdlib(plain(obj))
+        assert len(out) == 7 and max(map(len, out)) < 64 * cli._BLOCK  # three blocks
+    nested = {"a": [rows.tolist(), list(range(count))]}
+    assert cli._dumps(nested) == stdlib(plain(nested))
+
+
+def test_records_of_mixed_columns_match_stdlib():
+    empty = np.zeros(0, dtype=np.int16)
+    records = [
+        {"{a}": k, "b": empty, "c": {"d": [k, -k], "}{": np.arange(k, dtype=np.uint8)},
+         "e": np.array([k, 2**40], dtype=np.int64), "f": "x{}" * k, "g": True}
+        for k in range(5)
+    ]
+    for obj in (records, [records, records[:2]], {"r": records},
+                [{"b": empty, "{}": empty}] * 3):  # no column fills a slot
+        assert cli._dumps(obj) == stdlib(plain(obj))
