@@ -59,7 +59,8 @@ def _dumps(obj) -> str:
     table indexed by the code when the codes are few, else after a sort.
     A list of dicts with one set of str keys is rendered one
     ``str.format`` per dict, with int and int-row columns filling the
-    template's slots directly.
+    template's slots directly.  Other dicts and arrays in a list are put
+    one by one, so no piece of the text holds more than a block of rows.
     Scalars other than str and int go to ``json.dumps``."""
     out: list[str] = []
     _put(obj, "\n", out)
@@ -88,10 +89,16 @@ def _put(value, nl: str, out: list):
         inner = nl + "  "
         texts, comma = _texts(value, inner), "," + inner
         out.append("[" + inner)
-        for k in range(0, len(texts), _BLOCK):  # no piece of out megabytes long
-            if k:
-                out.append(comma)
-            out.append(comma.join(texts[k:k + _BLOCK]))
+        if texts is None:  # each item in turn, so the rows inside reach a block join
+            for k, item in enumerate(value):
+                if k:
+                    out.append(comma)
+                _put(item, inner, out)
+        else:
+            for k in range(0, len(texts), _BLOCK):  # no piece of out megabytes long
+                if k:
+                    out.append(comma)
+                out.append(comma.join(texts[k:k + _BLOCK]))
         out.append(nl + "]")
     elif isinstance(value, dict):
         if not value:
@@ -109,9 +116,10 @@ def _put(value, nl: str, out: list):
         out.append(json.dumps(value, allow_nan=False))
 
 
-def _texts(items, nl: str) -> list:
+def _texts(items, nl: str) -> list | None:
     """The JSON text of each item of a non-empty list, tuple or 2-D int
-    array, on a line that starts with nl."""
+    array, on a line that starts with nl; None for dicts no record path
+    takes and for other arrays, which _put puts one by one."""
     if isinstance(items, np.ndarray):
         return _rows(items, nl)
     types = set(map(type, items))
@@ -130,6 +138,8 @@ def _texts(items, nl: str) -> list:
                 # KeyError: the key sets differ.  Otherwise raise what the
                 # stdlib raises first, item by item below
                 pass
+    if any(issubclass(t, (dict, np.ndarray)) for t in types):
+        return None
     texts = []
     for item in items:
         out: list[str] = []
@@ -189,12 +199,13 @@ def _rows(rows: np.ndarray, nl: str) -> list:
     return table.take(codes).tolist()
 
 
-def _records(items: list, keys: list, nl: str) -> list:
+def _records(items: list, keys: list, nl: str) -> list | None:
     """The texts of dicts that share the str keys ``keys`` (sorted, at
     least one), one ``str.format`` per dict.  A column of ints, or of 1-D
     int arrays of one dtype and one length, fills its slots directly, its
-    row template spliced into the record's; any other column is rendered
-    to one text per dict first."""
+    row template spliced into the record's; a column of other scalars is
+    rendered to one text per dict first.  A column of containers, such as
+    a state's (L, 3) configs, gives None: a record would be one text."""
     inner = nl + "  "
     slots, columns = [], []
     for key in keys:
@@ -204,6 +215,8 @@ def _records(items: list, keys: list, nl: str) -> list:
         if rows is not None:
             slots.append(_row_template(rows.shape[1], inner))
             columns.extend(rows.T.tolist())
+        elif any(issubclass(t, (list, tuple, dict, np.ndarray)) for t in types):
+            return None
         else:
             slots.append("{}")
             columns.append(column if types == {int} else _texts(column, inner))

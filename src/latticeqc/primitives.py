@@ -275,7 +275,8 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 # A basis-preserving script compiles once into steps on codes: one fused
 # sitewise table per run of swaps and emptying channels, and per shift
 # one lookup of a packed table, the code without its pointer digit and
-# the pointer digit in one uint16, and one roll of the pointer digit.
+# the pointer digit in one uint16, and an in-place add of the pointer
+# digit moved x sites along the ring (_roll_into).
 # Input occupations of any integer dtype encode without a copy to int64
 # (lattice._encode).  _run is the one runner of compiled steps, and the
 # engine runs a swap, a shift or the zeroing of an emptying channel as
@@ -336,14 +337,23 @@ def _compile(script: Script) -> tuple:
     return tuple(steps)
 
 
+def _roll_into(ufunc, out: np.ndarray, src: np.ndarray, x: int):
+    """ufunc(out, np.roll(src, x, axis=-1)) into out, without the roll's
+    copy: two slices along the last axis, cyclic for any x, L = 0 too."""
+    L = out.shape[-1]
+    x %= max(L, 1)
+    ufunc(out[..., x:], src[..., :L - x], out=out[..., x:])
+    ufunc(out[..., :x], src[..., L - x:], out=out[..., :x])
+
+
 def _move(codes: np.ndarray, step: tuple) -> np.ndarray:
     """Apply a "table" or "shift" step to site codes of shape (..., L)."""
     v = np.take(step[-1], codes)
     if step[0] == "table":
         return v
-    moved = np.roll(v & 7, step[1], axis=-1)
+    p = v & 7
     v >>= 3  # v is np.take's own array
-    v += moved
+    _roll_into(np.add, v, p, step[1])
     return v
 
 

@@ -28,6 +28,7 @@ from .primitives import (
     PairTransfer,
     Script,
     Shift,
+    _roll_into,
     _run,
 )
 
@@ -124,8 +125,8 @@ def format_counts(a: np.ndarray, n: int) -> np.ndarray:
 def _left_window(site: np.ndarray, left: np.ndarray, n: int) -> np.ndarray:
     """The sites of mask ``site`` whose n left neighbours, cyclically along
     the last axis, all lie in mask ``left``; narrows ``site`` in place."""
-    for j in range(1, n + 1):
-        site &= np.roll(left, j, axis=-1)
+    for j in range(1, min(n, site.shape[-1]) + 1):  # offsets past L repeat
+        _roll_into(np.bitwise_and, site, left, j)
     return site
 
 
@@ -168,8 +169,8 @@ def _homes(codes: np.ndarray, n: int) -> np.ndarray:
     """
     homes = _left_window(codes == _HOME, codes == _QUBIT, n)
     cover = homes.copy()
-    for j in range(1, n + 1):
-        cover |= np.roll(homes, -j)
+    for j in range(1, min(n, homes.size) + 1):
+        _roll_into(np.bitwise_or, cover, homes, -j)
     strays = np.flatnonzero((codes != 0) & ~cover)
     if strays.size:
         raise StrayAtomsError(strays.tolist())

@@ -14,9 +14,9 @@ from latticeqc import (
     RepairReport,
     Script,
     SiteOccupancy,
+    StrayAtomsError,
     classical,
     execute,
-    oracle_homes,
 )
 from latticeqc.lattice import (
     BRANCH_MERGE_TOL,
@@ -27,6 +27,8 @@ from latticeqc.lattice import (
     _encode,
     _lexsorted,
 )
+from latticeqc.primitives import _compile
+from latticeqc.protocols import _HOME, _QUBIT
 
 
 def dense_site_configs():
@@ -156,11 +158,48 @@ def random_state(rng, L, nterms=4, max_count=2):
     return MixedState([(1.0, PureState(terms))])
 
 
+# -- np.roll references for the engine's in-place cyclic scans -----------------
+
+
+def run_by_rolls(codes, script):
+    """primitives._run on site codes of shape (..., L), with each shift
+    step's pointer digit moved by one np.roll copy."""
+    for step in _compile(script):
+        v = np.take(step[-1], codes)
+        codes = v if step[0] == "table" else (v >> 3) + np.roll(v & 7, step[1], axis=-1)
+    return codes
+
+
+def homes_by_rolls(a, n):
+    """oracle_homes by one np.roll per window offset: a_k == 1 and the n
+    sites to its left (cyclically, along the last axis) hold two or more."""
+    a = np.asarray(a)
+    homes = a == 1
+    for j in range(1, n + 1):
+        homes = homes & np.roll(a >= 2, j, axis=-1)
+    return homes
+
+
+def homes_of_codes_by_rolls(codes, n):
+    """protocols._homes by np.roll: the homes of formatted site codes of one
+    ring, or the StrayAtomsError of the occupied sites outside them."""
+    homes = codes == _HOME
+    for j in range(1, n + 1):
+        homes = homes & np.roll(codes == _QUBIT, j)
+    cover = homes.copy()
+    for j in range(1, n + 1):
+        cover = cover | np.roll(homes, -j)
+    strays = np.flatnonzero((codes != 0) & ~cover)
+    if strays.size:
+        raise StrayAtomsError(strays.tolist())
+    return np.flatnonzero(homes)
+
+
 def expected_formatted(a, n):
     """Full (..., L, 3) occupation pattern the oracle predicts after
     depopulating and formatting the a-counts."""
     a = np.asarray(a)
-    homes = oracle_homes(a, n)
+    homes = homes_by_rolls(a, n)
     window = np.zeros_like(homes)
     for j in range(1, n + 1):
         window = window | np.roll(homes, -j, axis=-1)

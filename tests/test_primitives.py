@@ -15,6 +15,7 @@ from helpers import (
     op_matrix,
     random_config,
     random_state,
+    run_by_rolls,
     run_op,
     sole_config,
     step_terms,
@@ -42,8 +43,8 @@ from latticeqc import (
     execute,
 )
 from latticeqc import primitives
-from latticeqc.lattice import _encode
-from latticeqc.primitives import _groups, _step
+from latticeqc.lattice import _SITE_TABLE, _encode
+from latticeqc.primitives import _groups, _run, _step
 
 SQ = math.sqrt
 
@@ -699,6 +700,29 @@ def test_execute_matches_apply_classical_on_a_long_lattice():
     ((weight, state),) = out.branches
     assert counts == [] and weight == 1.0 and state.amps.tolist() == [1.0]
     assert np.array_equal(sole_config(out).sites, apply_classical(occ, script))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 17])
+def test_shift_steps_match_np_roll(L):
+    # every shift, past the ring both ways too, on batches of any rank; the
+    # table pending at a shift folds into its packed lookup, one follows it
+    rng = np.random.default_rng(40 + L)
+    for shape in ((L,), (4, L), (2, 3, L)):
+        codes = rng.integers(0, len(_SITE_TABLE), size=shape).astype(np.uint16)
+        occ = _SITE_TABLE[codes]
+        kept = codes.copy(), occ.copy()
+        for x in (-2 * L - 1, -L - 1, -L, -1, 0, 1, L - 1, L, L + 1, 2 * L + 3):
+            script = Script([PairTransfer(2, 1, 1), Shift(x), WSwap(), Shift(1)])
+            want = run_by_rolls(codes, script)
+            assert np.array_equal(_run(codes, script), want), (shape, x)
+            assert np.array_equal(apply_classical(occ, script), _SITE_TABLE[want]), (shape, x)
+            assert np.array_equal(codes, kept[0]) and np.array_equal(occ, kept[1])
+
+
+def test_shift_of_an_empty_ring_or_batch():
+    for shape in ((2, 0, 3), (0, 3), (0, 4, 3)):
+        out = apply_classical(np.zeros(shape, np.int64), Script([Shift(1)]))
+        assert out.shape == shape
 
 
 def test_apply_classical_rejects_quantum_ops():

@@ -35,9 +35,15 @@ from latticeqc import (
 )
 from latticeqc.lattice import _encode
 from latticeqc.primitives import _run
-from latticeqc.protocols import _format_codes, _homes, format_counts
+from latticeqc.protocols import _HOME, _QUBIT, _format_codes, _homes, _left_window, format_counts
 
-from helpers import expected_formatted, repair_occupations_dense, sole_config
+from helpers import (
+    expected_formatted,
+    homes_by_rolls,
+    homes_of_codes_by_rolls,
+    repair_occupations_dense,
+    sole_config,
+)
 
 
 def run_on_counts(a_counts, script):
@@ -258,6 +264,46 @@ def test_prop_oracle_homes_on_raw_counts(a, n):
         assert_array_equal(oracle_homes(row, n), row_homes)
         assert_array_equal(row_homes, oracle_homes(np.minimum(row, 2), n))
         assert_array_equal(verify_formatted(format_counts(row, n), n), oracle_computers(row, n))
+
+
+def _homes_or_strays(homes, codes, n):
+    try:
+        return homes(codes, n).tolist()
+    except StrayAtomsError as exc:
+        return exc.sites
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 17])
+def test_home_scans_match_np_roll(L):
+    # windows as long as the ring and past it, on batches of any rank
+    rng = np.random.default_rng(60 + L)
+    for n in sorted({1, L - 1, L, L + 1, 2 * L + 1} - {0}):
+        for shape in ((L,), (4, L), (2, 3, L)):
+            a = rng.integers(0, 4, size=shape)
+            kept = a.copy()
+            assert_array_equal(oracle_homes(a, n), homes_by_rolls(a, n))
+            site, left = a == 1, a >= 2
+            kept_left = left.copy()
+            assert_array_equal(_left_window(site, left, n), homes_by_rolls(a, n))
+            assert_array_equal(a, kept)
+            assert_array_equal(left, kept_left)
+        for ring in rng.integers(0, 4, size=(6, L)):
+            formatted = _format_codes(ring, n)  # every occupied site in a computer
+            # and random homes, qubits and empty sites, mostly strays
+            drawn = rng.choice(np.array([0, _QUBIT, _HOME], np.uint16), size=L, p=[0.2, 0.6, 0.2])
+            for codes in (formatted, drawn):
+                kept = codes.copy()
+                assert (_homes_or_strays(_homes, codes, n)
+                        == _homes_or_strays(homes_of_codes_by_rolls, codes, n))
+                assert_array_equal(codes, kept)
+
+
+def test_empty_rings_and_batches():
+    empty = np.array([], np.int64)
+    assert count_computers_protocol(empty, 3) == 0
+    assert oracle_computers(empty, 3).size == 0
+    assert oracle_homes(np.zeros((3, 0)), 2).shape == (3, 0)
+    assert _homes(np.zeros(0, np.uint16), 2).size == 0
 
 
 def test_oracle_window_cannot_wrap_onto_home():

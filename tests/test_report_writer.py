@@ -360,6 +360,28 @@ def test_lists_longer_than_a_join_block_match_stdlib():
     assert cli._dumps(nested) == stdlib(plain(nested))
 
 
+def test_run_report_of_a_long_one_term_state_comes_in_blocks_of_rows():
+    # each term's (L, 3) config reaches the block join, as the config does
+    L = 3 * cli._BLOCK + 5
+    occ = np.random.default_rng(3).integers(0, 3, size=(L, 3))
+    final, counts = execute(classical(occ.tolist()), Script.parse("W\nS 3\nU 2 1 1\nS -3\n"))
+    report = {"counts": counts, "state": final.to_json_obj(), "config": occ}
+    out: list[str] = []
+    cli._put(report, "\n", out)
+    text = "".join(out)
+    assert text == stdlib(plain(report))
+    # the config under state has the longest rows; one block of them is the bound
+    nested = [stdlib({"state": {"branches": [{"terms": [{"config": occ[:k].tolist()}]}]}})
+              for k in (1, 2)]
+    row = len(nested[1]) - len(nested[0])  # a row and its comma
+    assert max(map(len, out)) <= cli._BLOCK * row
+    for obj in ([occ, occ], [{"a": occ}, {"b": occ}]):  # no record path: key sets differ
+        out = []
+        cli._put(obj, "\n", out)
+        assert "".join(out) == stdlib(plain(obj))
+        assert max(map(len, out)) < len("".join(out)) // 4  # no piece holds a whole config
+
+
 def test_records_of_mixed_columns_match_stdlib():
     empty = np.zeros(0, dtype=np.int16)
     records = [
