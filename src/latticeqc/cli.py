@@ -379,6 +379,18 @@ def cmd_run(args) -> tuple:
     return report, 0, f"ran {len(script)} ops; {len(counts)} counts recorded"
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its generators with non-negative ints
+    only.  A value that is no int gets argparse's own message for one."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 @cache  # one parser per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -391,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("format", help="sample or load a lattice and format it")
     p.add_argument("--L", type=int, default=64)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lattice", help="JSON file with [[a,b,p], ...] sites")
     _add_dist_flags(p)
     p.add_argument("--check-oracle", action="store_true")
@@ -411,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=100000)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for trials (results independent of jobs)")
     _add_dist_flags(p)
@@ -423,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, default=None,
                    help="defect rate after repair (default 1/n)")
-    p.add_argument("--seed", type=int, default=0)
     _add_dist_flags(p, p0=0.05, p1=0.1)
     p.set_defaults(p3=0.1, p4=0.3)
     p.set_defaults(func=cmd_repair)
@@ -431,9 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a script file on a lattice file")
     p.add_argument("script")
     p.add_argument("lattice")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_run)
 
+    for name, default in (("format", 0), ("stats", 0), ("repair", 0), ("run", None)):
+        sub.choices[name].add_argument("--seed", type=_seed, default=default)
     for p in sub.choices.values():
         p.add_argument("--out")
     return parser

@@ -176,6 +176,26 @@ def _encode(occ) -> np.ndarray:
     return a * np.uint16(_R * _R) + b * np.uint16(_R) + p
 
 
+# re*re + im*im lies within a few ulps of |z|^2 and hypot within one ulp
+# of |z|, so outside PRUNE_TOL**2 widened by a relative 2e-12 the square
+# decides as hypot does; below _HYPOT_ALL items hypot alone is quicker.
+_SQUARE_LO, _SQUARE_HI = (PRUNE_TOL * (1 - 1e-12)) ** 2, (PRUNE_TOL * (1 + 1e-12)) ** 2
+_HYPOT_ALL = 512
+
+
+def _live(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """np.hypot(re, im) >= PRUNE_TOL on finite parts, computing hypot only
+    for the items whose squared modulus lies near PRUNE_TOL**2."""
+    if re.size < _HYPOT_ALL:
+        return np.hypot(re, im) >= PRUNE_TOL
+    square = re * re
+    square += im * im
+    live = square >= _SQUARE_HI
+    near = np.flatnonzero(live != (square >= _SQUARE_LO))
+    live[near] = np.hypot(re[near], im[near]) >= PRUNE_TOL
+    return live
+
+
 def _lexsorted(codes: np.ndarray, amps: np.ndarray) -> tuple:
     """Rows of codes in lexicographic order, with their amplitudes; one row as it is."""
     if len(codes) < 2:
@@ -206,7 +226,7 @@ class PureState:
     def _from_codes(cls, codes: np.ndarray, amps: np.ndarray) -> "PureState":
         """A state from distinct code rows in lexicographic order (see
         :func:`_lexsorted`), dropping amplitudes below PRUNE_TOL."""
-        keep = np.hypot(amps.real, amps.imag) >= PRUNE_TOL
+        keep = _live(amps.real, amps.imag)
         if not keep.all():
             codes, amps = codes[keep], amps[keep]
         if not amps.size:

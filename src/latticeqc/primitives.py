@@ -40,13 +40,13 @@ import numpy as np
 
 from .lattice import (
     M_MAX,
-    PRUNE_TOL,
     _SITE_TABLE,
     MixedState,
     OccupationOverflowError,
     PureState,
     _encode,
     _lexsorted,
+    _live,
 )
 
 
@@ -278,19 +278,22 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 # the pointer digit in one uint16, and an in-place add of the pointer
 # digit moved x sites along the ring (_roll_into).
 # Input occupations of any integer dtype encode without a copy to int64
-# (lattice._encode).  _run is the one runner of compiled steps, and the
-# engine runs a swap, a shift or the zeroing of an emptying channel as
-# its one-op script on every row.  _step sends COUNTP, the one op that
-# couples branches, to _count_p and maps every other op over the
-# branches one at a time through _parts.  The other kernels group equal
-# keys through _groups, one stable sort: a Collide computes one phase
-# factor per distinct weight sum(a*p), an emptying channel branches on
-# the emptied level's digit rows in sorted order, COUNTP sums Born
-# weights per pointer total, both renormalize through _collapse, and a
-# rotation carries each row as one packed key of per-site ids, expands it
-# site by site through per-id tables memoized by (op, held codes), sums
-# equal keys where two rows can meet, kept in order of first occurrence,
-# and sorts and decodes the keys once (see _rotate).  Amplitudes round as
+# (lattice._encode).  _run is the one runner of compiled steps: execute
+# runs each maximal run of swaps and shifts as one script on every row
+# (_moved), and _parts the zeroing of an emptying channel as its one-op
+# script.  _step sends a swap or a shift to _moved, COUNTP, the one op
+# that couples branches, to _count_p, and maps every other op over the
+# branches one at a time through _parts.  Sums over the sites of code
+# rows run down the transposed rows, one contiguous column per site.  The
+# other kernels group equal keys through _groups, one stable sort: a
+# Collide computes one phase factor per distinct weight sum(a*p), an
+# emptying channel branches on the emptied level's digit rows in sorted
+# order, COUNTP sums Born weights per pointer total, both renormalize
+# through _collapse, and a rotation carries each row as one packed key
+# of per-site ids, expands it site by site through per-id tables
+# memoized by (op, held codes), sums equal keys where two rows can meet,
+# kept in order of first occurrence, and sorts and decodes the keys once
+# (see _rotate); its prune test is lattice._live.  Amplitudes round as
 # a {config: amplitude} dict loop does (tests/helpers.py keeps it): a moved
 # term is 0.0 + amp, complex products are written as real products, sums
 # run in the dict's order, and each |a|^2 is Python's abs(a) ** 2, one
@@ -300,6 +303,7 @@ def _op_from_tokens(tok: list[str]) -> PrimitiveOp:
 # Per-code constants: the weight a*p of a Collide and each level's digit.
 _A_P = np.prod(_SITE_TABLE[:, ::2], axis=1).astype(np.uint16)
 _DIGITS = np.ascontiguousarray(_SITE_TABLE.T, dtype=np.uint8)
+_MOVES = ("swap", "shift")  # the kinds that only permute configurations
 
 
 @lru_cache(maxsize=256)
@@ -389,7 +393,7 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts[1:] = sort[1:] != sort[:-1]
     group = np.empty_like(order)
     group[order] = np.cumsum(starts) - 1
-    return group, order[starts]
+    return group, order[np.flatnonzero(starts)]
 
 
 # The most site cells (rows times sites) one rotation step may expand a
@@ -401,10 +405,11 @@ ROTATION_CELLS = 2 ** 24
 def _rotation_tables(op, held: bytes) -> tuple:
     """_rotate's tables for op on the held codes (their sorted intp bytes).
     Ids number held codes and images in code order.  Per code: fixed, id;
-    per id: code, image count (0 unless held: a site turns once), first
-    slot, and meets (shares an image with another held id); per slot: id
-    step, amplitude.  No exception is cached: a refusal names the lowest
-    held code past the op's cutoff on every call."""
+    per id: code, image count (0 unless held: a site turns once), its
+    slots in order, padded with -1 to the largest count, and meets (shares
+    an image with another held id); per slot: id step, amplitude.  No
+    exception is cached: a refusal names the lowest held code past the
+    op's cutoff on every call."""
     held = np.frombuffer(held, dtype=np.intp)
     images = {site: op.images(site) for site in map(tuple, _SITE_TABLE[held].tolist())}
     fixed = np.zeros(len(_SITE_TABLE), dtype=bool)
@@ -416,12 +421,24 @@ def _rotation_tables(op, held: bytes) -> tuple:
     ident = np.cumsum(alphabet) - 1  # code -> id, on the alphabet
     source = np.repeat(ident.take(held), [len(img) for img in images.values()])  # per slot
     count = np.bincount(source, minlength=len(code))
+    slots = np.full((len(code), count.max()), -1)
+    within = np.arange(len(source)) - (np.cumsum(count) - count).take(source)
+    slots[source, within] = np.arange(len(source))
     meets = np.bincount(source, np.bincount(targets).take(targets) > 1, minlength=len(code)) > 0
-    tables = (fixed, ident.astype(np.uint64), code, count, np.cumsum(count) - count, meets,
+    tables = (fixed, ident.astype(np.uint64), code, count, slots, meets,
               (ident.take(targets) - source).astype(np.uint64), ure, uim)
     for arr in tables:
         arr.setflags(write=False)  # the cache hands these to every caller
     return tables
+
+
+def _held(codes: np.ndarray) -> bytes:
+    """The distinct codes of a code array, sorted, as _rotation_tables'
+    intp bytes: one sort of a copy, freed on return."""
+    codes = np.sort(codes, axis=None)
+    last = np.ones(codes.size, dtype=bool)  # the last of each run of equal codes
+    np.not_equal(codes[1:], codes[:-1], out=last[:-1])
+    return codes[last].astype(np.intp).tobytes()
 
 
 def _rotate(st: PureState, op) -> tuple:
@@ -432,9 +449,10 @@ def _rotate(st: PureState, op) -> tuple:
     rows are summed in that order and kept in order of first occurrence.
     Rows enter distinct, so two meet only where the column holds two ids
     that share an image: a constant column, or one where no id meets,
-    keeps the rows as they come, each amplitude + 0.0 as a sum of one.
-    A site whose codes are all fixed only turns -0.0 parts into 0.0, which
-    the final + 0.0 does for all of them (tables: see _rotation_tables).
+    keeps the rows and their products as they come.  A sum of one there,
+    like a site whose codes are all fixed, would only turn -0.0 parts into
+    0.0; no nonzero part depends on the sign of a zero, and the final
+    + 0.0 turns every zero part into 0.0 (tables: see _rotation_tables).
 
     The rows travel through the sites as packed keys, not code rows.  A
     row is its columns' ids in fields of ``bits`` bits, column 0 in the
@@ -446,24 +464,32 @@ def _rotate(st: PureState, op) -> tuple:
     each image's id step, which uint64 wraparound keeps exact.  The keys
     are sorted once, after the last site.  They are built and decoded one
     field position at a time, across all words, so neither holds more
-    than one id per row and word at once.
+    than one id per row and word at once.  The column tests and the id
+    build read the codes transposed, one site per contiguous row, from a
+    copy freed before the first site, and the keys are built word-major.
     """
     codes, re, im = st.codes, st.amps.real, st.amps.imag
-    held = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(_SITE_TABLE))).tobytes()
-    fixed, ident, code, count, first_slot, meets, step, ure, uim = _rotation_tables(op, held)
+    rows, L = codes.shape
+    tables = _rotation_tables(op, _held(codes))
+    fixed, ident, code, count, slots, meets, step, ure, uim = tables
     bits = max(1, (len(code) - 1).bit_length())
     per, mask = 64 // bits, np.uint64((1 << bits) - 1)  # fields per word, field mask
     shift = (64 - bits * np.arange(1, per + 1)).astype(np.uint64)
-    rows, L = codes.shape
-    still, same = fixed.take(codes), (codes == codes[0]).all(axis=0)
-    kept = np.flatnonzero(~(same & still[0]))
+    # before the transposed copy exists: take's intp copy of its indices is
+    # the largest temporary here, and it follows their order, a site per row
+    still = fixed.take(codes.T).all(axis=1)  # columns whose every code the op fixes
+    sites = np.ascontiguousarray(codes.T)  # column k of the rows is row k
+    same = sites.min(axis=1) == sites.max(axis=1)  # constant columns
+    kept = np.flatnonzero(~(same & still))
     words = max(1, -(-len(kept) // per))
-    key = np.zeros((rows, words), dtype=np.uint64)
+    key = np.zeros((words, rows), dtype=np.uint64)  # built word by word, then transposed
     for i in range(min(per, len(kept))):  # field i of every word
         cols = kept[i::per]
-        key[:, :len(cols)] |= ident.take(codes[:, cols]) << shift[i]
+        key[:len(cols)] |= (ident << shift[i]).take(sites[cols])
+    key = np.ascontiguousarray(key.T)
+    rotated = np.flatnonzero(~still)
+    del sites  # the site loop holds keys and amplitudes alone
 
-    rotated = np.flatnonzero(~still.all(axis=0))
     for c, f in zip(rotated.tolist(), np.searchsorted(kept, rotated).tolist()):
         w, s = f // per, int(shift[f % per])
         old = ((key[:, w] >> s) & mask).view(np.int64)
@@ -473,22 +499,27 @@ def _rotate(st: PureState, op) -> tuple:
             raise ValueError(
                 f"{_op_to_text(op)} would expand the state to {total} rows of "
                 f"{L} sites, past {ROTATION_CELLS} site cells")
-        # row i's images take the slots first_slot[old[i]] + 0, 1, ...
-        slot = np.arange(total) + np.repeat(first_slot.take(old) - (np.cumsum(cnt) - cnt), cnt)
-        new = np.repeat(key, cnt, axis=0)
-        new[:, w] += step.take(slot) << s
-        pre, pim = _cmul(np.repeat(re, cnt), np.repeat(im, cnt), ure.take(slot), uim.take(slot))
+        slot = slots.take(old, axis=0)  # row i's images take the slots of id old[i]
+        slot = slot.ravel() if slot.size == total else slot[slot >= 0]
+        new = key.repeat(cnt, axis=0)
+        new[:, w] += (step << s).take(slot)
+        pre, pim = _cmul(re.repeat(cnt), im.repeat(cnt), ure.take(slot), uim.take(slot))
         if same[c] or not meets.take(old).any():  # no two rows meet here
-            re, im = pre + 0.0, pim + 0.0
+            re, im = pre, pim
         else:
             # big-endian words sort by their bytes as the keys do; past the first
             # sites the rows come nearly sorted, which the stable sort is quick on
             group, first = _groups(new[:, 0] if words == 1 else new.byteswap())
-            first = np.sort(first)  # the groups' first rows, in order
-            new, order = new[first], group[first]  # groups by first occurrence
+            at = np.zeros(total, dtype=bool)
+            at[first] = True
+            at = np.flatnonzero(at)  # the groups' first rows, in order
+            new, order = new[at], group[at]  # groups by first occurrence
             re, im = np.bincount(group, pre)[order], np.bincount(group, pim)[order]
-        keep = np.hypot(re, im) >= PRUNE_TOL
-        key, re, im = (new, re, im) if keep.all() else (new[keep], re[keep], im[keep])
+        keep = _live(re, im)
+        if not keep.all():
+            keep = np.flatnonzero(keep)
+            new, re, im = new[keep], re[keep], im[keep]
+        key = new
 
     order = np.argsort(key[:, 0]) if words == 1 else np.lexsort(key.T[::-1])
     key = key[order]
@@ -513,9 +544,9 @@ def _collapse(codes: np.ndarray, amps: np.ndarray, rows: np.ndarray) -> tuple:
 
 
 def _parts(st: PureState, op) -> list:
-    """The (weight, branch) parts of one pure branch under an op other
-    than COUNTP: one per digit row of an emptying channel's level, in
-    sorted order, or one of weight 1.0 for a unitary."""
+    """The (weight, branch) parts of one pure branch under an op that
+    neither moves terms nor counts: one per digit row of an emptying
+    channel's level, in sorted order, or one of weight 1.0 for a unitary."""
     if op.kind == "empty":
         zeroed = _run(st.codes, Script([op]))
         group, first = _groups(np.take(_DIGITS[op.level], st.codes))  # uint8 sorts like digits
@@ -523,16 +554,28 @@ def _parts(st: PureState, op) -> list:
         return [_collapse(zeroed, amps, group == g) for g in range(len(first))]
     if op.kind == "rotate":
         codes, amps = _rotate(st, op)
-    elif op.kind == "phase":
-        weights = np.take(_A_P, st.codes).sum(axis=1)
+    else:  # a phase; the site sum runs along each site's contiguous column
+        weights = np.take(_A_P, st.codes.T).sum(axis=0)
         group, first = _groups(weights)
         f = np.array([cmath.exp(1j * op.phi * w) for w in weights[first].tolist()])[group]
         codes, amps = st.codes, _complex(*_cmul(st.amps.real, st.amps.imag, f.real, f.imag))
-    elif op.kind == "swap" and op.pair()[0] == op.pair()[1]:
-        codes, amps = st.codes, st.amps  # moves no term
-    else:
-        codes, amps = _lexsorted(_run(st.codes, Script([op])), st.amps + 0.0)
     return [(1.0, PureState._from_codes(codes, amps))]
+
+
+def _moved(state: MixedState, ops) -> MixedState:
+    """A run of swaps and shifts on every branch as one compiled script:
+    one sort of each branch's rows, one + 0.0 of its amplitudes and one
+    MixedState.  The run permutes each branch's configurations, so rows
+    stay distinct and no two distinct branches become equal, and the
+    result is that of the ops one at a time.  A swap of a site with itself
+    moves no term: a run of such swaps alone returns the state as it is,
+    -0.0 parts included."""
+    if all(op.kind == "swap" and op.pair()[0] == op.pair()[1] for op in ops):
+        return state
+    script = Script(ops)
+    return MixedState([
+        (w, PureState._from_codes(*_lexsorted(_run(st.codes, script), st.amps + 0.0)))
+        for w, st in state.branches])
 
 
 def _count_p(state: MixedState, rng: np.random.Generator | None) -> tuple:
@@ -542,7 +585,7 @@ def _count_p(state: MixedState, rng: np.random.Generator | None) -> tuple:
     itself comes back and no randomness is consumed, so runs on classical
     ensembles stay deterministic.
     """
-    totals = [np.take(_DIGITS[2], st.codes).sum(axis=1) for _, st in state.branches]
+    totals = [np.take(_DIGITS[2], st.codes.T).sum(axis=0) for _, st in state.branches]
     group, first = _groups(every := np.concatenate(totals))
     outcomes = every[first].tolist()
     if len(outcomes) == 1:
@@ -570,6 +613,8 @@ def _step(
     for every other op)."""
     if type(op) not in _OPS:
         raise TypeError(f"unknown op {op!r}")
+    if op.kind in _MOVES:
+        return _moved(state, (op,)), None
     if op.kind == "count":
         parts, outcome = _count_p(state, rng)
         return (parts if parts is state else MixedState(parts)), outcome
@@ -595,11 +640,18 @@ def apply_classical(occ: np.ndarray, script: Script) -> np.ndarray:
 def execute(
     state: MixedState, script: Script, rng: np.random.Generator | None = None
 ) -> tuple[MixedState, list[float]]:
-    """Run a script op by op; returns the final state and any COUNTP outcomes."""
+    """Run a script; returns the final state and any COUNTP outcomes.  Each
+    maximal run of consecutive swaps and shifts steps as one (_moved), and
+    every other op steps alone."""
     counts: list[float] = []
+    run: list = []
     for op in script:
+        if type(op) in _OPS and op.kind in _MOVES:
+            run.append(op)
+            continue
+        state, run = _moved(state, run), []
         state, value = _step(state, op, rng)
         if value is not None:
             counts.append(value)
-    return state, counts
+    return _moved(state, run), counts
 

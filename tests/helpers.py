@@ -17,17 +17,19 @@ from latticeqc import (
     StrayAtomsError,
     classical,
     execute,
+    repair_round_script,
 )
 from latticeqc.lattice import (
     BRANCH_MERGE_TOL,
     NORM_TOL,
     PRUNE_TOL,
+    _SITE_TABLE,
     _branch_signature,
     _close,
     _encode,
     _lexsorted,
 )
-from latticeqc.primitives import _compile
+from latticeqc.primitives import _compile, _run
 from latticeqc.protocols import _HOME, _QUBIT
 
 
@@ -238,6 +240,24 @@ def repair_occupations_dense(a):
     if report.residual_empty or report.residual_single:
         warnings.warn("insufficient donors", RuntimeWarning)
     return a, report
+
+
+def repair_by_script(a):
+    """The repair protocol itself on a-level counts: repair_round_script
+    at x = 1, 2, ... per phase, run through the compiled engine, with the
+    sweep's stop rule above.  Returns the (L, 3) site rows and the rounds
+    run."""
+    a = np.asarray(a)
+    codes = _encode(np.stack([a, 0 * a, 0 * a], axis=-1))
+    donor, empty, single = _encode([(4, 0, 0), (0, 0, 0), (1, 0, 0)]).tolist()
+    rounds = 0
+    for phase, defect in (("fill_empty", empty), ("fill_single", single)):
+        for x in range(1, a.size):
+            if not (codes == defect).any() or not (codes == donor).any():
+                break
+            codes = _run(codes, repair_round_script(x, phase))
+            rounds += 1
+    return _SITE_TABLE[codes], rounds
 
 
 def merge_branches_pairwise(branches):

@@ -726,6 +726,20 @@ def test_usage_error_exits_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["format", "--n", "1"], ["stats", "--n", "1"],
+                                  ["repair", "--n", "1"], ["run", "s.txt", "lattice.json"]])
+def test_negative_seed_is_a_usage_error_that_names_its_flag(capsys, argv):
+    # numpy seeds with non-negative ints only; the parser refuses -1 first
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--seed", "-1"])
+    assert err.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --seed: must be a non-negative integer, got -1\n")
+    with pytest.raises(SystemExit):
+        main(argv + ["--seed", "x"])
+    assert capsys.readouterr().err.endswith("error: argument --seed: invalid int value: 'x'\n")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])

@@ -18,7 +18,9 @@ from latticeqc import (
 from latticeqc.lattice import (
     M_MAX,
     PRUNE_TOL,
+    _HYPOT_ALL,
     _branch_signature,
+    _live,
     _merge_branches,
     check_sites,
     read_sites,
@@ -141,6 +143,26 @@ def test_pure_state_prunes_tiny_terms():
     for terms in cases:
         assert_matches_dict_constructor(terms)
     assert PureState({c1: 1.0, over: 1e-16}).terms == {c1: 1.0}
+
+
+@given(st.integers(0, 2**32), st.sampled_from([2, 7, _HYPOT_ALL - 1, _HYPOT_ALL, 3000]))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_prop_live_parts_are_hypot_at_prune_tol(seed, n):
+    # the squared modulus decides away from PRUNE_TOL and hypot near it, on
+    # arrays below and past _HYPOT_ALL: moduli within 40 ulps of PRUNE_TOL at
+    # any angle and on the axes, signed zeros, subnormals and large moduli
+    rng = np.random.default_rng(seed)
+    r = PRUNE_TOL * (1 + rng.integers(-40, 41, n) * 2.0 ** -52)
+    r *= np.where(rng.random(n) < 0.3, 10.0 ** rng.uniform(-310, 14, n), 1.0)
+    theta = rng.uniform(-math.pi, math.pi, n)
+    re, im = r * np.cos(theta), r * np.sin(theta)
+    axis = rng.random(n) < 0.2
+    re[axis], im[axis] = r[axis] * rng.choice([-1.0, 1.0], axis.sum()), rng.choice([-0.0, 0.0])
+    re[:2], im[:2] = [PRUNE_TOL, -0.0], [0.0, np.nextafter(PRUNE_TOL, 0.0)]
+    kept = (re.copy(), im.copy())
+    live = _live(re, im)
+    assert live.dtype == bool and np.array_equal(live, np.hypot(re, im) >= PRUNE_TOL)
+    assert np.array_equal(re, kept[0]) and np.array_equal(im, kept[1])
 
 
 def test_pure_state_canonical_order():

@@ -242,6 +242,24 @@ def test_collide_prunes_an_amplitude_its_factor_moves_below_prune_tol():
     assert _reprs(out) == _reprs(step_terms(state, Collide(0.024))[0])
 
 
+def test_site_sums_past_the_width_of_a_site_table():
+    # 11,000 sites of (6, 0, 6): each a*p = 36 and each p = 6 fits the
+    # uint16 and uint8 tables, but the sums over the sites, a*p up to
+    # 396,000 and the pointer totals up to 66,000, pass 2**16
+    full = [(6, 0, 6)] * 11_000
+    rows = [full, full[:-1] + [(6, 0, 5)]]
+    state = MixedState([(1.0, PureState(dict(zip(map(BasisConfig.from_counts, rows),
+                                                 [0.6, 0.8j]))))])
+    for op in (Collide(0.3), CountP()):
+        rng, rng_ref = np.random.default_rng(2), np.random.default_rng(2)
+        out, value = _step(state, op, rng)
+        ref, value_ref = step_terms(state, op, rng_ref)
+        assert value == value_ref and _reprs(out) == _reprs(ref)
+        assert rng.random() == rng_ref.random()
+    assert execute(state, Script([CountP()]), np.random.default_rng(2))[1] in ([66_000.0],
+                                                                                [65_999.0])
+
+
 # -- shift -------------------------------------------------------------------
 
 
@@ -792,23 +810,39 @@ _ORDER_CASE = MixedState([(1.0, PureState({
 }))])
 
 
+# Two self-swaps in a row on a state with -0.0 parts: a run of swaps that
+# move no term must leave every signed zero as it is.
+_SIGNED_ZEROS = MixedState([(1.0, PureState({BasisConfig.from_counts(c): z for c, z in [
+    ([(1, 0, 1), (2, 0, 0)], complex(-0.0, math.sqrt(0.5))),
+    ([(2, 0, 0), (1, 0, 1)], complex(math.sqrt(0.5), -0.0)),
+]}))])
+
+
 @given(mixed_states(), st.lists(_any_op(), min_size=1, max_size=4), st.integers(0, 2**32))
 @example(_ORDER_CASE, [ABRotation(-1.5699505104210034), ABRotation(0.8147159229441217)], 0)
+@example(_SIGNED_ZEROS, [PairTransfer(1, 1, 0), PairTransfer(2, 0, 0)], 0)
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_prop_engine_matches_dict_engine(state, ops, seed):
-    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref = state
+    # op by op through _step, and the whole list through execute, which
+    # steps each run of swaps and shifts as one compiled script
+    rng, rng_ref, rng_run = (np.random.default_rng(seed) for _ in range(3))
+    start, ref, values = state, state, []
     for op in ops:
         try:
             ref, value_ref = step_terms(ref, op, rng_ref)
         except OccupationOverflowError:
             with pytest.raises(OccupationOverflowError):
                 _step(state, op, rng)
+            with pytest.raises(OccupationOverflowError):
+                execute(start, Script(ops), rng_run)
             return
         state, value = _step(state, op, rng)
         assert value == value_ref
         assert _reprs(state) == _reprs(ref)
-    assert rng.random() == rng_ref.random()  # the same draws were taken
+        values += [] if value_ref is None else [value_ref]
+    out, counts = execute(start, Script(ops), rng_run)
+    assert counts == values and _reprs(out) == _reprs(ref)
+    assert rng.random() == rng_ref.random() == rng_run.random()  # the same draws were taken
 
 
 def _pointer_rows(L, live):

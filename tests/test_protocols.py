@@ -33,6 +33,7 @@ from latticeqc import (
     sample_occupations,
     verify_formatted,
 )
+from latticeqc.cli import _dist_from_args, build_parser
 from latticeqc.lattice import _encode
 from latticeqc.primitives import _run
 from latticeqc.protocols import _HOME, _QUBIT, _format_codes, _homes, _left_window, format_counts
@@ -41,6 +42,7 @@ from helpers import (
     expected_formatted,
     homes_by_rolls,
     homes_of_codes_by_rolls,
+    repair_by_script,
     repair_occupations_dense,
     sole_config,
 )
@@ -536,6 +538,19 @@ def test_repair_rounds_match_vectorized_driver():
                 occ = apply_classical(occ, repair_round_script(x, phase))
         assert_array_equal(occ[:, 0], repaired)
         assert not occ[:, 1:].any()
+
+
+def test_repair_script_on_ten_thousand_sites_matches_the_driver():
+    # the protocol's own rounds on repair's default fill at L = 10^4, swept
+    # through the compiled engine until a phase runs out of donors or of
+    # defects, land where the one-pass driver does, in as many rounds
+    dist = _dist_from_args(build_parser().parse_args(["repair", "--n", "1"]))
+    a = sample_occupations(10_000, dist, np.random.default_rng(1))
+    repaired, report = repair_occupations(a)
+    sites, rounds = repair_by_script(a)
+    assert_array_equal(sites[:, 0], repaired)
+    assert not sites[:, 1:].any()
+    assert rounds == report.rounds and report.residual_empty == report.residual_single == 0
 
 
 def test_repair_with_surplus_donors_clears_everything():
