@@ -221,20 +221,26 @@ class RepairReport:
 
 
 def repair_occupations(a: np.ndarray) -> tuple[np.ndarray, RepairReport]:
-    """Run repair rounds directly on a-level counts (b and p empty).
+    """Run repair rounds directly on a-level counts (b and p empty); returns
+    an int64 copy repaired by :func:`_repair` and its report.  The ring is
+    checked as :func:`format_counts` checks it, and at most 4."""
+    a = _ring(a)
+    if a.max(initial=0) > 4:
+        raise ValueError("repair expects counts depopulated to <= 4")
+    a = a.astype(np.int64)  # a copy: the caller's array stays as it is
+    return a, _repair(a)
+
+
+def _repair(a: np.ndarray) -> RepairReport:
+    """Repair the counts 0..4 of a ring the caller owns, in place.
 
     Equivalent to repeatedly applying :func:`repair_round_script`, whose
     sweep (x = 1 .. L-1 per phase) pairs donors with defects as nested
     brackets pair on the ring: no unspent donor or defect lies between a
     pair, or it would have paired at a shorter shift.  Each phase finds
     its pairs with one stable sort and counts its longest shift as rounds.
-    The ring is checked as :func:`format_counts` checks it, and at most 4.
     """
-    a = _ring(a).astype(np.int64)  # a copy: the caller's array stays as it is
-    if a.max(initial=0) > 4:
-        raise ValueError("repair expects counts depopulated to <= 4")
     L = a.size
-
     fixed = executed = 0
     for defect_val in (0, 1):
         donor = a == 4
@@ -270,7 +276,7 @@ def repair_occupations(a: np.ndarray) -> tuple[np.ndarray, RepairReport]:
             f"{report.residual_single} single-atom sites remain",
             RuntimeWarning,
         )
-    return a, report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +293,17 @@ def create_defects_script(eps: float) -> Script:
 def sample_defect_creation(
     a: np.ndarray, eps: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one classical branch of the defect-creation channel on raw a-counts."""
+    """Draw one classical branch of the defect-creation channel on raw
+    a-counts; returns an int64 copy (see :func:`_create_defects`)."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"defect rate eps must lie in [0, 1], got {float(eps)!r}")
-    a2 = np.minimum(_counts(a), 2, dtype=np.int64)  # depopulated to two
-    mask = (a2 == 2) & (rng.random(a2.shape) < eps)
-    a2[mask] = 1
+    a2 = _counts(a).astype(np.int64)
+    _create_defects(a2, eps, rng)
     return a2
+
+
+def _create_defects(a: np.ndarray, eps: float, rng: np.random.Generator) -> None:
+    """Depopulate counts the caller owns to two, in place, and turn each
+    two-atom site into a one-atom defect iff its uniform is below eps."""
+    np.minimum(a, 2, out=a)
+    a -= (a == 2) & (rng.random(a.shape) < eps)

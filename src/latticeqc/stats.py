@@ -19,12 +19,12 @@ import numpy as np
 
 from .protocols import (
     RepairReport,
+    _create_defects,
     _format_codes,
     _homes,
+    _repair,
     _ring,
     oracle_homes,
-    repair_occupations,
-    sample_defect_creation,
 )
 
 
@@ -57,19 +57,25 @@ class FillDistribution:
         return cls(p0, p1, 1.0 - p0 - p1)
 
 
-def sample_occupations(
-    L: int, dist: FillDistribution, rng: np.random.Generator
-) -> np.ndarray:
-    """L iid counts drawn as ``rng.choice(5, size=L, p=dist.probs)`` draws
-    them, from the same uniforms: the count of a site is the number of
+def _draw(L: int, dist: FillDistribution, rng: np.random.Generator) -> np.ndarray:
+    """L iid counts as int8, drawn as ``rng.choice(5, size=L, p=dist.probs)``
+    draws them, from the same uniforms: the count of a site is the number of
     cumulative probabilities (the last excepted) at or below its uniform."""
     cdf = dist.probs.cumsum(dtype=float)
     cdf /= cdf[-1]
     u = rng.random(L)
-    out = np.zeros(L, dtype=np.int64)
+    out = np.zeros(L, dtype=np.int8)
     for c in cdf[:-1]:
         out += u >= c
     return out
+
+
+def sample_occupations(
+    L: int, dist: FillDistribution, rng: np.random.Generator
+) -> np.ndarray:
+    """L iid counts as ``rng.choice(5, size=L, p=dist.probs)`` returns them:
+    :func:`_draw`, widened to int64."""
+    return _draw(L, dist, rng).astype(np.int64)
 
 
 def expected_yield(L: int, p0: float, p1: float, n: int) -> float:
@@ -145,8 +151,7 @@ def trial_seeds(seed: int, trials: int) -> list[int]:
 
 def _yield_trial(args) -> int:
     trial_seed, L, dist, n = args
-    return count_computers_protocol(
-        sample_occupations(L, dist, np.random.default_rng(trial_seed)), n)
+    return count_computers_protocol(_draw(L, dist, np.random.default_rng(trial_seed)), n)
 
 
 def monte_carlo_yield(
@@ -242,13 +247,13 @@ def repair_experiment(
     elif not 0.0 <= eps <= 1.0:
         raise ValueError(f"defect rate eps must lie in [0, 1], got {float(eps)!r}")
     rng = np.random.default_rng(seed)
-    a = sample_occupations(L, dist, rng)
+    a = _draw(L, dist, rng)  # one int8 ring, repaired and re-seeded in place
     p0_before = float((a == 0).mean())
     p1_before = float((a == 1).mean())
     yield_before = count_computers_oracle(a, n)
     donors_before = int((a == 4).sum())
-    repaired, report = repair_occupations(a)
-    a_final = sample_defect_creation(repaired, eps, rng)
+    report = _repair(a)
+    _create_defects(a, eps, rng)
     return RepairExperimentReport(
         L=L,
         n=n,
@@ -256,11 +261,11 @@ def repair_experiment(
         seed=seed,
         p0_before=p0_before,
         p1_before=p1_before,
-        p0_after=float((a_final == 0).mean()),
-        p1_after=float((a_final == 1).mean()),
+        p0_after=float((a == 0).mean()),
+        p1_after=float((a == 1).mean()),
         donors_before=donors_before,
         yield_before=yield_before,
-        yield_after=count_computers_oracle(a_final, n),
+        yield_after=count_computers_oracle(a, n),
         prediction_after=expected_yield(L, 0.0, eps, n),
         repair=report,
     )

@@ -11,13 +11,19 @@ from latticeqc import (
     BasisConfig,
     MixedState,
     PureState,
+    RepairExperimentReport,
     RepairReport,
     Script,
     SiteOccupancy,
     StrayAtomsError,
     classical,
+    count_computers_oracle,
     execute,
+    expected_yield,
+    repair_occupations,
     repair_round_script,
+    sample_defect_creation,
+    sample_occupations,
 )
 from latticeqc.lattice import (
     BRANCH_MERGE_TOL,
@@ -258,6 +264,33 @@ def repair_by_script(a):
             codes = _run(codes, repair_round_script(x, phase))
             rounds += 1
     return _SITE_TABLE[codes], rounds
+
+
+def repair_experiment_composed(L, dist, n, eps=None, seed=0):
+    """Reference for :func:`latticeqc.repair_experiment`: the public steps
+    composed, each returning its own int64 array, on one generator."""
+    if eps is None:
+        eps = 1.0 / n
+    rng = np.random.default_rng(seed)
+    a = sample_occupations(L, dist, rng)
+    yield_before = count_computers_oracle(a, n)
+    repaired, report = repair_occupations(a)
+    final = sample_defect_creation(repaired, eps, rng)
+    return RepairExperimentReport(
+        L=L,
+        n=n,
+        eps=eps,
+        seed=seed,
+        p0_before=float((a == 0).mean()),
+        p1_before=float((a == 1).mean()),
+        p0_after=float((final == 0).mean()),
+        p1_after=float((final == 1).mean()),
+        donors_before=int((a == 4).sum()),
+        yield_before=yield_before,
+        yield_after=count_computers_oracle(final, n),
+        prediction_after=expected_yield(L, 0.0, eps, n),
+        repair=report,
+    )
 
 
 def merge_branches_pairwise(branches):

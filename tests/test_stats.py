@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -20,6 +21,8 @@ from latticeqc import (
 )
 from latticeqc import oracle_computers, stats, verify_formatted
 from latticeqc.protocols import _format_codes, _homes, format_counts
+
+from helpers import repair_experiment_composed
 
 
 def test_fill_distribution_validation():
@@ -342,6 +345,48 @@ def test_repair_experiment_deterministic():
     a = repair_experiment(5000, dist, n=4, seed=12)
     b = repair_experiment(5000, dist, n=4, seed=12)
     assert a == b
+
+
+def _warned(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+REPAIR_FILL = (0.05, 0.1, 0.45, 0.1, 0.3)  # repair's default, and the benchmark's
+
+
+@pytest.mark.parametrize(
+    "L, fill, n, eps",
+    [(100_000, REPAIR_FILL, 4, None),
+     (100_000, REPAIR_FILL, 8, None),
+     (20_000, (0.1, 0.1, 0.8), 5, None),  # no donor at all: every defect stays
+     (20_000, (0.1, 0.2, 0.6, 0.0, 0.1), 3, None),  # donors run out
+     (5_000, REPAIR_FILL, 4, 0.0),
+     (5_000, REPAIR_FILL, 4, 1.0),
+     (1, REPAIR_FILL, 1, None),  # n >= L: no ring holds a computer
+     (2, REPAIR_FILL, 3, None),
+     (7, REPAIR_FILL, 7, None),
+     (7, (0.3, 0.3, 0.2, 0.0, 0.2), 9, None),
+     (3_000, (0.0, 0.0, 0.0, 0.0, 1.0), 3, None)],  # all donors: nothing to repair
+)
+def test_repair_experiment_equals_the_composed_public_steps(L, fill, n, eps):
+    # the in-place pipeline on one int8 ring against sample_occupations ->
+    # count_computers_oracle -> repair_occupations -> sample_defect_creation
+    # -> count_computers_oracle, each on its own int64 array
+    dist = FillDistribution(*fill)
+    warned = []
+    for seed in range(4):
+        got, got_warns = _warned(repair_experiment, L, dist, n, eps=eps, seed=seed)
+        want, want_warns = _warned(repair_experiment_composed, L, dist, n, eps=eps, seed=seed)
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        assert repr(got) == repr(want)  # and every field of the same type
+        assert got_warns == want_warns
+        warned += got_warns
+    if dist.p3 + dist.p4 < dist.p0 + dist.p1 and L > 7:  # fewer donors than defects
+        assert warned and all(c is RuntimeWarning for c, _ in warned)
 
 
 @pytest.mark.parametrize("L, n", [(5, 5), (1, 1), (3, 7), (2, 3)])
