@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -48,27 +48,25 @@ def _dist_from_args(args) -> FillDistribution:
     return FillDistribution(args.p0, args.p1, p2, args.p3, args.p4)
 
 
-def _dumps(obj) -> str:
+def _dumps(obj, nl: str = "\n") -> str:
     """The stdlib's JSON text of obj at ``indent=2, sort_keys=True,
-    allow_nan=False``, byte for byte, where a numpy integer array stands
-    for its ``tolist()``; any other array is a TypeError, as in the stdlib.
-    With an indent the stdlib encodes item by item in Python.  Here a list
-    of ints is rendered by one ``map``, and the rows of a 2-D int array, or
-    of a list of 1-D int arrays of one dtype and one shape, are coded as
-    one int64 each so that each distinct row is rendered once: from a
-    table indexed by the code when the codes are few, else after a sort.
-    A list of dicts with one set of str keys is rendered one
-    ``str.format`` per dict, with int and int-row columns filling the
-    template's slots directly.  Other dicts and arrays in a list are put
-    one by one, so no piece of the text holds more than a block of rows.
-    Scalars other than str and int go to ``json.dumps``."""
+    allow_nan=False`` on a line that starts with nl, byte for byte, where a
+    numpy integer array stands for its ``tolist()``; any other array is a
+    TypeError, as in the stdlib.  With an indent the stdlib encodes item by
+    item in Python.  Here a list of ints is rendered by one ``map``, and
+    numpy renders int tables as ASCII bytes a block of rows at a time: the
+    rows of a 2-D int array, or of a list of 1-D int arrays of one dtype
+    and one shape, and a list of dicts with one set of str keys whose
+    columns hold ints, int rows or other scalars (as their JSON texts).
+    Other dicts and arrays in a list are put one by one, so no piece of
+    the text holds more than a block of rows.  Finite floats are written
+    by ``float.__repr__``, other scalars by ``json.dumps``."""
     out: list[str] = []
-    _put(obj, "\n", out)
+    _put(obj, nl, out)
     return "".join(out)
 
 
-_BLOCK = 4096  # list items joined into one piece of out
-_TABLE = 4096  # _rows looks rows up by code up to max(row count, _TABLE) codes
+_BLOCK = 4096  # list items rendered into one piece of out
 
 
 def _put(value, nl: str, out: list):
@@ -80,6 +78,8 @@ def _put(value, nl: str, out: list):
             value = value.tolist()
     if type(value) is int:
         out.append(int.__repr__(value))
+    elif isinstance(value, float) and math.isfinite(value):  # as json.dumps writes it
+        out.append(float.__repr__(value))
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif isinstance(value, (list, tuple, np.ndarray)):
@@ -87,18 +87,15 @@ def _put(value, nl: str, out: list):
             out.append("[]")
             return
         inner = nl + "  "
-        texts, comma = _texts(value, inner), "," + inner
+        pieces, comma = _pieces(value, inner), "," + inner
         out.append("[" + inner)
-        if texts is None:  # each item in turn, so the rows inside reach a block join
-            for k, item in enumerate(value):
-                if k:
-                    out.append(comma)
+        for k, item in enumerate(value if pieces is None else pieces):
+            if k:
+                out.append(comma)
+            if pieces is None:  # each item in turn, so the rows inside reach a table
                 _put(item, inner, out)
-        else:
-            for k in range(0, len(texts), _BLOCK):  # no piece of out megabytes long
-                if k:
-                    out.append(comma)
-                out.append(comma.join(texts[k:k + _BLOCK]))
+            else:
+                out.append(item)
         out.append(nl + "]")
     elif isinstance(value, dict):
         if not value:
@@ -116,18 +113,17 @@ def _put(value, nl: str, out: list):
         out.append(json.dumps(value, allow_nan=False))
 
 
-def _texts(items, nl: str) -> list | None:
-    """The JSON text of each item of a non-empty list, tuple or 2-D int
-    array, on a line that starts with nl; None for dicts no record path
-    takes and for other arrays, which _put puts one by one."""
+def _pieces(items, nl: str) -> list | None:
+    """The text of the items of a non-empty list, tuple or 2-D int array,
+    each on a line that starts with nl, in pieces of at most _BLOCK items
+    joined by commas; None for dicts no record path takes and for other
+    arrays, which _put puts one by one."""
     if isinstance(items, np.ndarray):
-        return _rows(items, nl)
+        return _table(nl, None, [items])
     types = set(map(type, items))
-    if types == {int}:
-        return list(map(int.__repr__, items))
     rows = _stack(items, types)
     if rows is not None:
-        return _rows(rows, nl)
+        return _table(nl, None, [rows])
     if types == {dict}:
         keys = list(items[0])
         if (keys and all(isinstance(key, str) for key in keys)
@@ -140,12 +136,9 @@ def _texts(items, nl: str) -> list | None:
                 pass
     if any(issubclass(t, (dict, np.ndarray)) for t in types):
         return None
-    texts = []
-    for item in items:
-        out: list[str] = []
-        _put(item, nl, out)
-        texts.append("".join(out))
-    return texts
+    texts = list(map(int.__repr__, items)) if types == {int} else [_dumps(x, nl) for x in items]
+    comma = "," + nl
+    return [comma.join(texts[k:k + _BLOCK]) for k in range(0, len(texts), _BLOCK)]
 
 
 def _stack(items, types: set):
@@ -159,73 +152,105 @@ def _stack(items, types: set):
     return None
 
 
-def _row_template(width: int, nl: str) -> str:
-    # the text of a row of width ints on a line that starts with nl, one
-    # slot per int; it holds no brace, so it splices into other templates
-    if not width:
-        return "[]"
-    row_nl = nl + "  "
-    return "[" + row_nl + ("," + row_nl).join(["{}"] * width) + nl + "]"
-
-
-def _rows(rows: np.ndarray, nl: str) -> list:
-    """The texts of the rows of a 2-D int array; a distinct row is
-    rendered once."""
-    count, width = rows.shape
-    template = _row_template(width, nl)
-    if not width:
-        return [template] * count
-    least = rows.min()
-    radix = int(rows.max()) - int(least) + 1
-    if radix ** width >= 2 ** 63:  # no int64 code per row
-        return [template.format(*row) for row in rows.tolist()]
-    # A row's code has one digit per entry, the entry minus the least one.
-    # int64 arithmetic wraps (uint64 entries), but each digit lies in
-    # [0, radix) and so comes out exact.
-    digits = rows.astype(np.int64, copy=False) - least.astype(np.int64)
-    powers = np.int64(radix) ** np.arange(width - 1, -1, -1)
-    codes = digits @ powers
-    if radix ** width > max(count, _TABLE):  # too many codes for a table: sort them
-        distinct, codes = np.unique(codes, return_inverse=True)
-        slots = np.arange(distinct.size)
-    else:  # a table indexed by the code
-        distinct = slots = np.flatnonzero(np.bincount(codes))
-    # Each distinct code is decoded to its row and rendered once.  The
-    # digits go back to the dtype of rows, where adding the least entry
-    # wraps back into range as the subtraction above did.
-    found = (distinct[:, None] // powers % radix).astype(rows.dtype) + least
-    table = np.empty(slots[-1] + 1, dtype=object)
-    table[slots] = [template.format(*row) for row in found.tolist()]
-    return table.take(codes).tolist()
-
-
 def _records(items: list, keys: list, nl: str) -> list | None:
-    """The texts of dicts that share the str keys ``keys`` (sorted, at
-    least one), one ``str.format`` per dict.  A column of ints, or of 1-D
-    int arrays of one dtype and one length, fills its slots directly, its
-    row template spliced into the record's; a column of other scalars is
-    rendered to one text per dict first.  A column of containers, such as
-    a state's (L, 3) configs, gives None: a record would be one text."""
-    inner = nl + "  "
-    slots, columns = [], []
+    """The pieces of dicts that share the str keys ``keys`` (sorted, at
+    least one) as a table: a column of ints, or of 1-D int arrays of one
+    dtype and one length, goes in as an int array, one of other scalars as
+    their JSON texts.  A column of containers, such as a state's (L, 3)
+    configs, gives None."""
+    columns = []
     for key in keys:
         column = list(map(itemgetter(key), items))
         types = set(map(type, column))
         rows = _stack(column, types)
-        if rows is not None:
-            slots.append(_row_template(rows.shape[1], inner))
-            columns.extend(rows.T.tolist())
-        elif any(issubclass(t, (list, tuple, dict, np.ndarray)) for t in types):
+        if rows is None and any(issubclass(t, (list, tuple, dict, np.ndarray)) for t in types):
             return None
+        if rows is None and types == {int}:
+            try:
+                rows = np.array(column, dtype=np.int64)
+            except OverflowError:  # an int past int64 goes in as its text
+                pass
+        if rows is None:
+            rows = np.array([_dumps(x) for x in column], dtype="S")
+        columns.append(rows)
+    return _table(nl, tuple(keys), columns)
+
+
+def _table(nl: str, keys: tuple | None, columns: list) -> list:
+    """The pieces of a list of items on lines that start with nl, rendered
+    as ASCII bytes a block of _BLOCK items at a time: the rows of the one
+    2-D int array in columns (keys None), or dicts of keys whose values are
+    the entries of columns, the ints or int rows of an int array or the
+    JSON texts of an S array.  A text is right-aligned in a slot as wide as
+    its column's widest, and the NUL bytes left of it are dropped."""
+    count, shapes, fills = len(columns[0]), [], []
+    for values in columns:
+        if values.dtype.kind == "S":
+            shapes.append((None, values.itemsize))
+            fills.append((values.view(np.uint8).reshape(count, -1), None, None))
+            continue
+        ints = values.reshape(count, -1)
+        lo, hi = int(ints.min(initial=0)), int(ints.max(initial=0))  # 0 widens no text
+        width = max(len(str(lo)), len(str(hi)))
+        shapes.append((ints.shape[1] if values.ndim == 2 else None, width))
+        fills.append((ints, width, lo < 0))
+    record, slots = _template(nl, keys, tuple(shapes))
+    buf = np.empty((min(count, _BLOCK), record.size), dtype=np.uint8)
+    buf[:] = record  # once per table; each block rewrites only the slots
+    pieces = []
+    for start in range(0, count, _BLOCK):
+        stop, used = min(start + _BLOCK, count), 0
+        for source, width, signed in fills:
+            block = source[start:stop]
+            if width is not None:
+                block = _digits(block, width, signed).reshape(stop - start, -1)
+            buf[:stop - start, slots[used:used + block.shape[1]]] = block
+            used += block.shape[1]
+        # the block's text, less the comma and line start after its last item
+        text = buf.reshape(-1)[:(stop - start) * record.size - len(nl) - 1].tobytes()
+        pieces.append((text.translate(None, b"\0") if b"\0" in text else text).decode("ascii"))
+    return pieces
+
+
+@lru_cache(maxsize=256)
+def _template(nl: str, keys: tuple | None, shapes: tuple) -> tuple:
+    """One list item on a line that starts with nl, then the comma and line
+    start after it, as ASCII bytes with a NUL slot per value, and the
+    offsets of the slot bytes: a row of the one shape (keys None) or a dict
+    of keys, a value per shape.  A shape (fields, width) is a row of fields
+    values, or with fields None one value, each width bytes."""
+    text, line = ("{", nl + "  ") if keys else ("", nl)  # line: that of each value
+    for k, (fields, width) in enumerate(shapes):
+        if keys:
+            text += "," * bool(k) + line + encode_basestring_ascii(keys[k]) + ": "
+        if fields is None:
+            text += "\0" * width
+        elif fields:  # a row of values, one line each
+            row = "," + line + "  "
+            text += "[" + row[1:] + row.join(["\0" * width] * fields) + line + "]"
         else:
-            slots.append("{}")
-            columns.append(column if types == {int} else _texts(column, inner))
-    template = "{{" + inner + ("," + inner).join(
-        encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": " + slot
-        for key, slot in zip(keys, slots)) + nl + "}}"
-    if not columns:  # every column holds empty rows
-        return [template.format()] * len(items)
-    return list(map(template.format, *columns))
+            text += "[]"
+    text += (nl + "}" if keys else "") + "," + nl
+    record = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return record, np.flatnonzero(record == 0)
+
+
+def _digits(ints: np.ndarray, width: int, signed: bool) -> np.ndarray:
+    """The decimal text of each int of a 2-D int array as ASCII bytes,
+    right-aligned in width bytes with NUL on the left: shape (*ints.shape,
+    width).  Magnitudes are uint64, so every int64 and uint64 is exact."""
+    if width == 1 and not signed:  # one digit each
+        return (ints + 48)[..., None]
+    mags = ints.astype(np.uint64)  # a negative int wraps; negated back here
+    np.negative(mags, out=mags, where=ints < 0)
+    text = np.zeros((*ints.shape, width), dtype=np.uint8)
+    for k in range(width - 1, -1, -1):  # a text ends where its magnitude runs out
+        text[..., k] = np.where(mags > 0, mags % 10 + 48, 48 if k == width - 1 else 0)
+        mags //= 10
+    if signed:  # "-" on the NUL just left of the first digit
+        lead = text[..., :-1]
+        lead[(lead == 0) & (text[..., 1:] != 0) & (ints < 0)[..., None]] = ord("-")
+    return text
 
 
 def _key(key) -> str:
@@ -241,9 +266,9 @@ def _write_json(path: str | None, obj, *files):
     # Writes obj to path (stdout if None) after each (path, pieces) of files
     # whose path is set, and removes the files it opened if one fails.  The
     # whole report renders before any file opens, so a value json cannot
-    # write raises first.  Its pieces are written one by one, and _put joins
-    # a long list in blocks of _BLOCK items: one join of the pieces, or of a
-    # 10^5-row list, would be a multi-MB copy that sets the peak memory.
+    # write raises first.  Its pieces are written one by one, and a long
+    # list renders in pieces of _BLOCK items: one join of the pieces would
+    # be a multi-MB copy that sets the peak memory.
     out: list[str] = []
     _put(obj, "\n", out)
     out.append("\n")
@@ -261,17 +286,29 @@ def _write_json(path: str | None, obj, *files):
         sys.stdout.writelines(out)
 
 
-def _add_dist_flags(p: argparse.ArgumentParser, p0=0.1, p1=0.1):
-    p.add_argument("--p0", type=float, default=p0, help="empty-site probability")
-    p.add_argument("--p1", type=float, default=p1, help="single-atom probability")
-    p.add_argument("--p2", type=float, default=None,
+class _Sampling(argparse.Action):
+    """Stores a flag that only a sampled lattice reads and notes it in
+    ``args.sampling``, so that ``format --lattice`` refuses it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.sampling = (*namespace.sampling, self.option_strings[0])
+
+
+def _add_dist_flags(p: argparse.ArgumentParser, p0=0.1, p1=0.1, action="store"):
+    p.add_argument("--p0", type=float, default=p0, action=action, help="empty-site probability")
+    p.add_argument("--p1", type=float, default=p1, action=action, help="single-atom probability")
+    p.add_argument("--p2", type=float, default=None, action=action,
                    help="two-atom probability (default: remainder)")
-    p.add_argument("--p3", type=float, default=0.0)
-    p.add_argument("--p4", type=float, default=0.0)
+    p.add_argument("--p3", type=float, default=0.0, action=action)
+    p.add_argument("--p4", type=float, default=0.0, action=action)
 
 
 def cmd_format(args) -> tuple:
     if args.lattice:
+        if args.sampling:
+            raise ValueError(f"{args.sampling[0]} is for a sampled lattice; "
+                             f"format --lattice reads its sites from the file")
         a = read_sites(args.lattice, a_only=True)
     elif args.L < 1:
         raise ValueError("lattice needs at least one site")
@@ -401,10 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("format", help="sample or load a lattice and format it")
-    p.add_argument("--L", type=int, default=64)
+    p.add_argument("--L", type=int, default=64, action=_Sampling)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lattice", help="JSON file with [[a,b,p], ...] sites")
-    _add_dist_flags(p)
+    _add_dist_flags(p, action=_Sampling)
+    p.set_defaults(sampling=())
     p.add_argument("--check-oracle", action="store_true")
     p.set_defaults(func=cmd_format)
 
@@ -443,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     for name, default in (("format", 0), ("stats", 0), ("repair", 0), ("run", None)):
-        sub.choices[name].add_argument("--seed", type=_seed, default=default)
+        sub.choices[name].add_argument("--seed", type=_seed, default=default,
+                                       action=_Sampling if name == "format" else "store")
     for p in sub.choices.values():
         p.add_argument("--out")
     return parser

@@ -104,7 +104,10 @@ def read_sites(path: str, a_only: bool = False) -> np.ndarray:
     return (digits[:, 0] if a_only else digits).astype(np.int64)
 
 
-_ROW_PUNCTUATION = np.frombuffer(b"[,,]", dtype=np.uint8)
+# A row "[d,d,d]," read as one little-endian uint64: the mask keeps its
+# punctuation, bytes 0, 2, 4, 6 and 7; the last row ends in "]" instead
+_ROW_MASK, _ROW, _LAST_ROW = (int.from_bytes(word, "little") for word in (
+    b"\xff\0\xff\0\xff\0\xff\xff", b"[\0,\0,\0],", b"[\0,\0,\0]]"))
 
 
 def _one_digit_sites(text: bytes) -> np.ndarray | None:
@@ -115,11 +118,10 @@ def _one_digit_sites(text: bytes) -> np.ndarray | None:
     L, rest = divmod(len(text) - 1, 8)
     if L < 1 or rest or text[0] != ord("["):
         return None
-    rows = np.frombuffer(text, dtype=np.uint8, offset=1).reshape(L, 8)
-    # columns 0, 2, 4, 6 read "[,,]"; column 7 is "," and "]" on the last row
-    if not ((rows[:, ::2] == _ROW_PUNCTUATION).all()
-            and (rows[:-1, 7] == ord(",")).all() and rows[-1, 7] == ord("]")):
+    punctuation = np.frombuffer(text, dtype="<u8", offset=1) & _ROW_MASK
+    if not ((punctuation[:-1] == _ROW).all() and punctuation[-1] == _LAST_ROW):
         return None
+    rows = np.frombuffer(text, dtype=np.uint8, offset=1).reshape(L, 8)
     digits = rows[:, 1:6:2] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
     return digits if (digits <= 9).all() else None
 

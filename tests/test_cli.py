@@ -104,6 +104,21 @@ def test_format_rejects_empty_lattice(tmp_path, capsys):
     assert capsys.readouterr().err.count("lattice needs at least one site") == 3
 
 
+@pytest.mark.parametrize("flag", [["--L", "5"], ["--L", "64"], ["--seed", "0"], ["--seed", "3"],
+                                  ["--p0", "0.3"], ["--p1", "0.1"], ["--p2", "0.8"],
+                                  ["--p3", "0"], ["--p4", "0.0"]],
+                         ids=lambda flag: "=".join(flag))
+def test_format_lattice_refuses_sampling_flags(tmp_path, capsys, flag):
+    # the sites come from the file: a flag that samples them is not dropped
+    # silently, not even at its default value
+    lat, out = tmp_path / "lat.json", tmp_path / "fmt.json"
+    lat.write_text("[[2, 0, 0], [1, 0, 0]]")
+    assert main(["format", "--lattice", str(lat), "--n", "1", *flag, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{flag[0]} " in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "sites", [[[1, 1, 0]], [[2, 0, 3]], [[2, 0, 0], [1, 0]], [[1.0, 0, 0]], [2],
               [[2, 0, 0], [True, 0, 0]]]

@@ -493,3 +493,20 @@ def test_prop_read_sites_matches_json_route(lattice_path, data, a_only):
         assert isinstance(got, np.ndarray) and got.flags.c_contiguous
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("a_only", [False, True])
+def test_read_sites_matches_json_route_on_every_one_byte_replacement(lattice_path, a_only):
+    # each byte of a three-row text in turn, the punctuation of the last row too
+    text = b"[[1,0,0],[2,0,0],[0,0,0]]"
+    for k in range(len(text)):
+        for byte in b"[],0123456789 -.e":
+            data = text[:k] + bytes([byte]) + text[k + 1:]
+            lattice_path.write_bytes(data)
+            got = _outcome(read_sites, lattice_path, a_only)
+            want = _outcome(_read_sites_by_json, lattice_path, a_only)
+            if isinstance(want, tuple):
+                assert got == want, data
+            else:
+                assert isinstance(got, np.ndarray) and got.dtype == want.dtype, data
+                assert np.array_equal(got, want), data

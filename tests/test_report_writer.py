@@ -257,8 +257,8 @@ def test_format_report_bytes_equal_stdlib_encoding(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli, "_write_json", record)
     out = tmp_path / "report.json"
     if isinstance(case, int):
-        # at n = 5 a qubit_sites row has no int64 code (20000 ** 5 >= 2 ** 63),
-        # so the writer renders those rows one by one
+        # homes and qubit_sites run from one to five digits: the writer pads
+        # their slots and drops the padding
         argv = ["format", "--L", "20000", "--n", str(case), "--seed", "7", "--check-oracle"]
     else:
         script, lat = tmp_path / "script.txt", tmp_path / "lat.json"
@@ -282,11 +282,18 @@ def test_format_report_bytes_equal_stdlib_encoding(tmp_path, capsys, monkeypatch
         assert repr(got.amps.tolist()) == repr(want.amps.tolist())
 
 
-def _count_unique(monkeypatch) -> list:
-    """The sizes of the arrays that np.unique sorts from now on."""
-    calls, unique = [], np.unique
-    monkeypatch.setattr(np, "unique", lambda ar, *a, **k: calls.append(len(ar)) or unique(ar, *a, **k))
-    return calls
+def _pieces(obj) -> list:
+    """The pieces of text the writer renders obj in."""
+    out: list[str] = []
+    cli._put(obj, "\n", out)
+    return out
+
+
+def _block_of(items, nl: str) -> int:
+    """The length of _BLOCK items as long as the longest of items, each on
+    a line that starts with nl, with their commas: one block of rows."""
+    longest = max(len(stdlib(plain(item)).replace("\n", nl)) for item in items)
+    return cli._BLOCK * (longest + len("," + nl))
 
 
 def _format_report(*argv):
@@ -295,25 +302,27 @@ def _format_report(*argv):
     return report
 
 
-def test_format_site_rows_come_from_a_table_not_a_sort(monkeypatch):
-    # initial and final hold 27 and 343 possible rows; qubit_sites fill
-    # their records' slots without being coded at all
+def test_format_site_rows_come_from_a_table_not_a_sort():
+    # initial and final hold one-digit counts, rendered with no division;
+    # the computers' home and qubit_sites texts differ in width, so their
+    # slots are padded and the padding dropped
     report = _format_report("--L", "20000", "--n", "3", "--seed", "7", "--check-oracle")
-    sorts = _count_unique(monkeypatch)
     assert cli._dumps(report) == stdlib(plain(report))
-    assert sorts == []
+    rows = [*report["initial"], *report["final"], *report["computers"]]
+    assert max(map(len, _pieces(report))) <= _block_of(rows, "\n    ")
 
 
-def test_initial_count_of_a_million_matches_stdlib_through_the_sort(tmp_path, monkeypatch):
-    # (10^6 + 1) ** 3 row codes fit int64 but not a table: initial is sorted
+def test_initial_count_of_a_million_matches_stdlib_through_the_sort(tmp_path):
+    # one count of 10^6 widens every slot of initial to seven bytes, most
+    # of them padding
     a = np.random.default_rng(3).choice(3, size=2000, p=[0.1, 0.1, 0.8])
     a[17] = 10**6
     lattice = tmp_path / "lattice.json"
     lattice.write_text(json.dumps([[int(x), 0, 0] for x in a]))
     report = _format_report("--lattice", str(lattice), "--n", "2", "--check-oracle")
-    sorts = _count_unique(monkeypatch)
     assert cli._dumps(report) == stdlib(plain(report))
-    assert sorts == [a.size]
+    rows = [*report["initial"], *report["final"], *report["computers"]]
+    assert max(map(len, _pieces(report))) <= _block_of(rows, "\n    ")
 
 
 def _spanning(least: int, radix: int, shape, dtype=np.int64) -> np.ndarray:
@@ -324,11 +333,11 @@ def _spanning(least: int, radix: int, shape, dtype=np.int64) -> np.ndarray:
     return np.array(rows.tolist(), dtype=dtype)
 
 
-@pytest.mark.parametrize("rows, sorts", [
+@pytest.mark.parametrize("rows, past", [
     (_spanning(0, 64, (50, 2)), 0),  # 64 ** 2 codes: the table bound
     (_spanning(0, 65, (50, 2)), 1),  # 65 ** 2, one row past it
-    (_spanning(7, cli._TABLE, (50, 1)), 0),
-    (_spanning(7, cli._TABLE + 1, (50, 1)), 1),
+    (_spanning(7, 4096, (50, 1)), 0),
+    (_spanning(7, 4097, (50, 1)), 1),
     (_spanning(0, 5000, (5000, 1)), 0),  # more rows than the least bound
     (_spanning(0, 5001, (5000, 1)), 1),
     (_spanning(-5, 9, (300, 3)), 0),  # a negative least entry
@@ -339,12 +348,16 @@ def _spanning(least: int, radix: int, shape, dtype=np.int64) -> np.ndarray:
     (_spanning(0, 3, (300, 1), np.uint8), 0),
     (np.zeros((300, 0), dtype=np.int64), 0),
 ], ids=lambda x: str(x.dtype) + str(x.shape) if isinstance(x, np.ndarray) else None)
-def test_rows_at_the_table_edges_match_stdlib(monkeypatch, rows, sorts):
-    calls = _count_unique(monkeypatch)
+def test_rows_at_the_table_edges_match_stdlib(rows, past):
+    # past: the rows' (max - min + 1) ** width exceeds max(row count, 4096),
+    # the edge of a table of row codes; the cases lie on both sides of it
+    span = int(rows.max()) - int(rows.min()) + 1 if rows.size else 1
+    assert (span ** rows.shape[1] > max(len(rows), 4096)) == past
+    records = [{"z": row, "w": 1} for row in rows]
     for obj in (rows, list(rows), {"x": rows, "y": [{"z": row, "w": 1} for row in rows]}):
         assert cli._dumps(obj) == stdlib(plain(obj))
-    # once for the array, the list and x each; records fill their slots
-    assert len(calls) == 3 * sorts
+        # no piece holds more than a block of the longest items, the records
+        assert max(map(len, _pieces(obj))) <= _block_of(records, "\n    ")
 
 
 def test_lists_longer_than_a_join_block_match_stdlib():
@@ -355,7 +368,7 @@ def test_lists_longer_than_a_join_block_match_stdlib():
         out: list[str] = []
         cli._put(obj, "\n", out)
         assert "".join(out) == stdlib(plain(obj))
-        assert len(out) == 7 and max(map(len, out)) < 64 * cli._BLOCK  # three blocks
+        assert max(map(len, out)) <= _block_of(plain(obj), "\n  ")
     nested = {"a": [rows.tolist(), list(range(count))]}
     assert cli._dumps(nested) == stdlib(plain(nested))
 
@@ -391,4 +404,54 @@ def test_records_of_mixed_columns_match_stdlib():
     ]
     for obj in (records, [records, records[:2]], {"r": records},
                 [{"b": empty, "{}": empty}] * 3):  # no column fills a slot
+        assert cli._dumps(obj) == stdlib(plain(obj))
+
+
+_INT64, _UINT64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+
+
+@pytest.mark.parametrize("x, y, dtype", [
+    (9, 10, np.int64), (99, 100, np.int64), (-9, -10, np.int64), (0, -1, np.int64),
+    (-5, 10, np.int64),  # the least and the greatest text alike long, a 0 between
+    (_INT64.min, _INT64.max, np.int64), (_UINT64.max, 0, np.uint64), (-128, 127, np.int8),
+    (255, 0, np.uint8),
+], ids=lambda v: np.dtype(v).name if isinstance(v, type) else str(v))
+def test_digit_width_edges_match_stdlib(x, y, dtype):
+    # texts of two lengths side by side, and each length alone; a record's
+    # int column and row column take their widths each on its own
+    for rows in ([[x, y], [y, x]], [[x, x]], [[y, y]], [[x], [y]], [[x, 0, y]]):
+        arr = np.array(rows, dtype=dtype)
+        records = [{"n": int(row[0]), "row": row, "s": 7} for row in arr]
+        for obj in (arr, list(arr), {"t": arr, "r": records}):
+            assert cli._dumps(obj) == stdlib(plain(obj))
+
+
+def test_a_width_first_met_in_a_later_block_matches_stdlib():
+    # the first block holds one-digit texts only; wider ones come later
+    rows = np.ones((2 * cli._BLOCK + 3, 3), dtype=np.int64)
+    rows[cli._BLOCK + 5, 2], rows[-1, 1] = -7, 10**12
+    for obj in (rows, [{"a": row, "b": int(row[1])} for row in rows]):
+        assert cli._dumps(obj) == stdlib(plain(obj))
+
+
+def test_records_of_int64_and_uint64_columns_match_stdlib():
+    records = [{"i": np.array([-k, 2**62, _INT64.min + k], dtype=np.int64),
+                "u": np.array([_UINT64.max - k], dtype=np.uint64), "k": 10**k}
+               for k in range(12)]
+    assert cli._dumps(records) == stdlib(plain(records))
+
+
+def test_record_text_columns_match_stdlib():
+    texts = ["{}", "\x00", "é", "日本", "\U0001f600", 'a"b\\', "", "{0}"]
+    numbers = [0.1, 1.0, 1e-300, -2.5e100, 1 / 3, 12345.678, 5e-324, -0.0]
+    records = [{"s": s, "f": f, "b": k % 2 == 0, "z": None, "m": [None, True, 1.5, "x"][k % 4],
+                "k": k} for k, (s, f) in enumerate(zip(texts, numbers))]
+    for obj in (records, [{"z": None}] * 3, [{"b": True}, {"b": False}]):
+        assert cli._dumps(obj) == stdlib(plain(obj))
+
+
+def test_width_zero_rows_match_stdlib():
+    empty = np.zeros((5, 0), dtype=np.int64)
+    records = [{"e": row, "k": k, "r": np.arange(k, k + 2)} for k, row in enumerate(empty)]
+    for obj in (empty, list(empty), records, {"a": empty, "b": records}):
         assert cli._dumps(obj) == stdlib(plain(obj))
